@@ -43,10 +43,8 @@ from .transport import (
 from .distance import (
     DistanceResult,
     bilinear_gw,
-    coupling_minimax,
     geodesic_problem,
     hausdorff_reduction,
-    linf_risk_distance_point_mass,
     lp_risk_distance,
     lp_risk_distortion,
     pair_cost_matrix,
@@ -57,15 +55,12 @@ from .distance import (
     weak_isomorphism_witness,
 )
 from .corruption import (
-    Disintegration,
     apply_bias_density,
     apply_general_noise,
     apply_label_noise,
-    disintegrate,
     no_noise_kernel,
     noise_bound_metric,
     predictor_set_bound,
-    recompose,
     restrict,
     run_pipeline,
     s_metric,

@@ -30,31 +30,6 @@ from .transport import (
 )
 
 
-@dataclass(frozen=True)
-class Disintegration:
-    """An input marginal plus the conditional label law at each input.
-
-    Rows of ``beta`` at zero-mass inputs are uniform by convention: the
-    conditional law is arbitrary there, and uniform avoids NaNs.
-    """
-
-    alpha: np.ndarray  # (nx,)
-    beta: np.ndarray  # (nx, ny), row-stochastic
-
-
-def disintegrate(problem: FiniteProblem) -> Disintegration:
-    alpha = problem.eta.sum(axis=1)
-    beta = np.full_like(problem.eta, 1.0 / problem.ny)
-    supported = alpha > 0
-    beta[supported] = problem.eta[supported] / alpha[supported, None]
-    return Disintegration(alpha=alpha, beta=beta)
-
-
-def recompose(d: Disintegration) -> np.ndarray:
-    """Inverse of :func:`disintegrate`: rebuild the joint law."""
-    return d.alpha[:, None] * d.beta
-
-
 # --------------------------------------------------------------------------
 # Sampling bias
 # --------------------------------------------------------------------------
@@ -291,20 +266,21 @@ def apply_general_noise(
 
 
 # --------------------------------------------------------------------------
-# Predictor-set substitution
+# Loss and predictor-set substitution
 # --------------------------------------------------------------------------
+
+def _loss_swap_bound(p: FiniteProblem, p_prime: FiniteProblem) -> float:
+    """Bound a loss substitution (same joint law and predictors) by the worst
+    per-predictor expected loss gap."""
+    gaps = np.abs(p.predictor_loss_stack() - p_prime.predictor_loss_stack())
+    return float(np.max(np.einsum("xy,hxy->h", p.eta, gaps)))
+
 
 def predictor_set_bound(
     problem: FiniteProblem, new_predictors: np.ndarray
 ) -> tuple[FiniteProblem, float]:
     """Swap the predictor set and certify by the Hausdorff distance between
     the two sets in L1(eta)."""
-    new_predictors = np.asarray(new_predictors, dtype=np.int64)
-    if new_predictors.ndim != 2 or new_predictors.shape[0] < 1:
-        raise ValidationError(
-            "new_predictors must be a nonempty list of index vectors",
-            field="new_predictors",
-        )
     swapped = FiniteProblem(
         x_labels=problem.x_labels,
         y_labels=problem.y_labels,
@@ -312,7 +288,7 @@ def predictor_set_bound(
         loss=problem.loss,
         predictors=new_predictors,
     )
-    cross = cross_predictor_pseudometric(problem, new_predictors)
+    cross = cross_predictor_pseudometric(problem, swapped.predictors)
     return swapped, hausdorff(cross)
 
 
@@ -341,8 +317,10 @@ def run_pipeline(
     records: list[StageRecord] = []
     current = problem
     for idx, stage in enumerate(stages):
-        if "kind" not in stage:
-            raise ValidationError(f"stages[{idx}] lacks a kind", field=f"stages[{idx}]")
+        if not isinstance(stage, dict) or "kind" not in stage:
+            raise ValidationError(
+                f"stages[{idx}] is not an object with a kind", field=f"stages[{idx}]"
+            )
         kind = stage["kind"]
         params = {k: v for k, v in stage.items() if k != "kind"}
         try:
@@ -384,15 +362,10 @@ def run_pipeline(
                     loss=new_loss,
                     predictors=current.predictors,
                 )
-                gaps = np.abs(
-                    current.predictor_loss_stack() - swapped.predictor_loss_stack()
-                )
-                bound = float(np.max(np.einsum("xy,hxy->h", current.eta, gaps)))
+                bound = _loss_swap_bound(current, swapped)
                 current = swapped
             elif kind == "predictor_swap":
-                current, bound = predictor_set_bound(
-                    current, np.asarray(params["predictors"], dtype=np.int64)
-                )
+                current, bound = predictor_set_bound(current, params["predictors"])
             else:
                 raise ValidationError(
                     f"stages[{idx}] has unknown kind {kind!r}",

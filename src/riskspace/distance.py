@@ -31,6 +31,7 @@ from .problems import (
 )
 from .transport import (
     _LP_OPTIONS,
+    _marginal_equalities,
     check_coupling,
     check_distribution,
     coupling_vertices,
@@ -70,9 +71,11 @@ class DistanceResult:
         if self.status not in ("exact", "upper_bound"):
             raise ValidationError(f"unknown status {self.status!r}",
                                   field="status")
-        if self.value < 0:
-            raise ValidationError("distance values are nonnegative",
-                                  field="value")
+        if np.isnan(self.value) or self.value < 0:
+            raise ValidationError(
+                f"distance value {self.value!r} is not a nonnegative number",
+                field="value",
+            )
         for name in ("witness_coupling", "witness_correspondence",
                      "witness_predictor_coupling"):
             arr = getattr(self, name)
@@ -101,11 +104,6 @@ def check_correspondence(r: np.ndarray, name: str = "correspondence") -> np.ndar
 # Flattened views and pair costs
 # --------------------------------------------------------------------------
 
-def _flat_losses(p: FiniteProblem) -> np.ndarray:
-    """Predictor loss vectors over the flattened observation grid, (nH, nx*ny)."""
-    return p.predictor_loss_stack().reshape(p.n_predictors, -1)
-
-
 def _flat_eta(p: FiniteProblem) -> np.ndarray:
     return p.eta.ravel()
 
@@ -126,30 +124,28 @@ def _coupling_from_product(gamma: np.ndarray, p: FiniteProblem,
     return gamma.reshape(p.nx * p.ny, q.nx * q.ny)
 
 
-class _PairCosts:
-    """Lazy |loss - loss'| cost vectors for predictor pairs, flattened over
-    the product of the two observation grids."""
+def _pair_costs(p: FiniteProblem, q: FiniteProblem) -> np.ndarray:
+    """The pair-cost functionals |l_h - l'_{h'}| of every predictor pair, flat
+    over the product of the two observation grids: shape
+    (|H|, |H'|, nx*ny*nx'*ny').
 
-    def __init__(self, p: FiniteProblem, q: FiniteProblem):
-        self.la = _flat_losses(p)
-        self.lb = _flat_losses(q)
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+    The cost matrix under a coupling (:func:`_costs_under`) takes one dot
+    product per pair, not one matrix product over this array: a matrix
+    product sums in another order, and its changed last bits move the argmin
+    tie-breaks of the alternating fallback.
+    """
+    la = p.predictor_loss_stack().reshape(p.n_predictors, -1)
+    lb = q.predictor_loss_stack().reshape(q.n_predictors, -1)
+    return np.abs(la[:, None, :, None] - lb[None, :, None, :]).reshape(
+        p.n_predictors, q.n_predictors, -1
+    )
 
-    def vector(self, h: int, hp: int) -> np.ndarray:
-        key = (h, hp)
-        if key not in self._cache:
-            self._cache[key] = np.abs(
-                self.la[h][:, None] - self.lb[hp][None, :]
-            ).ravel()
-        return self._cache[key]
 
-    def matrix_against(self, gamma_flat: np.ndarray) -> np.ndarray:
-        g = gamma_flat.ravel()
-        out = np.empty((self.la.shape[0], self.lb.shape[0]))
-        for h in range(self.la.shape[0]):
-            for hp in range(self.lb.shape[0]):
-                out[h, hp] = self.vector(h, hp) @ g
-        return out
+def _costs_under(pair_costs: np.ndarray, gamma_flat: np.ndarray) -> np.ndarray:
+    """Expected pair costs (|H|, |H'|) under a flat coupling, one dot product
+    per pair (see :func:`_pair_costs`)."""
+    g = gamma_flat.ravel()
+    return np.array([[c @ g for c in row] for row in pair_costs])
 
 
 def pair_cost_matrix(
@@ -158,7 +154,7 @@ def pair_cost_matrix(
     """Expected loss gaps for every predictor pair under a fixed coupling."""
     gamma_flat = _coupling_from_product(gamma, p, p_prime)
     check_coupling(gamma_flat, _flat_eta(p), _flat_eta(p_prime), name="gamma")
-    return _PairCosts(p, p_prime).matrix_against(gamma_flat)
+    return _costs_under(_pair_costs(p, p_prime), gamma_flat)
 
 
 def risk_distortion(
@@ -197,11 +193,12 @@ def hausdorff_reduction(costs: np.ndarray) -> tuple[float, np.ndarray]:
 # --------------------------------------------------------------------------
 
 def _minimax_coupling_lp(
-    cost_vectors: list[np.ndarray], mu: np.ndarray, nu: np.ndarray
+    costs: np.ndarray, mu: np.ndarray, nu: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """min over couplings gamma of max_k <cost_vectors[k], gamma>.
+    """min over couplings gamma of max_k <costs[k], gamma>.
 
-    Each cost vector is flat over the (len(mu), len(nu)) grid.  Zero-mass
+    ``costs`` has one row per functional, flat over the (len(mu), len(nu))
+    grid; each row is one constraint, in row order.  Zero-mass
     rows/columns are dropped before the solve and reinserted as zeros.
     """
     m_full, n_full = len(mu), len(nu)
@@ -209,31 +206,20 @@ def _minimax_coupling_lp(
     cols = np.flatnonzero(nu > 0)
     m, n = len(rows), len(cols)
     sub_mu, sub_nu = mu[rows], nu[cols]
-    grid = np.ix_(rows, cols)
+    sub_costs = costs.reshape(-1, m_full, n_full)[:, rows][:, :, cols]
+    full = np.zeros((m_full, n_full))
 
     if m == 1 or n == 1:
         # Unique coupling: the product measure.
         plan = np.outer(sub_mu, sub_nu)
-        value = max(
-            float(np.sum(c.reshape(m_full, n_full)[grid] * plan))
-            for c in cost_vectors
-        )
-        full = np.zeros((m_full, n_full))
-        full[grid] = plan
+        value = max(float(np.sum(c * plan)) for c in sub_costs)
+        full[np.ix_(rows, cols)] = plan
         return value, full.ravel()
 
     n_gamma = m * n
-    k = len(cost_vectors)
-    a_ub = np.zeros((k, n_gamma + 1))
-    for idx, c in enumerate(cost_vectors):
-        a_ub[idx, :n_gamma] = c.reshape(m_full, n_full)[grid].ravel()
-        a_ub[idx, n_gamma] = -1.0
-    a_eq = np.zeros((m + n, n_gamma + 1))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j:n_gamma:n] = 1.0
-    b_eq = np.concatenate([sub_mu, sub_nu])
+    k = len(costs)
+    a_ub = np.hstack([sub_costs.reshape(k, n_gamma), np.full((k, 1), -1.0)])
+    a_eq, b_eq = _marginal_equalities(sub_mu, sub_nu, n_extra=1)
     objective = np.zeros(n_gamma + 1)
     objective[n_gamma] = 1.0
     res = linprog(
@@ -248,25 +234,9 @@ def _minimax_coupling_lp(
     )
     if res.status != 0:
         raise RuntimeError(f"minimax transport LP failed: {res.message}")
-    plan = res.x[:n_gamma].reshape(m, n)
-    full = np.zeros((m_full, n_full))
-    full[grid] = plan
-    value = max(float(c @ full.ravel()) for c in cost_vectors)
-    return value, full.ravel()
-
-
-def coupling_minimax(
-    p: FiniteProblem, p_prime: FiniteProblem, pairs: list[tuple[int, int]]
-) -> tuple[float, np.ndarray]:
-    """Minimize, over couplings of the two joint laws, the worst expected loss
-    gap among the given predictor pairs.  Returns (value, coupling) with the
-    coupling shaped (nx, ny, nx', ny')."""
-    costs = _PairCosts(p, p_prime)
-    vectors = [costs.vector(h, hp) for (h, hp) in pairs]
-    value, gamma_flat = _minimax_coupling_lp(
-        vectors, _flat_eta(p), _flat_eta(p_prime)
-    )
-    return value, _coupling_to_product(gamma_flat, p, p_prime)
+    full[np.ix_(rows, cols)] = res.x[:n_gamma].reshape(m, n)
+    gamma_flat = full.ravel()
+    return max(float(c @ gamma_flat) for c in costs), gamma_flat
 
 
 # --------------------------------------------------------------------------
@@ -365,15 +335,13 @@ def risk_distance_exact(
             )
         return _alternating_upper_bound(p, p_prime, restarts=restarts, seed=seed)
 
-    costs = _PairCosts(p, p_prime)
+    costs = _pair_costs(p, p_prime)
     mu, nu = _flat_eta(p), _flat_eta(p_prime)
 
-    lower = np.empty((p.n_predictors, p_prime.n_predictors))
-    for h in range(p.n_predictors):
-        for hp in range(p_prime.n_predictors):
-            _, lower[h, hp] = solve_ot_exact(
-                costs.vector(h, hp).reshape(len(mu), len(nu)), mu, nu
-            )
+    lower = np.array([
+        [solve_ot_exact(c.reshape(len(mu), len(nu)), mu, nu)[1] for c in row]
+        for row in costs
+    ])
 
     best_value = np.inf
     best_gamma: np.ndarray | None = None
@@ -382,16 +350,15 @@ def risk_distance_exact(
     ):
         if score >= best_value - 1e-12:
             break
-        vectors = [costs.vector(h, hp) for (h, hp) in union]
-        value, gamma_flat = _minimax_coupling_lp(vectors, mu, nu)
+        value, gamma_flat = _minimax_coupling_lp(
+            costs[tuple(zip(*union))], mu, nu
+        )
         if value < best_value:
             best_value = value
             best_gamma = gamma_flat
 
     assert best_gamma is not None
-    value, witness_r = hausdorff_reduction(
-        costs.matrix_against(best_gamma)
-    )
+    value, witness_r = hausdorff_reduction(_costs_under(costs, best_gamma))
     return DistanceResult(
         value=max(float(value), 0.0),
         status="exact",
@@ -410,7 +377,7 @@ def _alternating_upper_bound(
 ) -> DistanceResult:
     """Alternate between the closed-form correspondence step and the minimax
     coupling LP; a descent heuristic whose result is a certified upper bound."""
-    costs = _PairCosts(p, p_prime)
+    costs = _pair_costs(p, p_prime)
     mu, nu = _flat_eta(p), _flat_eta(p_prime)
     rng = np.random.default_rng(seed)
     inits = [np.outer(mu, nu)]
@@ -421,7 +388,7 @@ def _alternating_upper_bound(
         gamma_flat = gamma.ravel()
         value = np.inf
         for _ in range(max_iter):
-            cost_matrix = costs.matrix_against(gamma_flat)
+            cost_matrix = _costs_under(costs, gamma_flat)
             current = hausdorff(cost_matrix)
             if value - current < tol:
                 value = min(value, current)
@@ -435,9 +402,10 @@ def _alternating_upper_bound(
                 {(h, int(a_rows[h])) for h in range(p.n_predictors)}
                 | {(int(b_cols[hp]), hp) for hp in range(p_prime.n_predictors)}
             )
-            vectors = [costs.vector(h, hp) for (h, hp) in union]
-            _, gamma_flat = _minimax_coupling_lp(vectors, mu, nu)
-        final_value, witness = hausdorff_reduction(costs.matrix_against(gamma_flat))
+            _, gamma_flat = _minimax_coupling_lp(
+                costs[tuple(zip(*union))], mu, nu
+            )
+        final_value, witness = hausdorff_reduction(_costs_under(costs, gamma_flat))
         if final_value < best[0]:
             best = (final_value, gamma_flat, witness)
 
@@ -476,8 +444,9 @@ def risk_distance_upper_shared(
                 "mode shared_eta_H requires identical eta and predictors",
                 field="mode",
             )
-        gaps = np.abs(p.predictor_loss_stack() - p_prime.predictor_loss_stack())
-        return float(np.max(np.einsum("xy,hxy->h", p.eta, gaps)))
+        from .corruption import _loss_swap_bound
+
+        return _loss_swap_bound(p, p_prime)
     if mode == "shared_all_but_eta":
         if not np.array_equal(p.loss, p_prime.loss) or not np.array_equal(
             p.predictors, p_prime.predictors
@@ -580,15 +549,11 @@ def lp_risk_distance(
     if p == np.inf or p < 1:
         raise ValidationError("p must lie in [1, inf)", field="p")
     pa, pb = wp.problem, wp_prime.problem
-    costs = _PairCosts(pa, pb)
     mu, nu = _flat_eta(pa), _flat_eta(pb)
     rng = np.random.default_rng(seed)
 
     n_h, n_hp = pa.n_predictors, pb.n_predictors
-    flat_pairwise = np.empty((n_h, n_hp, len(mu) * len(nu)))
-    for h in range(n_h):
-        for hp in range(n_hp):
-            flat_pairwise[h, hp] = costs.vector(h, hp)
+    flat_pairwise = _pair_costs(pa, pb)
     pow_pairwise = flat_pairwise if p == 1.0 else flat_pairwise**p
 
     def objective(rho: np.ndarray, gamma_flat: np.ndarray) -> float:
@@ -624,39 +589,6 @@ def lp_risk_distance(
         value=max(float(value), 0.0),
         status=status,
         witness_coupling=_coupling_to_product(gamma_flat, pa, pb),
-        witness_predictor_coupling=rho,
-    )
-
-
-def linf_risk_distance_point_mass(
-    wp: WeightedProblem, wp_prime: WeightedProblem
-) -> DistanceResult:
-    """Experimental: the L^inf weighted distance when both weightings are
-    point masses.
-
-    The support constraint makes the general L^inf optimization combinatorial;
-    with point-mass weights the predictor coupling is forced and the distance
-    reduces to one exact transport solve.
-    """
-    for lam, name in ((wp.lam, "lambda"), (wp_prime.lam, "lambda'")):
-        if np.count_nonzero(lam) != 1:
-            raise ValidationError(
-                f"{name} must be a point mass for the L^inf variant", field=name
-            )
-    h = int(np.flatnonzero(wp.lam)[0])
-    hp = int(np.flatnonzero(wp_prime.lam)[0])
-    pa, pb = wp.problem, wp_prime.problem
-    costs = _PairCosts(pa, pb)
-    mu, nu = _flat_eta(pa), _flat_eta(pb)
-    gamma, value = solve_ot_exact(
-        costs.vector(h, hp).reshape(len(mu), len(nu)), mu, nu
-    )
-    rho = np.zeros((pa.n_predictors, pb.n_predictors))
-    rho[h, hp] = 1.0
-    return DistanceResult(
-        value=max(float(value), 0.0),
-        status="exact",
-        witness_coupling=_coupling_to_product(gamma.ravel(), pa, pb),
         witness_predictor_coupling=rho,
     )
 

@@ -44,15 +44,16 @@ def _sub_seed(seed: int, n: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n, trial]))
 
 
-def sample_empirical(problem: FiniteProblem, n: int, seed: int) -> FiniteProblem:
-    """The empirical problem after n seeded i.i.d. draws from the joint law.
+def _resample(
+    problem: FiniteProblem, n: int, rng: np.random.Generator
+) -> FiniteProblem:
+    """The empirical problem after n i.i.d. draws from the joint law.
 
     Only the joint law changes: it becomes the average of the n observed
-    point masses.  Identical seeds give bit-identical samples.
+    point masses.
     """
     if n < 1:
         raise ValidationError("sample size must be at least 1", field="n")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     flat = problem.eta.ravel()
     draws = rng.choice(len(flat), size=n, p=flat)
     counts = np.bincount(draws, minlength=len(flat)).astype(float)
@@ -63,6 +64,14 @@ def sample_empirical(problem: FiniteProblem, n: int, seed: int) -> FiniteProblem
         loss=problem.loss,
         predictors=problem.predictors,
     )
+
+
+def sample_empirical(problem: FiniteProblem, n: int, seed: int) -> FiniteProblem:
+    """The empirical problem after n seeded i.i.d. draws from the joint law.
+
+    Identical seeds give bit-identical samples.
+    """
+    return _resample(problem, n, np.random.default_rng(np.random.SeedSequence([seed])))
 
 
 def convergence_experiment(
@@ -80,6 +89,8 @@ def convergence_experiment(
     Trials are independent; each derives its own sub-seed from
     (seed, n, trial).
     """
+    if trials < 1:
+        raise ValidationError("trials must be at least 1", field="trials")
     ell_max = float(problem.loss.max())
     support_product = (problem.nx * problem.ny) ** 2
     pairs = problem.n_predictors**2
@@ -87,16 +98,7 @@ def convergence_experiment(
     rows = []
     for n in ns:
         for trial in range(trials):
-            rng = _sub_seed(seed, n, trial)
-            draws = rng.choice(problem.eta.size, size=n, p=problem.eta.ravel())
-            counts = np.bincount(draws, minlength=problem.eta.size).astype(float)
-            empirical = FiniteProblem(
-                x_labels=problem.x_labels,
-                y_labels=problem.y_labels,
-                eta=(counts / n).reshape(problem.eta.shape),
-                loss=problem.loss,
-                predictors=problem.predictors,
-            )
+            empirical = _resample(problem, n, _sub_seed(seed, n, trial))
             bound = tv_bound(problem, empirical, ell_max)
             exact = None
             if exact_feasible:
@@ -150,53 +152,21 @@ def rademacher_mc(
     return mean, se
 
 
-def rademacher_exact_small(problem: FiniteProblem, m: int) -> float:
-    """Exact order-m Rademacher complexity by exhaustive expectation.
+def _exhaustive_rademacher(values: np.ndarray, weights: np.ndarray, m: int) -> float:
+    """Exact order-m Rademacher complexity of the function class whose rows
+    of ``values`` are evaluated at atoms of probability ``weights``.
 
-    Sums over every observation m-tuple (weighted by the product law) and
-    every sign vector (weight 2^-m).  Feasible only while
-    (nx*ny)^m * 2^m stays at desk scale.
+    Sums over every atom m-tuple (weighted by the product law) and every sign
+    vector (weight 2^-m), so it refuses once atoms^m * 2^m exceeds
+    ``RADEMACHER_CAPACITY``.
     """
     if m < 1:
         raise ValidationError("m must be at least 1", field="m")
-    atoms = problem.nx * problem.ny
-    work = (atoms**m) * (2**m)
-    if work > RADEMACHER_CAPACITY:
-        raise CapacityError(
-            f"exhaustive expectation needs (nx*ny)^m * 2^m <= "
-            f"{RADEMACHER_CAPACITY}, got {work}",
-            cap="rademacher",
-            actual=work,
-        )
-    flat_losses = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
-    flat_eta = problem.eta.ravel()
-    sign_vectors = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
-    total = 0.0
-    for obs in itertools.product(range(atoms), repeat=m):
-        weight = float(np.prod(flat_eta[list(obs)]))
-        if weight == 0.0:
-            continue
-        table = flat_losses[:, list(obs)]  # (nH, m)
-        sups = (sign_vectors @ table.T / m).max(axis=1)  # (2^m,)
-        total += weight * float(sups.mean())
-    return total
-
-
-def _coupled_gap_rademacher(
-    p: FiniteProblem, p_prime: FiniteProblem, gamma_flat: np.ndarray, m: int
-) -> float:
-    """Exact Rademacher complexity of the loss-gap class {|l_h - l'_{h'}|}
-    over the coupled observation space."""
-    la = p.predictor_loss_stack().reshape(p.n_predictors, -1)
-    lb = p_prime.predictor_loss_stack().reshape(p_prime.n_predictors, -1)
-    gaps = np.abs(la[:, None, :, None] - lb[None, :, None, :])
-    gaps = gaps.reshape(p.n_predictors * p_prime.n_predictors, -1)
-    weights = gamma_flat.ravel()
     atoms = len(weights)
     work = (atoms**m) * (2**m)
     if work > RADEMACHER_CAPACITY:
         raise CapacityError(
-            f"coupled-gap expectation needs atoms^m * 2^m <= "
+            f"exhaustive expectation needs atoms^m * 2^m <= "
             f"{RADEMACHER_CAPACITY}, got {work}",
             cap="rademacher",
             actual=work,
@@ -207,10 +177,19 @@ def _coupled_gap_rademacher(
         weight = float(np.prod(weights[list(obs)]))
         if weight == 0.0:
             continue
-        table = gaps[:, list(obs)]
-        sups = (sign_vectors @ table.T / m).max(axis=1)
+        table = values[:, list(obs)]  # (functions, m)
+        sups = (sign_vectors @ table.T / m).max(axis=1)  # (2^m,)
         total += weight * float(sups.mean())
     return total
+
+
+def rademacher_exact_small(problem: FiniteProblem, m: int) -> float:
+    """Exact order-m Rademacher complexity by exhaustive expectation over the
+    observation grid.  Feasible only while (nx*ny)^m * 2^m stays at desk
+    scale.
+    """
+    flat_losses = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
+    return _exhaustive_rademacher(flat_losses, problem.eta.ravel(), m)
 
 
 def rademacher_gap_bound(
@@ -227,8 +206,13 @@ def rademacher_gap_bound(
     |R_m(P) - R_m(P')| respects it, and returns the cap.
     """
     distortion = _distance.risk_distortion(p, p_prime, r, gamma)
-    gamma_flat = _distance._coupling_from_product(gamma, p, p_prime)
-    gap_complexity = _coupled_gap_rademacher(p, p_prime, gamma_flat, m)
+    # the loss-gap class {|l_h - l'_{h'}|} over the coupled observation space
+    gaps = _distance._pair_costs(p, p_prime)
+    gap_complexity = _exhaustive_rademacher(
+        gaps.reshape(-1, gaps.shape[-1]),
+        _distance._coupling_from_product(gamma, p, p_prime).ravel(),
+        m,
+    )
     bound = distortion + 2.0 * gap_complexity
     actual = abs(rademacher_exact_small(p, m) - rademacher_exact_small(p_prime, m))
     if actual > bound + 1e-9:

@@ -18,10 +18,10 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .distance import (
     DistanceResult,
-    _PairCosts,
     _coupling_to_product,
     _flat_eta,
     _minimax_coupling_lp,
+    _pair_costs,
     check_correspondence,
 )
 from .problems import FiniteProblem, all_risks, constrained_bayes_risk
@@ -248,7 +248,7 @@ def connected_risk_distance_exact(
             cap="cap_pairs",
             actual=n_pairs,
         )
-    costs = _PairCosts(p, q)
+    costs = _pair_costs(p, q)
     mu, nu = _flat_eta(p), _flat_eta(q)
     cells = list(itertools.product(range(p.n_predictors), range(q.n_predictors)))
 
@@ -262,8 +262,7 @@ def connected_risk_distance_exact(
             continue
         if not is_inverse_connected(r, pg, pg_prime):
             continue
-        vectors = [costs.vector(h, hp) for (h, hp) in np.argwhere(r)]
-        value, gamma_flat = _minimax_coupling_lp(vectors, mu, nu)
+        value, gamma_flat = _minimax_coupling_lp(costs[r], mu, nu)
         if value < best[0]:
             best = (value, gamma_flat, r)
 

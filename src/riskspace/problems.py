@@ -31,6 +31,41 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _index_matrix(raw) -> np.ndarray:
+    """Predictor label indices as an int64 matrix.
+
+    A cast would truncate 0.7 to 0 and read ``True`` as 1, so boolean and
+    non-integral entries are refused instead.  Arrays that are not matrices
+    pass through unchanged for the shape checks to report.
+    """
+    try:
+        arr = np.asarray(raw)
+    except ValueError:
+        raise ValidationError(
+            "predictors must be a rectangular array of label indices",
+            field="predictors",
+        ) from None
+    if arr.ndim != 2:
+        return arr
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(
+            "predictors must hold integer label indices", field="predictors"
+        )
+    # scanned entry by entry: numpy turns [0, True] into int64 without a trace
+    bad = np.array(
+        [[isinstance(v, (bool, np.bool_)) for v in row] for row in raw], dtype=bool
+    ).reshape(arr.shape)
+    if arr.dtype.kind == "f":
+        bad |= ~np.isfinite(arr) | (arr != np.trunc(arr))
+    if np.any(bad):
+        k, x = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"predictors[{k}][{x}] is not an integer label index",
+            field=f"predictors[{k}][{x}]",
+        )
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteProblem:
     """A finite supervised learning problem.
@@ -58,9 +93,7 @@ class FiniteProblem:
         object.__setattr__(self, "y_labels", tuple(str(s) for s in self.y_labels))
         object.__setattr__(self, "eta", _freeze(np.asarray(self.eta, dtype=float)))
         object.__setattr__(self, "loss", _freeze(np.asarray(self.loss, dtype=float)))
-        object.__setattr__(
-            self, "predictors", _freeze(np.asarray(self.predictors, dtype=np.int64))
-        )
+        object.__setattr__(self, "predictors", _freeze(_index_matrix(self.predictors)))
         self._validate()
 
     def _validate(self):

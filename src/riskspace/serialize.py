@@ -68,7 +68,7 @@ def problem_from_dict(data: dict[str, Any]) -> tuple[FiniteProblem, np.ndarray |
         y_labels=tuple(_require(data, "y_labels")),
         eta=_as_array(data, "eta", float),
         loss=_as_array(data, "loss", float),
-        predictors=_as_array(data, "predictors", np.int64),
+        predictors=_require(data, "predictors"),
     )
     lam = None
     if data.get("lambda") is not None:

@@ -94,6 +94,21 @@ def check_markov_kernel(kernel: np.ndarray, name: str = "kernel") -> np.ndarray:
 # Exact optimal transport
 # --------------------------------------------------------------------------
 
+def _marginal_equalities(
+    mu: np.ndarray, nu: np.ndarray, n_extra: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equality constraints (A_eq, b_eq) fixing the row sums to ``mu`` and the
+    column sums to ``nu`` of a coupling flattened row-major, followed by
+    ``n_extra`` further variables that the constraints leave free."""
+    m, n = len(mu), len(nu)
+    a_eq = np.zeros((m + n, m * n + n_extra))
+    for i in range(m):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j : m * n : n] = 1.0
+    return a_eq, np.concatenate([mu, nu])
+
+
 def solve_ot_exact(
     cost: np.ndarray, mu: np.ndarray, nu: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -126,12 +141,7 @@ def solve_ot_exact(
     elif n == 1:
         sub_plan = sub_mu[:, None].copy()
     else:
-        a_eq = np.zeros((m + n, m * n))
-        for i in range(m):
-            a_eq[i, i * n : (i + 1) * n] = 1.0
-        for j in range(n):
-            a_eq[m + j, j::n] = 1.0
-        b_eq = np.concatenate([sub_mu, sub_nu])
+        a_eq, b_eq = _marginal_equalities(sub_mu, sub_nu)
         res = linprog(
             sub_cost.ravel(),
             A_eq=a_eq,
@@ -167,15 +177,11 @@ def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     m, n = len(rows), len(cols)
     sub_mu, sub_nu = mu[rows], nu[cols]
 
-    cells = list(itertools.product(range(m), range(n)))
+    a_full, b_eq = _marginal_equalities(sub_mu, sub_nu)
     k = m + n - 1
     seen: dict[bytes, np.ndarray] = {}
-    b_eq = np.concatenate([sub_mu, sub_nu])
-    for support in itertools.combinations(cells, k):
-        a = np.zeros((m + n, k))
-        for col, (i, j) in enumerate(support):
-            a[i, col] = 1.0
-            a[m + j, col] = 1.0
+    for support in itertools.combinations(range(m * n), k):
+        a = a_full[:, support]
         # Marginal equations have rank m+n-1; lstsq picks the tree solution
         # when the support is a spanning tree and a residual betrays cycles.
         sol, residual, rank, _ = np.linalg.lstsq(a, b_eq, rcond=None)
@@ -185,9 +191,10 @@ def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
             continue
         if np.any(sol < -1e-12):
             continue
-        plan = np.zeros((m, n))
-        for col, (i, j) in enumerate(support):
-            plan[i, j] = max(sol[col], 0.0)
+        plan = np.zeros(m * n)
+        for col, cell in enumerate(support):
+            plan[cell] = max(sol[col], 0.0)
+        plan = plan.reshape(m, n)
         key = np.round(plan, 10).tobytes()
         if key not in seen:
             seen[key] = plan

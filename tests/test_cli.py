@@ -370,6 +370,43 @@ def test_cli_validation_error_json_on_stderr(capsys, paths):
     assert data["field"] == "eta"
 
 
+def _validation_field(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    data = json.loads(err)
+    assert data["error"] == "validation"
+    return data["field"]
+
+
+@pytest.mark.parametrize("predictors, field", [
+    ([[0.7, 1.9], [True, False]], "predictors[0][0]"),
+    ([[0, 1], [0, True]], "predictors[1][1]"),
+])
+def test_cli_rejects_non_integer_predictors(capsys, paths, predictors, field):
+    _, write = paths
+    data = serialize.problem_to_dict(identity_support_problem())
+    data["predictors"] = predictors
+    bad = write("bad.json", data)
+    assert _validation_field(capsys, ["distance", bad, bad]) == field
+
+
+def test_cli_corrupt_non_object_stage(capsys, paths):
+    _, write = paths
+    problem = _problem_file(write, "p.json", identity_support_problem())
+    pipeline = write("pipeline.json", [1])
+    assert _validation_field(capsys, ["corrupt", problem, pipeline]) == "stages[0]"
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--ns", "0"], "n"),
+    (["--trials", "-1"], "trials"),
+    (["--trials", "0"], "trials"),
+])
+def test_cli_convergence_rejects_bad_sizes(capsys, paths, flags, field):
+    _, write = paths
+    path = _problem_file(write, "p.json", identity_support_problem())
+    assert _validation_field(capsys, ["convergence", path, *flags]) == field
+
 def test_cli_missing_file_exit_1(capsys):
     code, _, err = _run(capsys, ["distance", "/nonexistent/a.json",
                                  "/nonexistent/b.json"])

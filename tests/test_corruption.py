@@ -8,44 +8,6 @@ from gen import identity_support_problem, random_problem, random_weighted
 
 
 # --------------------------------------------------------------------------
-# Disintegration
-# --------------------------------------------------------------------------
-
-def test_disintegrate_product_measure_constant_rows():
-    alpha = np.array([0.3, 0.7])
-    nu = np.array([0.25, 0.75])
-    p = rs.FiniteProblem(("x0", "x1"), ("a", "b"), np.outer(alpha, nu),
-                         np.zeros((2, 2)), np.array([[0, 0]]))
-    d = rs.disintegrate(p)
-    assert np.allclose(d.beta[0], nu, atol=1e-15)
-    assert np.allclose(d.beta[1], nu, atol=1e-15)
-
-
-def test_disintegrate_diagonal_support_point_masses():
-    p = identity_support_problem()
-    d = rs.disintegrate(p)
-    assert d.beta[0].tolist() == [1.0, 0.0]
-    assert d.beta[1].tolist() == [0.0, 1.0]
-
-
-def test_disintegrate_roundtrip_identity():
-    rng = np.random.default_rng(70)
-    for _ in range(20):
-        p = random_problem(rng)
-        d = rs.disintegrate(p)
-        assert np.max(np.abs(rs.recompose(d) - p.eta)) <= 1e-12
-
-
-def test_disintegrate_zero_mass_rows_uniform():
-    p = rs.FiniteProblem(("x0", "x1"), ("a", "b"),
-                         np.array([[0.5, 0.5], [0.0, 0.0]]),
-                         np.zeros((2, 2)), np.array([[0, 0]]))
-    d = rs.disintegrate(p)
-    assert d.beta[1].tolist() == [0.5, 0.5]
-    assert np.max(np.abs(rs.recompose(d) - p.eta)) == 0.0
-
-
-# --------------------------------------------------------------------------
 # Sampling bias
 # --------------------------------------------------------------------------
 
@@ -389,6 +351,12 @@ def test_predictor_bound_empty_rejected():
     with pytest.raises(rs.ValidationError):
         rs.predictor_set_bound(p, np.zeros((0, p.nx), dtype=int))
 
+
+def test_predictor_swap_rejects_fractional_indices():
+    p = identity_support_problem()
+    with pytest.raises(rs.ValidationError) as err:
+        rs.run_pipeline(p, [{"kind": "predictor_swap", "predictors": [[0, 0.5]]}])
+    assert err.value.field == "predictors[0][1]"
 
 # --------------------------------------------------------------------------
 # Pipelines

@@ -211,19 +211,6 @@ def test_witnesses_achieve_reported_value():
         assert replay == pytest.approx(result.value, abs=1e-9)
 
 
-def test_coupling_minimax_full_pair_set():
-    rng = np.random.default_rng(69)
-    p = random_problem(rng, n_h=2)
-    q = random_problem(rng, n_h=2)
-    pairs = [(h, hp) for h in range(2) for hp in range(2)]
-    value, gamma = rs.coupling_minimax(p, q, pairs)
-    # optimizing the full pair set scores the full correspondence, which can
-    # only sit at or above the exact distance
-    costs = rs.pair_cost_matrix(p, q, gamma)
-    assert value == pytest.approx(float(costs.max()), abs=1e-9)
-    assert value >= rs.risk_distance_exact(p, q).value - 1e-9
-
-
 def test_capacity_error_without_fallback():
     rng = np.random.default_rng(43)
     p = random_problem(rng, nx=3, ny=3, n_h=3)
@@ -433,28 +420,6 @@ def test_lp_distance_singletons_exact_status():
     assert recomputed == pytest.approx(result.value, abs=1e-9)
 
 
-def test_linf_point_mass_variant():
-    rng = np.random.default_rng(58)
-    a, b = random_problem(rng), random_problem(rng)
-    lam_a = np.zeros(a.n_predictors)
-    lam_a[a.n_predictors - 1] = 1.0
-    lam_b = np.zeros(b.n_predictors)
-    lam_b[0] = 1.0
-    wa = rs.WeightedProblem(problem=a, lam=lam_a)
-    wb = rs.WeightedProblem(problem=b, lam=lam_b)
-    result = rs.linf_risk_distance_point_mass(wa, wb)
-    assert result.status == "exact"
-    # equals the L^1 weighted distance (rho is forced either way)
-    alt = rs.lp_risk_distance(wa, wb, p=1.0)
-    assert result.value == pytest.approx(alt.value, abs=1e-9)
-    with pytest.raises(rs.ValidationError):
-        rs.linf_risk_distance_point_mass(
-            rs.WeightedProblem(problem=a, lam=np.full(a.n_predictors,
-                                                      1 / a.n_predictors)),
-            wb,
-        )
-
-
 # --------------------------------------------------------------------------
 # Bilinear relaxation
 # --------------------------------------------------------------------------
@@ -595,6 +560,12 @@ def test_geodesic_requires_exact_witnesses_and_valid_t():
     with pytest.raises(rs.ValidationError):
         rs.geodesic_problem(p0, p1, fake, 0.5)
 
+
+def test_distance_result_rejects_nan_but_not_inf():
+    with pytest.raises(rs.ValidationError) as err:
+        rs.DistanceResult(value=float("nan"), status="exact")
+    assert err.value.field == "value"
+    assert rs.DistanceResult(value=np.inf, status="exact").value == np.inf
 
 # --------------------------------------------------------------------------
 # Weak isomorphism

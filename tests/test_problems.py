@@ -36,6 +36,25 @@ def test_predictor_range_checked():
                          np.zeros((2, 2)), np.array([[2]]))
 
 
+@pytest.mark.parametrize("predictors, field", [
+    ([[0.7, 1.9], [True, False]], "predictors[0][0]"),
+    ([[0, True]], "predictors[0][1]"),
+    (np.array([[True, False]]), "predictors[0][0]"),
+    ([[0.0, np.nan]], "predictors[0][1]"),
+])
+def test_non_integer_predictors_rejected_not_cast(predictors, field):
+    with pytest.raises(rs.ValidationError) as err:
+        rs.FiniteProblem(("x0", "x1"), ("a", "b"), np.full((2, 2), 0.25),
+                         np.zeros((2, 2)), predictors)
+    assert err.value.field == field
+
+
+def test_integral_float_predictors_accepted():
+    p = rs.FiniteProblem(("x0", "x1"), ("a", "b"), np.full((2, 2), 0.25),
+                         np.zeros((2, 2)), [[1.0, 0.0]])
+    assert p.predictors.dtype == np.int64
+    assert p.predictors.tolist() == [[1, 0]]
+
 def test_duplicate_labels_rejected():
     with pytest.raises(rs.ValidationError, match="duplicates"):
         rs.FiniteProblem(("x", "x"), ("a",), np.array([[0.5], [0.5]]),
