@@ -10,7 +10,7 @@ stages yields a ledger of per-stage and cumulative certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,14 +57,7 @@ def apply_bias_density(
             f"f integrates to {total!r} against eta, expected 1", field="f"
         )
     new_eta = f * problem.eta
-    new_eta = new_eta / new_eta.sum()
-    biased = FiniteProblem(
-        x_labels=problem.x_labels,
-        y_labels=problem.y_labels,
-        eta=new_eta,
-        loss=problem.loss,
-        predictors=problem.predictors,
-    )
+    biased = replace(problem, eta=new_eta / new_eta.sum())
     bound = 0.5 * float(np.sum(np.abs(1.0 - f) * problem.eta))
     return biased, bound
 
@@ -84,14 +77,7 @@ def restrict(
     mass = float(problem.eta[a_mask].sum())
     if mass <= 0:
         raise ValidationError("the restriction region has zero mass", field="A")
-    new_eta = np.where(a_mask, problem.eta, 0.0) / mass
-    restricted = FiniteProblem(
-        x_labels=problem.x_labels,
-        y_labels=problem.y_labels,
-        eta=new_eta,
-        loss=problem.loss,
-        predictors=problem.predictors,
-    )
+    restricted = replace(problem, eta=np.where(a_mask, problem.eta, 0.0) / mass)
     return restricted, max(1.0 - mass, 0.0)
 
 
@@ -184,13 +170,7 @@ def apply_label_noise(problem: FiniteProblem, n_kernel: np.ndarray) -> FinitePro
     for x in range(problem.nx):
         rows = n_kernel[x * problem.ny : (x + 1) * problem.ny]
         new_eta[x] = flat[x] @ rows
-    return FiniteProblem(
-        x_labels=problem.x_labels,
-        y_labels=problem.y_labels,
-        eta=new_eta,
-        loss=problem.loss,
-        predictors=problem.predictors,
-    )
+    return replace(problem, eta=new_eta)
 
 
 def noise_bound_metric(
@@ -250,16 +230,7 @@ def apply_general_noise(
             f"N has shape {n_kernel.shape}, expected {(n, n)}", field="N"
         )
     new_eta = (problem.eta.ravel() @ n_kernel).reshape(problem.nx, problem.ny)
-    noised = WeightedProblem(
-        problem=FiniteProblem(
-            x_labels=problem.x_labels,
-            y_labels=problem.y_labels,
-            eta=new_eta,
-            loss=problem.loss,
-            predictors=problem.predictors,
-        ),
-        lam=wp.lam,
-    )
+    noised = replace(wp, problem=replace(problem, eta=new_eta))
     ground = s_metric_weighted(wp, p)
     bound = kernel_w1(np.eye(n), n_kernel, problem.eta.ravel(), ground)
     return noised, bound
@@ -281,13 +252,7 @@ def predictor_set_bound(
 ) -> tuple[FiniteProblem, float]:
     """Swap the predictor set and certify by the Hausdorff distance between
     the two sets in L1(eta)."""
-    swapped = FiniteProblem(
-        x_labels=problem.x_labels,
-        y_labels=problem.y_labels,
-        eta=problem.eta,
-        loss=problem.loss,
-        predictors=new_predictors,
-    )
+    swapped = replace(problem, predictors=new_predictors)
     cross = cross_predictor_pseudometric(problem, swapped.predictors)
     return swapped, hausdorff(cross)
 
@@ -354,13 +319,8 @@ def run_pipeline(
                 )
                 current = wp.problem
             elif kind == "loss_swap":
-                new_loss = np.asarray(params["loss"], dtype=float)
-                swapped = FiniteProblem(
-                    x_labels=current.x_labels,
-                    y_labels=current.y_labels,
-                    eta=current.eta,
-                    loss=new_loss,
-                    predictors=current.predictors,
+                swapped = replace(
+                    current, loss=np.asarray(params["loss"], dtype=float)
                 )
                 bound = _loss_swap_bound(current, swapped)
                 current = swapped

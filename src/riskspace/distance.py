@@ -16,10 +16,10 @@ raises, depending on ``fallback``; it never silently approximates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+# a module binding of its own: the perfbench tracer wraps it to time minimax LPs
 from scipy.optimize import linprog
 
 from .errors import CapacityError, ValidationError
@@ -32,6 +32,7 @@ from .problems import (
 from .transport import (
     _LP_OPTIONS,
     _marginal_equalities,
+    _support,
     check_coupling,
     check_distribution,
     coupling_vertices,
@@ -48,6 +49,14 @@ DEFAULT_CAP_SUPPORT = 256
 # from every vertex; for a bilinear objective that makes the alternating
 # scheme provably optimal, not just a heuristic.
 _EXHAUSTIVE_VERTEX_LIMIT = 9
+
+# Alternating descents stop after _MAX_ITER rounds or once a round gains less
+# than their tolerance; bilinear_gw enumerates every vertex pair instead when
+# both supports have at most _GW_EXACT_MAX_SUPPORT points.
+_MAX_ITER = 100
+_DESCENT_TOL = 1e-10
+_GW_TOL = 1e-12
+_GW_EXACT_MAX_SUPPORT = 3
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,13 @@ class DistanceResult:
                 arr = np.ascontiguousarray(arr)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
+
+
+def _check_nonnegative(**counts: int):
+    """Reject a negative size cap or restart count, naming the argument."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValidationError(f"{name} = {value} is negative", field=name)
 
 
 def check_correspondence(r: np.ndarray, name: str = "correspondence") -> np.ndarray:
@@ -201,25 +217,20 @@ def _minimax_coupling_lp(
     grid; each row is one constraint, in row order.  Zero-mass
     rows/columns are dropped before the solve and reinserted as zeros.
     """
-    m_full, n_full = len(mu), len(nu)
-    rows = np.flatnonzero(mu > 0)
-    cols = np.flatnonzero(nu > 0)
-    m, n = len(rows), len(cols)
-    sub_mu, sub_nu = mu[rows], nu[cols]
-    sub_costs = costs.reshape(-1, m_full, n_full)[:, rows][:, :, cols]
-    full = np.zeros((m_full, n_full))
+    support = _support(mu, nu)
+    m, n = len(support.rows), len(support.cols)
+    sub_costs = support.restrict(costs.reshape(-1, *support.shape))
 
     if m == 1 or n == 1:
         # Unique coupling: the product measure.
-        plan = np.outer(sub_mu, sub_nu)
+        plan = np.outer(support.mu, support.nu)
         value = max(float(np.sum(c * plan)) for c in sub_costs)
-        full[np.ix_(rows, cols)] = plan
-        return value, full.ravel()
+        return value, support.embed(plan).ravel()
 
     n_gamma = m * n
     k = len(costs)
     a_ub = np.hstack([sub_costs.reshape(k, n_gamma), np.full((k, 1), -1.0)])
-    a_eq, b_eq = _marginal_equalities(sub_mu, sub_nu, n_extra=1)
+    a_eq, b_eq = _marginal_equalities(support.mu, support.nu, n_extra=1)
     objective = np.zeros(n_gamma + 1)
     objective[n_gamma] = 1.0
     res = linprog(
@@ -234,8 +245,7 @@ def _minimax_coupling_lp(
     )
     if res.status != 0:
         raise RuntimeError(f"minimax transport LP failed: {res.message}")
-    full[np.ix_(rows, cols)] = res.x[:n_gamma].reshape(m, n)
-    gamma_flat = full.ravel()
+    gamma_flat = support.embed(res.x[:n_gamma].reshape(m, n)).ravel()
     return max(float(c @ gamma_flat) for c in costs), gamma_flat
 
 
@@ -256,27 +266,62 @@ def _canonical_key(p: FiniteProblem) -> tuple:
     )
 
 
-def _pattern_union_sets(
-    n_h: int, n_hp: int, lower_bounds: np.ndarray
-) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+def _assignment_unions(n_h: int, n_hp: int) -> np.ndarray:
     """Distinct unions of a row assignment H -> H' and a column assignment
-    H' -> H, each scored by the max of the per-pair lower bounds."""
-    row_graphs = [
-        tuple((h, a[h]) for h in range(n_h))
-        for a in itertools.product(range(n_hp), repeat=n_h)
-    ]
-    col_graphs = [
-        tuple((b[hp], hp) for hp in range(n_hp))
-        for b in itertools.product(range(n_h), repeat=n_hp)
-    ]
-    seen: dict[tuple[tuple[int, int], ...], float] = {}
-    for ga in row_graphs:
-        for gb in col_graphs:
-            union = tuple(sorted(set(ga) | set(gb)))
-            if union not in seen:
-                seen[union] = max(lower_bounds[h, hp] for (h, hp) in union)
-    return sorted(((score, union) for union, score in seen.items()),
-                  key=lambda item: (item[0], item[1]))
+    H' -> H, as a boolean (k, n_h, n_hp) stack of pair sets."""
+    a = np.indices((n_hp,) * n_h).reshape(n_h, -1).T
+    b = np.indices((n_h,) * n_hp).reshape(n_hp, -1).T
+    rows = a[:, :, None] == np.arange(n_hp)
+    cols = b[:, None, :] == np.arange(n_h)[:, None]
+    unions = (rows[:, None] | cols[None, :]).reshape(-1, n_h * n_hp)
+    # deduplicated on packed bytes: np.unique over boolean rows is far slower
+    packed = np.packbits(unions, axis=1)
+    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                         return_index=True)
+    return unions[first].reshape(-1, n_h, n_hp)
+
+
+def _pattern_sweep(
+    costs: np.ndarray,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    candidates: np.ndarray,
+    admissible=None,
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Minimum of the minimax coupling LP over candidate pair sets.
+
+    ``costs`` is the pair-cost tensor (:func:`_pair_costs`); ``candidates``
+    a boolean (k, |H|, |H'|) stack of pair sets.  A set's LP value is at
+    least its score, the largest transport minimum ``m[h, h']`` of its pairs
+    (docs/algorithms.md, Step 2), so the sets are solved in increasing score
+    order, ties broken by their row-major pair lists, and the sweep stops at
+    the first score that cannot improve on the best value.  ``admissible``
+    filters the sets as they are reached.
+
+    Returns (value, flat coupling, pair set) of the best set, or
+    (inf, None, None) when no set is admissible.
+    """
+    lower = np.array([
+        [solve_ot_exact(c.reshape(len(mu), len(nu)), mu, nu)[1] for c in row]
+        for row in costs
+    ])
+    flat = candidates.reshape(len(candidates), -1)
+    n = flat.shape[1]
+    scores = np.where(flat, lower.ravel(), -np.inf).max(axis=1)
+    # pair lists padded with -1, so a list sorts before its extensions
+    pairs = np.sort(np.where(flat, np.arange(n), n), axis=1)
+    pairs[pairs == n] = -1
+    best: tuple[float, np.ndarray | None, np.ndarray | None] = (np.inf, None, None)
+    for i in np.lexsort((*pairs.T[::-1], scores)):
+        if scores[i] >= best[0] - 1e-12:
+            break
+        r = candidates[i]
+        if admissible is not None and not admissible(r):
+            continue
+        value, gamma_flat = _minimax_coupling_lp(costs[r], mu, nu)
+        if value < best[0]:
+            best = (value, gamma_flat, r)
+    return best
 
 
 def risk_distance_exact(
@@ -306,6 +351,8 @@ def risk_distance_exact(
     Argument order is canonicalized internally, making the function exactly
     symmetric.
     """
+    _check_nonnegative(cap_pairs=cap_pairs, cap_support=cap_support,
+                       restarts=restarts)
     if _canonical_key(p_prime) < _canonical_key(p):
         result = risk_distance_exact(
             p_prime, p, cap_pairs=cap_pairs, cap_support=cap_support,
@@ -336,28 +383,10 @@ def risk_distance_exact(
         return _alternating_upper_bound(p, p_prime, restarts=restarts, seed=seed)
 
     costs = _pair_costs(p, p_prime)
-    mu, nu = _flat_eta(p), _flat_eta(p_prime)
-
-    lower = np.array([
-        [solve_ot_exact(c.reshape(len(mu), len(nu)), mu, nu)[1] for c in row]
-        for row in costs
-    ])
-
-    best_value = np.inf
-    best_gamma: np.ndarray | None = None
-    for score, union in _pattern_union_sets(
-        p.n_predictors, p_prime.n_predictors, lower
-    ):
-        if score >= best_value - 1e-12:
-            break
-        value, gamma_flat = _minimax_coupling_lp(
-            costs[tuple(zip(*union))], mu, nu
-        )
-        if value < best_value:
-            best_value = value
-            best_gamma = gamma_flat
-
-    assert best_gamma is not None
+    _, best_gamma, _ = _pattern_sweep(
+        costs, _flat_eta(p), _flat_eta(p_prime),
+        _assignment_unions(p.n_predictors, p_prime.n_predictors),
+    )
     value, witness_r = hausdorff_reduction(_costs_under(costs, best_gamma))
     return DistanceResult(
         value=max(float(value), 0.0),
@@ -372,8 +401,6 @@ def _alternating_upper_bound(
     p_prime: FiniteProblem,
     restarts: int,
     seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-10,
 ) -> DistanceResult:
     """Alternate between the closed-form correspondence step and the minimax
     coupling LP; a descent heuristic whose result is a certified upper bound."""
@@ -387,24 +414,19 @@ def _alternating_upper_bound(
     for gamma in inits:
         gamma_flat = gamma.ravel()
         value = np.inf
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             cost_matrix = _costs_under(costs, gamma_flat)
             current = hausdorff(cost_matrix)
-            if value - current < tol:
+            if value - current < _DESCENT_TOL:
                 value = min(value, current)
                 break
             value = current
             # re-solve the coupling for the argmin assignment pattern; its
             # optimum can only sit at or below the current objective
-            a_rows = np.argmin(cost_matrix, axis=1)
-            b_cols = np.argmin(cost_matrix, axis=0)
-            union = sorted(
-                {(h, int(a_rows[h])) for h in range(p.n_predictors)}
-                | {(int(b_cols[hp]), hp) for hp in range(p_prime.n_predictors)}
-            )
-            _, gamma_flat = _minimax_coupling_lp(
-                costs[tuple(zip(*union))], mu, nu
-            )
+            r = np.zeros(cost_matrix.shape, dtype=bool)
+            r[np.arange(p.n_predictors), np.argmin(cost_matrix, axis=1)] = True
+            r[np.argmin(cost_matrix, axis=0), np.arange(p_prime.n_predictors)] = True
+            _, gamma_flat = _minimax_coupling_lp(costs[r], mu, nu)
         final_value, witness = hausdorff_reduction(_costs_under(costs, gamma_flat))
         if final_value < best[0]:
             best = (final_value, gamma_flat, witness)
@@ -526,8 +548,6 @@ def lp_risk_distance(
     p: float = 1.0,
     restarts: int = 8,
     seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-10,
     trace: list | None = None,
 ) -> DistanceResult:
     """The L^p Risk distance between weighted problems, by alternating exact
@@ -548,6 +568,7 @@ def lp_risk_distance(
     """
     if p == np.inf or p < 1:
         raise ValidationError("p must lie in [1, inf)", field="p")
+    _check_nonnegative(restarts=restarts)
     pa, pb = wp.problem, wp_prime.problem
     mu, nu = _flat_eta(pa), _flat_eta(pb)
     rng = np.random.default_rng(seed)
@@ -564,7 +585,7 @@ def lp_risk_distance(
     for rho in _rho_inits(wp.lam, wp_prime.lam, restarts, rng):
         gamma_flat = np.outer(mu, nu).ravel()
         current = np.inf
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             gamma_cost = np.tensordot(rho, pow_pairwise, axes=2)
             gamma, _ = solve_ot_exact(
                 gamma_cost.reshape(len(mu), len(nu)), mu, nu
@@ -575,7 +596,7 @@ def lp_risk_distance(
             value = objective(rho, gamma_flat)
             if trace is not None:
                 trace.append(value)
-            if current - value < tol:
+            if current - value < _DESCENT_TOL:
                 current = min(current, value)
                 break
             current = value
@@ -604,16 +625,13 @@ def bilinear_gw(
     mu_b: np.ndarray,
     restarts: int = 8,
     seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-12,
-    exact_max_support: int = 3,
 ) -> float:
     """Minimize the metric-gap integral over two independent couplings.
 
     The objective int int |d_A(a2,a1) - d_B(b2,b1)| dgamma(a1,b1) drho(a2,b2)
     is bilinear, so its minimum over the product of the two transportation
     polytopes is attained at a vertex pair.  When both supports have at most
-    ``exact_max_support`` points the vertex pairs are enumerated outright
+    three points the vertex pairs are enumerated outright
     (exact); otherwise alternating exact transport steps from several starts
     give an upper bound.
     """
@@ -628,11 +646,10 @@ def bilinear_gw(
     if dist_b.shape != (len(mu_b),) * 2:
         raise ValidationError("dist_b and mu_b sizes disagree", field="dist_b")
 
-    keep_a = np.flatnonzero(mu_a > 0)
-    keep_b = np.flatnonzero(mu_b > 0)
-    dist_a = dist_a[np.ix_(keep_a, keep_a)]
-    dist_b = dist_b[np.ix_(keep_b, keep_b)]
-    mu_a, mu_b = mu_a[keep_a], mu_b[keep_b]
+    support = _support(mu_a, mu_b)
+    dist_a = dist_a[np.ix_(support.rows, support.rows)]
+    dist_b = dist_b[np.ix_(support.cols, support.cols)]
+    mu_a, mu_b = support.mu, support.nu
     na, nb = len(mu_a), len(mu_b)
 
     # cost[(a2, b2), (a1, b1)] = |d_A(a2, a1) - d_B(b2, b1)|
@@ -640,7 +657,7 @@ def bilinear_gw(
         dist_a[:, None, :, None] - dist_b[None, :, None, :]
     ).reshape(na * nb, na * nb)
 
-    if na <= exact_max_support and nb <= exact_max_support:
+    if na <= _GW_EXACT_MAX_SUPPORT and nb <= _GW_EXACT_MAX_SUPPORT:
         vertices = coupling_vertices(mu_a, mu_b).reshape(-1, na * nb)
         values = vertices @ cost @ vertices.T
         return float(max(values.min(), 0.0))
@@ -650,7 +667,7 @@ def bilinear_gw(
     for rho in _rho_inits(mu_a, mu_b, restarts, rng):
         rho_flat = rho.ravel()
         current = np.inf
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             gamma, _ = solve_ot_exact(
                 (cost.T @ rho_flat).reshape(na, nb), mu_a, mu_b
             )
@@ -659,7 +676,7 @@ def bilinear_gw(
             )
             rho_flat = rho.ravel()
             value = float(rho_flat @ cost @ gamma.ravel())
-            if current - value < tol:
+            if current - value < _GW_TOL:
                 current = min(current, value)
                 break
             current = value

@@ -9,7 +9,7 @@ regression values survive toolchain changes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,13 +57,7 @@ def _resample(
     flat = problem.eta.ravel()
     draws = rng.choice(len(flat), size=n, p=flat)
     counts = np.bincount(draws, minlength=len(flat)).astype(float)
-    return FiniteProblem(
-        x_labels=problem.x_labels,
-        y_labels=problem.y_labels,
-        eta=(counts / n).reshape(problem.eta.shape),
-        loss=problem.loss,
-        predictors=problem.predictors,
-    )
+    return replace(problem, eta=(counts / n).reshape(problem.eta.shape))
 
 
 def sample_empirical(problem: FiniteProblem, n: int, seed: int) -> FiniteProblem:

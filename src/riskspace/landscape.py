@@ -10,7 +10,6 @@ that also controls the landscape's shape.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,12 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .distance import (
     DistanceResult,
+    _check_nonnegative,
     _coupling_to_product,
     _flat_eta,
-    _minimax_coupling_lp,
+    _minimax_coupling_lp,  # noqa: F401  unused; perfbench's tracer wraps this binding
     _pair_costs,
+    _pattern_sweep,
     check_correspondence,
 )
 from .problems import FiniteProblem, all_risks, constrained_bayes_risk
@@ -235,11 +236,15 @@ def connected_risk_distance_exact(
 ) -> DistanceResult:
     """Risk distance restricted to inverse-connected correspondences.
 
-    All relations on H x H' are enumerated, filtered to inverse-connected
-    correspondences, and scored by the exact minimax coupling LP; the best
-    survivor wins.  Dominates the unrestricted distance.  If no
-    correspondence survives the filter the distance is infinite.
+    Every correspondence on H x H' is a candidate for the exact solver's
+    score-sorted sweep: candidates are taken in increasing order of their
+    per-pair transport lower bound, checked for inverse connectivity only
+    when reached, and solved by the exact minimax coupling LP, until no
+    remaining bound can beat the best value.  Dominates the unrestricted
+    distance.  If no correspondence is inverse-connected the distance is
+    infinite.
     """
+    _check_nonnegative(cap_pairs=cap_pairs)
     p, q = pg.problem, pg_prime.problem
     n_pairs = p.n_predictors * q.n_predictors
     if n_pairs > cap_pairs:
@@ -248,25 +253,14 @@ def connected_risk_distance_exact(
             cap="cap_pairs",
             actual=n_pairs,
         )
-    costs = _pair_costs(p, q)
-    mu, nu = _flat_eta(p), _flat_eta(q)
-    cells = list(itertools.product(range(p.n_predictors), range(q.n_predictors)))
-
-    best: tuple[float, np.ndarray | None, np.ndarray | None] = (np.inf, None, None)
-    for mask in range(1, 1 << n_pairs):
-        r = np.zeros((p.n_predictors, q.n_predictors), dtype=bool)
-        for bit, (h, hp) in enumerate(cells):
-            if mask >> bit & 1:
-                r[h, hp] = True
-        if not (r.any(axis=1).all() and r.any(axis=0).all()):
-            continue
-        if not is_inverse_connected(r, pg, pg_prime):
-            continue
-        value, gamma_flat = _minimax_coupling_lp(costs[r], mu, nu)
-        if value < best[0]:
-            best = (value, gamma_flat, r)
-
-    value, gamma_flat, r = best
+    # relation k holds pair b (row-major) when bit b of k is set
+    relations = np.arange(1, 1 << n_pairs)[:, None] >> np.arange(n_pairs) & 1
+    relations = relations.astype(bool).reshape(-1, p.n_predictors, q.n_predictors)
+    covering = relations.any(axis=2).all(axis=1) & relations.any(axis=1).all(axis=1)
+    value, gamma_flat, r = _pattern_sweep(
+        _pair_costs(p, q), _flat_eta(p), _flat_eta(q), relations[covering],
+        admissible=lambda rel: is_inverse_connected(rel, pg, pg_prime),
+    )
     if gamma_flat is None:
         return DistanceResult(value=np.inf, status="exact")
     return DistanceResult(

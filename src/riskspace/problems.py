@@ -11,7 +11,7 @@ penalty for *predicting* label ``i`` when the *true* label is ``j``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -66,6 +66,13 @@ def _index_matrix(raw) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _label_tuple(raw, field: str) -> tuple[str, ...]:
+    # a bare string would pass as one label per character
+    if isinstance(raw, str) or not hasattr(raw, "__iter__"):
+        raise ValidationError(f"{field} must be a list of labels", field=field)
+    return tuple(str(s) for s in raw)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteProblem:
     """A finite supervised learning problem.
@@ -89,8 +96,8 @@ class FiniteProblem:
     predictors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_labels", tuple(str(s) for s in self.x_labels))
-        object.__setattr__(self, "y_labels", tuple(str(s) for s in self.y_labels))
+        object.__setattr__(self, "x_labels", _label_tuple(self.x_labels, "x_labels"))
+        object.__setattr__(self, "y_labels", _label_tuple(self.y_labels, "y_labels"))
         object.__setattr__(self, "eta", _freeze(np.asarray(self.eta, dtype=float)))
         object.__setattr__(self, "loss", _freeze(np.asarray(self.loss, dtype=float)))
         object.__setattr__(self, "predictors", _freeze(_index_matrix(self.predictors)))
@@ -381,9 +388,10 @@ def cross_predictor_pseudometric(
     """L1(eta) distances between ``problem``'s predictors and another list.
 
     Both predictor lists are evaluated against ``problem``'s loss and joint
-    law, so the two problems must share (X, Y, eta, loss).
+    law, so the two problems must share (X, Y, eta, loss).  The other list
+    is validated like ``problem``'s own predictors.
     """
-    other_predictors = np.asarray(other_predictors, dtype=np.int64)
+    other_predictors = replace(problem, predictors=other_predictors).predictors
     stack_a = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
     stack_b = problem.loss[other_predictors, :].reshape(other_predictors.shape[0], -1)
     weights = problem.eta.ravel()

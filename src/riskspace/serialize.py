@@ -64,8 +64,8 @@ def problem_from_dict(data: dict[str, Any]) -> tuple[FiniteProblem, np.ndarray |
     if not isinstance(data, dict):
         raise ValidationError("problem JSON must be an object", field="")
     problem = FiniteProblem(
-        x_labels=tuple(_require(data, "x_labels")),
-        y_labels=tuple(_require(data, "y_labels")),
+        x_labels=_require(data, "x_labels"),
+        y_labels=_require(data, "y_labels"),
         eta=_as_array(data, "eta", float),
         loss=_as_array(data, "loss", float),
         predictors=_require(data, "predictors"),

@@ -12,6 +12,7 @@ nu; a finite Markov kernel is a row-stochastic matrix.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -109,6 +110,34 @@ def _marginal_equalities(
     return a_eq, np.concatenate([mu, nu])
 
 
+class _Support(NamedTuple):
+    """The positive-mass atoms of two marginals.  Couplings vanish on the
+    other rows and columns, so solvers work on these atoms alone and
+    :meth:`embed` puts the zero rows and columns back."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
+    shape: tuple[int, int]
+
+    def restrict(self, a: np.ndarray) -> np.ndarray:
+        """The supported (rows, cols) block of each trailing matrix of ``a``."""
+        return a[..., self.rows, :][..., self.cols]
+
+    def embed(self, plan: np.ndarray) -> np.ndarray:
+        """Supported (rows, cols) blocks back at full shape, zeros elsewhere."""
+        full = np.zeros(plan.shape[:-2] + self.shape)
+        full[..., self.rows[:, None], self.cols] = plan
+        return full
+
+
+def _support(mu: np.ndarray, nu: np.ndarray) -> _Support:
+    rows = np.flatnonzero(mu > 0)
+    cols = np.flatnonzero(nu > 0)
+    return _Support(rows, cols, mu[rows], nu[cols], (len(mu), len(nu)))
+
+
 def solve_ot_exact(
     cost: np.ndarray, mu: np.ndarray, nu: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -130,20 +159,17 @@ def solve_ot_exact(
     if not np.all(np.isfinite(cost)):
         raise ValidationError("cost must be finite", field="cost")
 
-    rows = np.flatnonzero(mu > 0)
-    cols = np.flatnonzero(nu > 0)
-    sub_mu, sub_nu = mu[rows], nu[cols]
-    sub_cost = cost[np.ix_(rows, cols)]
-    m, n = len(rows), len(cols)
+    support = _support(mu, nu)
+    m, n = len(support.rows), len(support.cols)
 
     if m == 1:
-        sub_plan = sub_nu[None, :].copy()
+        sub_plan = support.nu[None, :].copy()
     elif n == 1:
-        sub_plan = sub_mu[:, None].copy()
+        sub_plan = support.mu[:, None].copy()
     else:
-        a_eq, b_eq = _marginal_equalities(sub_mu, sub_nu)
+        a_eq, b_eq = _marginal_equalities(support.mu, support.nu)
         res = linprog(
-            sub_cost.ravel(),
+            support.restrict(cost).ravel(),
             A_eq=a_eq,
             b_eq=b_eq,
             bounds=(0, None),
@@ -154,8 +180,7 @@ def solve_ot_exact(
             raise RuntimeError(f"transport LP failed: {res.message}")
         sub_plan = res.x.reshape(m, n)
 
-    plan = np.zeros_like(cost)
-    plan[np.ix_(rows, cols)] = sub_plan
+    plan = support.embed(sub_plan)
     value = float(np.sum(plan * cost))
     return plan, value
 
@@ -172,16 +197,14 @@ def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """
     mu = check_distribution(mu, "mu")
     nu = check_distribution(nu, "nu")
-    rows = np.flatnonzero(mu > 0)
-    cols = np.flatnonzero(nu > 0)
-    m, n = len(rows), len(cols)
-    sub_mu, sub_nu = mu[rows], nu[cols]
+    support = _support(mu, nu)
+    m, n = len(support.rows), len(support.cols)
 
-    a_full, b_eq = _marginal_equalities(sub_mu, sub_nu)
+    a_full, b_eq = _marginal_equalities(support.mu, support.nu)
     k = m + n - 1
     seen: dict[bytes, np.ndarray] = {}
-    for support in itertools.combinations(range(m * n), k):
-        a = a_full[:, support]
+    for cells in itertools.combinations(range(m * n), k):
+        a = a_full[:, cells]
         # Marginal equations have rank m+n-1; lstsq picks the tree solution
         # when the support is a spanning tree and a residual betrays cycles.
         sol, residual, rank, _ = np.linalg.lstsq(a, b_eq, rcond=None)
@@ -192,16 +215,13 @@ def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
         if np.any(sol < -1e-12):
             continue
         plan = np.zeros(m * n)
-        for col, cell in enumerate(support):
+        for col, cell in enumerate(cells):
             plan[cell] = max(sol[col], 0.0)
         plan = plan.reshape(m, n)
         key = np.round(plan, 10).tobytes()
         if key not in seen:
             seen[key] = plan
-    out = np.zeros((len(seen), len(mu), len(nu)))
-    for idx, plan in enumerate(seen.values()):
-        out[idx][np.ix_(rows, cols)] = plan
-    return out
+    return support.embed(np.reshape(list(seen.values()), (-1, m, n)))
 
 
 def random_coupling_vertex(
@@ -211,24 +231,24 @@ def random_coupling_vertex(
     independently permuting rows and columns."""
     mu = check_distribution(mu, "mu")
     nu = check_distribution(nu, "nu")
-    rows = np.flatnonzero(mu > 0)
-    cols = np.flatnonzero(nu > 0)
-    rperm = rng.permutation(len(rows))
-    cperm = rng.permutation(len(cols))
-    remaining_mu = mu[rows][rperm].copy()
-    remaining_nu = nu[cols][cperm].copy()
-    plan = np.zeros((len(mu), len(nu)))
+    support = _support(mu, nu)
+    m, n = len(support.rows), len(support.cols)
+    rperm = rng.permutation(m)
+    cperm = rng.permutation(n)
+    remaining_mu = support.mu[rperm]
+    remaining_nu = support.nu[cperm]
+    plan = np.zeros((m, n))
     i = j = 0
-    while i < len(rows) and j < len(cols):
+    while i < m and j < n:
         move = min(remaining_mu[i], remaining_nu[j])
-        plan[rows[rperm[i]], cols[cperm[j]]] = move
+        plan[rperm[i], cperm[j]] = move
         remaining_mu[i] -= move
         remaining_nu[j] -= move
         if remaining_mu[i] <= remaining_nu[j]:
             i += 1
         else:
             j += 1
-    return plan
+    return support.embed(plan)
 
 
 # --------------------------------------------------------------------------

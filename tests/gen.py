@@ -12,7 +12,14 @@ import itertools
 
 import numpy as np
 
-from riskspace import FiniteProblem, Partition, PredictorGraph, WeightedProblem
+from riskspace import (
+    FiniteProblem,
+    Partition,
+    PredictorGraph,
+    WeightedProblem,
+    is_inverse_connected,
+)
+from riskspace.distance import _minimax_coupling_lp, _pair_costs
 
 
 # --------------------------------------------------------------------------
@@ -65,6 +72,17 @@ def random_partition(rng: np.random.Generator, ny: int) -> Partition:
     blocks = [tuple(np.flatnonzero(assignment == b)) for b in range(n_blocks)]
     blocks = [b for b in blocks if b]
     return Partition(blocks=tuple(blocks), ny=ny)
+
+
+def random_predictor_graph(rng: np.random.Generator, **kwargs) -> PredictorGraph:
+    """A random problem on a connected predictor graph: a path through the
+    predictors in random order, plus each other pair with probability 1/2."""
+    problem = random_problem(rng, **kwargs)
+    order = rng.permutation(problem.n_predictors)
+    edges = {tuple(sorted(e)) for e in zip(order[:-1], order[1:])}
+    edges |= {e for e in itertools.combinations(range(problem.n_predictors), 2)
+              if rng.random() < 0.5}
+    return PredictorGraph(problem=problem, edges=tuple(sorted(edges)))
 
 
 def rademacher_example_problem(n: int) -> FiniteProblem:
@@ -249,11 +267,40 @@ def enumerate_correspondences(n_h: int, n_hp: int):
             yield r
 
 
+def assignment_unions_oracle(n_h: int, n_hp: int) -> list[tuple[tuple[int, int], ...]]:
+    """Distinct unions of a row assignment and a column assignment, each as
+    its sorted pair list, in sorted order; by explicit loops over both
+    assignment sets."""
+    unions = set()
+    for a in itertools.product(range(n_hp), repeat=n_h):
+        for b in itertools.product(range(n_h), repeat=n_hp):
+            pairs = {(h, a[h]) for h in range(n_h)} | {(b[g], g) for g in range(n_hp)}
+            unions.add(tuple(sorted(pairs)))
+    return sorted(unions)
+
+
 def correspondence_minimax_oracle(costs: np.ndarray) -> float:
     """min over correspondences of the max selected cost, by enumeration."""
     best = np.inf
     for r in enumerate_correspondences(*costs.shape):
         best = min(best, float(costs[r].max()))
+    return best
+
+
+def connected_distance_oracle(pg: PredictorGraph, qg: PredictorGraph) -> float:
+    """The connected distance without pruning: the minimax coupling LP of
+    every inverse-connected correspondence, minimized.
+
+    It shares the library's LP and connectivity test, so it checks only the
+    search around them; inf when no correspondence is inverse-connected.
+    """
+    p, q = pg.problem, qg.problem
+    costs = _pair_costs(p, q)
+    best = np.inf
+    for r in enumerate_correspondences(p.n_predictors, q.n_predictors):
+        if is_inverse_connected(r, pg, qg):
+            value, _ = _minimax_coupling_lp(costs[r], p.eta.ravel(), q.eta.ravel())
+            best = min(best, value)
     return best
 
 

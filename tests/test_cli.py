@@ -390,6 +390,48 @@ def test_cli_rejects_non_integer_predictors(capsys, paths, predictors, field):
     assert _validation_field(capsys, ["distance", bad, bad]) == field
 
 
+@pytest.mark.parametrize("key", ["x_labels", "y_labels"])
+def test_cli_rejects_bare_string_labels(capsys, paths, key):
+    _, write = paths
+    data = serialize.problem_to_dict(identity_support_problem())
+    data[key] = "ab"
+    bad = write("bad.json", data)
+    assert _validation_field(capsys, ["distance", bad, bad]) == key
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--cap-pairs", "-3"], "cap_pairs"),
+    (["--cap-support", "-1"], "cap_support"),
+])
+def test_cli_distance_rejects_negative_caps(capsys, paths, flags, field):
+    _, write = paths
+    path = _problem_file(write, "p.json", identity_support_problem())
+    assert _validation_field(capsys, ["distance", path, path, *flags]) == field
+
+
+def test_cli_distance_lp_rejects_negative_restarts(capsys, paths):
+    _, write = paths
+    rng = np.random.default_rng(139)
+    wp = rs.WeightedProblem(problem=random_problem(rng, n_h=2), lam=[0.5, 0.5])
+    path = _problem_file(write, "p.json", wp.problem, lam=wp.lam)
+    argv = ["distance-lp", path, path, "--restarts", "-5"]
+    assert _validation_field(capsys, argv) == "restarts"
+
+
+def test_cli_connected_distance_rejects_negative_cap(capsys, paths):
+    from gen import connected_gap_instance
+
+    _, write = paths
+    left, right = connected_gap_instance()
+    a = _problem_file(write, "a.json", left.problem)
+    b = _problem_file(write, "b.json", right.problem)
+    ea = write("ea.json", {"edges": [list(e) for e in left.edges]})
+    eb = write("eb.json", {"edges": [list(e) for e in right.edges]})
+    argv = ["connected-distance", a, b, "--edges-a", ea, "--edges-b", eb,
+            "--cap-pairs", "-1"]
+    assert _validation_field(capsys, argv) == "cap_pairs"
+
+
 def test_cli_corrupt_non_object_stage(capsys, paths):
     _, write = paths
     problem = _problem_file(write, "p.json", identity_support_problem())

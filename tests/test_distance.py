@@ -6,6 +6,7 @@ import pytest
 
 import riskspace as rs
 from gen import (
+    assignment_unions_oracle,
     correspondence_minimax_oracle,
     grid_distance_oracle,
     identity_support_problem,
@@ -211,12 +212,58 @@ def test_witnesses_achieve_reported_value():
         assert replay == pytest.approx(result.value, abs=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)])
+def test_assignment_unions_match_loop_oracle(shape):
+    unions = rs.distance._assignment_unions(*shape)
+    got = sorted(tuple(map(tuple, np.argwhere(r).tolist())) for r in unions)
+    assert got == assignment_unions_oracle(*shape)
+
+
+def test_sweep_breaks_score_ties_by_sorted_pair_list(monkeypatch):
+    # zero transport bounds tie every score, so the pair lists alone fix the
+    # order, and no pattern is pruned before the LP values reach zero
+    rng = np.random.default_rng(45)
+    p = random_problem(rng, nx=2, ny=2, n_h=2)
+    q = random_problem(rng, nx=2, ny=2, n_h=3)
+    costs = rs.distance._pair_costs(p, q)
+    solved = []
+    solve = rs.distance._minimax_coupling_lp
+    monkeypatch.setattr(rs.distance, "solve_ot_exact", lambda c, mu, nu: (None, 0.0))
+    monkeypatch.setattr(rs.distance, "_minimax_coupling_lp",
+                        lambda c, mu, nu: solved.append(c) or solve(c, mu, nu))
+    rs.distance._pattern_sweep(costs, p.eta.ravel(), q.eta.ravel(),
+                               rs.distance._assignment_unions(2, 3))
+    expected = [costs[tuple(zip(*union))] for union in assignment_unions_oracle(2, 3)]
+    assert len(solved) == len(expected) == 24
+    assert all(np.array_equal(a, b) for a, b in zip(solved, expected))
+
+
 def test_capacity_error_without_fallback():
     rng = np.random.default_rng(43)
     p = random_problem(rng, nx=3, ny=3, n_h=3)
     q = random_problem(rng, nx=3, ny=3, n_h=3)
     with pytest.raises(rs.CapacityError):
         rs.risk_distance_exact(p, q, cap_pairs=4, fallback=False)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"cap_pairs": -3}, "cap_pairs"),
+    ({"cap_support": -1}, "cap_support"),
+    ({"restarts": -5}, "restarts"),
+])
+def test_exact_rejects_negative_caps_and_restarts(kwargs, field):
+    p = identity_support_problem()
+    with pytest.raises(rs.ValidationError) as err:
+        rs.risk_distance_exact(p, p, **kwargs)
+    assert err.value.field == field
+
+
+def test_lp_distance_rejects_negative_restarts():
+    rng = np.random.default_rng(44)
+    wp = random_weighted(rng)
+    with pytest.raises(rs.ValidationError) as err:
+        rs.lp_risk_distance(wp, wp, restarts=-5)
+    assert err.value.field == "restarts"
 
 
 def test_fallback_upper_bound_dominates_exact():

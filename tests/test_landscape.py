@@ -7,9 +7,11 @@ import pytest
 
 import riskspace as rs
 from gen import (
+    connected_distance_oracle,
     connected_gap_instance,
     cutoff_landscapes,
     enumerate_correspondences,
+    random_predictor_graph,
     random_problem,
 )
 
@@ -285,6 +287,37 @@ def test_connected_dominance_on_seeded_instances():
         plain = rs.risk_distance_exact(a.problem, b.problem).value
         connected = rs.connected_risk_distance_exact(a, b).value
         assert connected >= plain - 1e-9
+
+
+def test_connected_distance_matches_unpruned_oracle():
+    rng = np.random.default_rng(111)
+    for _ in range(30):
+        a, b = (random_predictor_graph(rng, nx=2, ny=2, n_h=int(rng.integers(2, 4)))
+                for _ in range(2))
+        expected = connected_distance_oracle(a, b)
+        result = rs.connected_risk_distance_exact(a, b)
+        if np.isinf(expected):
+            assert np.isinf(result.value)
+            continue
+        assert result.value == pytest.approx(expected, abs=1e-9)
+        r = result.witness_correspondence
+        assert rs.is_inverse_connected(r, a, b)
+        replay = rs.risk_distortion(a.problem, b.problem, r, result.witness_coupling)
+        assert replay == pytest.approx(result.value, abs=1e-9)
+
+
+def test_connected_distance_prunes_lps(monkeypatch):
+    rng = np.random.default_rng(112)
+    a = _path_graph(random_problem(rng, nx=2, ny=2, n_h=3))
+    b = _path_graph(random_problem(rng, nx=2, ny=2, n_h=3))
+    survivors = sum(rs.is_inverse_connected(r, a, b)
+                    for r in enumerate_correspondences(3, 3))
+    calls = []
+    solve = rs.distance._minimax_coupling_lp
+    monkeypatch.setattr(rs.distance, "_minimax_coupling_lp",
+                        lambda *args: calls.append(1) or solve(*args))
+    rs.connected_risk_distance_exact(a, b)
+    assert 0 < len(calls) < survivors
 
 
 def test_connected_distance_capacity():

@@ -49,6 +49,27 @@ def test_non_integer_predictors_rejected_not_cast(predictors, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("other, field", [
+    ([[0.7, 1.9]], "predictors[0][0]"),
+    ([[-1, 0]], "predictors[0][0]"),
+])
+def test_cross_predictor_pseudometric_rejects_bad_indices(other, field):
+    with pytest.raises(rs.ValidationError) as err:
+        rs.cross_predictor_pseudometric(identity_support_problem(), other)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("labels", ["ab", 5])
+@pytest.mark.parametrize("field", ["x_labels", "y_labels"])
+def test_labels_must_be_a_list(labels, field):
+    fields = {"x_labels": ("x0", "x1"), "y_labels": ("a", "b")}
+    fields[field] = labels
+    with pytest.raises(rs.ValidationError) as err:
+        rs.FiniteProblem(eta=np.full((2, 2), 0.25), loss=np.zeros((2, 2)),
+                         predictors=[[0, 1]], **fields)
+    assert err.value.field == field
+
+
 def test_integral_float_predictors_accepted():
     p = rs.FiniteProblem(("x0", "x1"), ("a", "b"), np.full((2, 2), 0.25),
                          np.zeros((2, 2)), [[1.0, 0.0]])
