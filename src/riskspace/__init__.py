@@ -7,7 +7,7 @@ certificates, extracts risk-landscape Reeb graphs, and runs empirical
 convergence and Rademacher-complexity experiments.
 """
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, SolverError, ValidationError
 from .problems import (
     FiniteProblem,
     LossProfile,

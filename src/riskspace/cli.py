@@ -3,7 +3,8 @@
 One command per process; inputs are problem JSON files, outputs are
 machine-readable JSON (or CSV where a report is tabular).  Validation
 failures exit 1 with an error object on stderr naming the offending field;
-size-cap violations exit 2.  Output files are written atomically.
+size-cap violations exit 2; LP solver failures exit 3.  Output files are
+written atomically.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import corruption, distance, empirical, landscape, serialize
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, SolverError, ValidationError
 from .problems import (
     Partition,
     WeightedProblem,
@@ -429,6 +430,11 @@ def main(argv: list[str] | None = None) -> int:
             "actual": exc.actual,
         }))
         return 2
+    except SolverError as exc:
+        sys.stderr.write(serialize.dump_json({
+            "error": "solver", "message": str(exc),
+        }))
+        return 3
     except FileNotFoundError as exc:
         sys.stderr.write(serialize.dump_json({
             "error": "validation", "message": str(exc), "field": "path",

@@ -22,7 +22,7 @@ import numpy as np
 # a module binding of its own: the perfbench tracer wraps it to time minimax LPs
 from scipy.optimize import linprog
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, SolverError, ValidationError
 from .problems import (
     FiniteProblem,
     WeightedProblem,
@@ -244,7 +244,7 @@ def _minimax_coupling_lp(
         options=_LP_OPTIONS,
     )
     if res.status != 0:
-        raise RuntimeError(f"minimax transport LP failed: {res.message}")
+        raise SolverError(f"minimax transport LP failed: {res.message}")
     gamma_flat = support.embed(res.x[:n_gamma].reshape(m, n)).ravel()
     return max(float(c @ gamma_flat) for c in costs), gamma_flat
 

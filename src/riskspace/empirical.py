@@ -9,6 +9,7 @@ regression values survive toolchain changes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from .problems import FiniteProblem
 PRNG_ID = "numpy-PCG64"
 
 RADEMACHER_CAPACITY = 10**6
+_RADEMACHER_BLOCK = 1024  # multisets per vectorised step; larger blocks raise peak RSS
 
 
 @dataclass(frozen=True)
@@ -150,9 +152,13 @@ def _exhaustive_rademacher(values: np.ndarray, weights: np.ndarray, m: int) -> f
     """Exact order-m Rademacher complexity of the function class whose rows
     of ``values`` are evaluated at atoms of probability ``weights``.
 
-    Sums over every atom m-tuple (weighted by the product law) and every sign
-    vector (weight 2^-m), so it refuses once atoms^m * 2^m exceeds
-    ``RADEMACHER_CAPACITY``.
+    The m draws are i.i.d. (atom, sign) pairs of probability weights[a] / 2
+    and the supremum is symmetric in them, so each multiset of
+    positive-probability pairs is evaluated once, weighted by
+    m! / prod c_j! * prod p_j^c_j, in lazy blocks of ``_RADEMACHER_BLOCK``
+    (docs/algorithms.md).  The refusal still counts the atoms^m * 2^m
+    (tuple, sign vector) terms, so which inputs are accepted depends on the
+    sizes alone.
     """
     if m < 1:
         raise ValidationError("m must be at least 1", field="m")
@@ -165,15 +171,21 @@ def _exhaustive_rademacher(values: np.ndarray, weights: np.ndarray, m: int) -> f
             cap="rademacher",
             actual=work,
         )
-    sign_vectors = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+    atom = np.repeat(np.flatnonzero(weights), 2)
+    prob = weights[atom] / 2
+    signed = values[:, atom] * np.tile([-1.0, 1.0], len(atom) // 2)
+    draws = itertools.combinations_with_replacement(range(len(atom)), m)
     total = 0.0
-    for obs in itertools.product(range(atoms), repeat=m):
-        weight = float(np.prod(weights[list(obs)]))
-        if weight == 0.0:
-            continue
-        table = values[:, list(obs)]  # (functions, m)
-        sups = (sign_vectors @ table.T / m).max(axis=1)  # (2^m,)
-        total += weight * float(sups.mean())
+    for block in iter(lambda: list(itertools.islice(draws, _RADEMACHER_BLOCK)), []):
+        pairs = np.array(block)  # (multisets, m), each row sorted
+        # prod c_j! as the product of the running length of each row's ties
+        run = ties = np.ones(len(pairs))
+        for i in range(1, m):
+            run = np.where(pairs[:, i] == pairs[:, i - 1], run + 1.0, 1.0)
+            ties = ties * run
+        mass = math.factorial(m) / ties * prob[pairs].prod(axis=1)
+        sups = signed[:, pairs].sum(axis=2).max(axis=0) / m
+        total += float(mass @ sups)
     return total
 
 

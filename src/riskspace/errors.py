@@ -20,3 +20,7 @@ class CapacityError(RuntimeError):
         super().__init__(message)
         self.cap = cap
         self.actual = actual
+
+
+class SolverError(RuntimeError):
+    """A linear program that should be solvable was reported unsolved."""

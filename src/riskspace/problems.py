@@ -11,7 +11,9 @@ penalty for *predicting* label ``i`` when the *true* label is ``j``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Set as AbstractSet
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,10 +69,18 @@ def _index_matrix(raw) -> np.ndarray:
 
 
 def _label_tuple(raw, field: str) -> tuple[str, ...]:
-    # a bare string would pass as one label per character
-    if isinstance(raw, str) or not hasattr(raw, "__iter__"):
+    # a bare string would pass as one label per character, a mapping or set
+    # as its keys in no fixed order
+    if isinstance(raw, (str, Mapping, AbstractSet)) or not isinstance(raw, Iterable):
         raise ValidationError(f"{field} must be a list of labels", field=field)
-    return tuple(str(s) for s in raw)
+    labels = tuple(raw)
+    for i, label in enumerate(labels):
+        if not isinstance(label, (str, Real)) or isinstance(label, bool):
+            raise ValidationError(
+                f"{field}[{i}] must be a string or a number, got {label!r}",
+                field=f"{field}[{i}]",
+            )
+    return tuple(str(s) for s in labels)
 
 
 @dataclass(frozen=True, eq=False)

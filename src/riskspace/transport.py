@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .problems import (
     METRIC_TOL,
     PROB_TOL,
@@ -177,7 +177,7 @@ def solve_ot_exact(
             options=_LP_OPTIONS,
         )
         if res.status != 0:
-            raise RuntimeError(f"transport LP failed: {res.message}")
+            raise SolverError(f"transport LP failed: {res.message}")
         sub_plan = res.x.reshape(m, n)
 
     plan = support.embed(sub_plan)

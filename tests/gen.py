@@ -304,6 +304,23 @@ def connected_distance_oracle(pg: PredictorGraph, qg: PredictorGraph) -> float:
     return best
 
 
+def rademacher_tuple_oracle(values: np.ndarray, weights: np.ndarray, m: int) -> float:
+    """Exact order-m Rademacher complexity of the rows of ``values`` over
+    atoms of probability ``weights``: a loop over every atom m-tuple (weighted
+    by the product law, zero-weight tuples skipped) and every sign vector."""
+    atoms = len(weights)
+    sign_vectors = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+    total = 0.0
+    for obs in itertools.product(range(atoms), repeat=m):
+        weight = float(np.prod(weights[list(obs)]))
+        if weight == 0.0:
+            continue
+        table = values[:, list(obs)]  # (functions, m)
+        sups = (sign_vectors @ table.T / m).max(axis=1)  # (2^m,)
+        total += weight * float(sups.mean())
+    return total
+
+
 def grid_distance_oracle(
     p: FiniteProblem, q: FiniteProblem, step: float
 ) -> tuple[float, float]:

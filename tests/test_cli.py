@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import OptimizeResult
 
 import riskspace as rs
 from riskspace import cli, serialize
@@ -397,6 +399,34 @@ def test_cli_rejects_bare_string_labels(capsys, paths, key):
     data[key] = "ab"
     bad = write("bad.json", data)
     assert _validation_field(capsys, ["distance", bad, bad]) == key
+
+
+@pytest.mark.parametrize("key, labels, field", [
+    ("x_labels", {"a": 1, "b": 2}, "x_labels"),
+    ("y_labels", [["u"], None], "y_labels[0]"),
+])
+def test_cli_rejects_non_scalar_labels(capsys, paths, key, labels, field):
+    _, write = paths
+    data = serialize.problem_to_dict(identity_support_problem())
+    data[key] = labels
+    bad = write("bad.json", data)
+    assert _validation_field(capsys, ["distance", bad, bad]) == field
+
+
+def test_cli_solver_failure_exit_3(capsys, paths, monkeypatch):
+    _, write = paths
+    rng = np.random.default_rng(140)
+    a = _problem_file(write, "a.json", random_problem(rng, nx=2, ny=2, n_h=2))
+    b = _problem_file(write, "b.json", random_problem(rng, nx=2, ny=2, n_h=2))
+    monkeypatch.setattr(rs.transport, "linprog", lambda *args, **kwargs:
+                        OptimizeResult(status=2, message="infeasible", x=None))
+    code, out, err = _run(capsys, ["distance", a, b])
+    monkeypatch.undo()
+    assert rs.transport.linprog is scipy.optimize.linprog
+    assert (code, out) == (3, "")
+    data = json.loads(err)
+    assert data["error"] == "solver"
+    assert "infeasible" in data["message"]
 
 
 @pytest.mark.parametrize("flags, field", [

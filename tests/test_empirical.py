@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riskspace as rs
-from gen import identity_support_problem, rademacher_example_problem, random_problem
+from riskspace.distance import _coupling_from_product, _pair_costs
+from riskspace.empirical import _exhaustive_rademacher
+from gen import (
+    identity_support_problem,
+    rademacher_example_problem,
+    rademacher_tuple_oracle,
+    random_problem,
+)
 
 
 def _four_atom_problem() -> rs.FiniteProblem:
@@ -167,6 +175,64 @@ def test_rademacher_capacity_error():
     p = _four_atom_problem()
     with pytest.raises(rs.CapacityError):
         rs.rademacher_exact_small(p, 12)
+
+
+def _oracle_cases():
+    """Eighteen seeded (values, weights, m) classes for m = 1..5: random
+    classes with and without zero-weight atoms, single functions, and
+    loss-gap classes over a witness coupling (which has zero cells)."""
+    rng = np.random.default_rng(124)
+    cases = []
+    for m in range(1, 6):
+        for n_f, atoms, zeros in ((3, 4, 0), (1, 3, 0), (2, 5, 2)):
+            weights = rng.random(atoms)
+            weights[rng.choice(atoms, size=zeros, replace=False)] = 0.0
+            cases.append((rng.random((n_f, atoms)) * 2, weights / weights.sum(), m))
+    for m in (1, 2, 3):
+        p = random_problem(rng, nx=2, ny=2, n_h=2)
+        q = random_problem(rng, nx=2, ny=2, n_h=2)
+        result = rs.risk_distance_exact(p, q)
+        gaps = _pair_costs(p, q)
+        weights = _coupling_from_product(result.witness_coupling, p, q).ravel()
+        cases.append((gaps.reshape(-1, gaps.shape[-1]), weights, m))
+    return cases
+
+
+def test_exhaustive_rademacher_matches_tuple_oracle():
+    cases = _oracle_cases()
+    assert any((w == 0).any() for _, w, _ in cases)
+    for values, weights, m in cases:
+        assert _exhaustive_rademacher(values, weights, m) == pytest.approx(
+            rademacher_tuple_oracle(values, weights, m), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), atoms=st.integers(1, 4), n_f=st.integers(1, 3),
+       m=st.integers(1, 4))
+def test_exhaustive_rademacher_permutation_invariant_and_nonnegative(
+        data, atoms, n_f, m):
+    row = st.lists(st.floats(-2.0, 2.0), min_size=atoms, max_size=atoms)
+    values = np.array(data.draw(st.lists(row, min_size=n_f, max_size=n_f)))
+    weights = np.array(data.draw(
+        st.lists(st.floats(0.0, 1.0), min_size=atoms, max_size=atoms)))
+    weights[data.draw(st.integers(0, atoms - 1))] += 1.0  # some mass
+    weights /= weights.sum()
+    perm = np.array(data.draw(st.permutations(range(atoms))))
+    value = _exhaustive_rademacher(values, weights, m)
+    assert value >= -1e-12
+    assert _exhaustive_rademacher(values[:, perm], weights[perm], m) == (
+        pytest.approx(value, abs=1e-12))
+
+
+def test_rademacher_capacity_boundary_unmoved():
+    # 5 atoms: 5^6 * 2^6 is exactly RADEMACHER_CAPACITY, 5^7 * 2^7 is over it
+    p = random_problem(np.random.default_rng(125), nx=1, ny=5, n_h=3)
+    values = p.predictor_loss_stack().reshape(p.n_predictors, -1)
+    assert rs.rademacher_exact_small(p, 6) == pytest.approx(
+        rademacher_tuple_oracle(values, p.eta.ravel(), 6), abs=1e-12)
+    with pytest.raises(rs.CapacityError) as err:
+        rs.rademacher_exact_small(p, 7)
+    assert err.value.actual == 5**7 * 2**7
 
 
 def test_rademacher_mc_deterministic():

@@ -70,6 +70,29 @@ def test_labels_must_be_a_list(labels, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("labels, suffix", [
+    ({"a": 1, "b": 2}, ""),
+    ([["u"], None], "[0]"),
+    (["a", None], "[1]"),
+    ([True, "b"], "[0]"),
+])
+@pytest.mark.parametrize("field", ["x_labels", "y_labels"])
+def test_labels_must_be_strings_or_numbers(labels, suffix, field):
+    fields = {"x_labels": ("x0", "x1"), "y_labels": ("a", "b")}
+    fields[field] = labels
+    with pytest.raises(rs.ValidationError) as err:
+        rs.FiniteProblem(eta=np.full((2, 2), 0.25), loss=np.zeros((2, 2)),
+                         predictors=[[0, 1]], **fields)
+    assert err.value.field == field + suffix
+
+
+def test_number_labels_read_as_strings():
+    p = rs.FiniteProblem(("x0", 1), (2.5, np.int64(3)), np.full((2, 2), 0.25),
+                         np.zeros((2, 2)), [[0, 1]])
+    assert p.x_labels == ("x0", "1")
+    assert p.y_labels == ("2.5", "3")
+
+
 def test_integral_float_predictors_accepted():
     p = rs.FiniteProblem(("x0", "x1"), ("a", "b"), np.full((2, 2), 0.25),
                          np.zeros((2, 2)), [[1.0, 0.0]])

@@ -9,7 +9,7 @@ routes must agree to solver tolerance.
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 import riskspace as rs
 from gen import enumerate_correspondences, random_problem
@@ -53,6 +53,21 @@ def _distance_by_correspondence_enumeration(p, q):
         ]
         best = min(best, _minimax_lp_from_scratch(vectors, mu, nu))
     return best
+
+
+@pytest.mark.parametrize("module, message", [
+    ("transport", "^transport LP failed: infeasible"),
+    ("distance", "^minimax transport LP failed: infeasible"),
+])
+def test_lp_failure_raises_solver_error(monkeypatch, module, message):
+    rng = np.random.default_rng(141)
+    p = random_problem(rng, nx=2, ny=2, n_h=2)
+    q = random_problem(rng, nx=2, ny=2, n_h=2)
+    monkeypatch.setattr(getattr(rs, module), "linprog", lambda *args, **kwargs:
+                        OptimizeResult(status=2, message="infeasible", x=None))
+    with pytest.raises(rs.SolverError, match=message):
+        rs.risk_distance_exact(p, q)
+    assert issubclass(rs.SolverError, RuntimeError)
 
 
 def test_exact_matches_full_correspondence_enumeration():
