@@ -181,8 +181,7 @@ def _edges_graph(problem, path: str) -> landscape.PredictorGraph:
     if not isinstance(data, dict) or "edges" not in data:
         raise ValidationError(f"{path} must be an object with an 'edges' key",
                               field="edges")
-    return landscape.PredictorGraph(problem=problem,
-                                    edges=tuple(map(tuple, data["edges"])))
+    return landscape.PredictorGraph(problem=problem, edges=data["edges"])
 
 
 def _cmd_distance(args) -> dict:
@@ -258,7 +257,7 @@ def _cmd_coarsen(args) -> dict:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ValidationError("partition JSON must be {\"blocks\": [[...], ...]}",
                               field="blocks")
-    q = Partition(blocks=tuple(map(tuple, data["blocks"])), ny=problem.ny)
+    q = Partition(blocks=data["blocks"], ny=problem.ny)
     coarse = coarsen(problem, q)
     return {
         "problem": serialize.problem_to_dict(coarse),

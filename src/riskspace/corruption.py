@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .problems import (
     METRIC_TOL,
     FiniteProblem,
@@ -47,10 +47,7 @@ def apply_bias_density(
         raise ValidationError(
             f"f has shape {f.shape}, expected {problem.eta.shape}", field="f"
         )
-    if np.any(f < 0) or not np.all(np.isfinite(f)):
-        i, j = np.argwhere((f < 0) | ~np.isfinite(f))[0]
-        raise ValidationError(f"f[{i}][{j}] is not a valid density value",
-                              field=f"f[{i}][{j}]")
+    require(np.isfinite(f) & (f >= 0), "f", "must be a finite nonnegative density")
     total = float(np.sum(f * problem.eta))
     if abs(total - 1.0) > METRIC_TOL:
         raise ValidationError(
@@ -69,14 +66,16 @@ def restrict(
 
     The certificate is the mass of the discarded region.
     """
-    a_mask = np.asarray(a_mask, dtype=bool)
+    a_mask = np.asarray(a_mask)
     if a_mask.shape != problem.eta.shape:
         raise ValidationError(
             f"A has shape {a_mask.shape}, expected {problem.eta.shape}", field="A"
         )
+    # a cast would read 0.5 or NaN as true
+    require((a_mask == 0) | (a_mask == 1), "A", "must be true, false, 0 or 1")
+    a_mask = a_mask.astype(bool)
     mass = float(problem.eta[a_mask].sum())
-    if mass <= 0:
-        raise ValidationError("the restriction region has zero mass", field="A")
+    require(mass > 0, "A", "must have positive mass")
     restricted = replace(problem, eta=np.where(a_mask, problem.eta, 0.0) / mass)
     return restricted, max(1.0 - mass, 0.0)
 
@@ -101,12 +100,8 @@ def _require_shared_but_eta(p: FiniteProblem, p_prime: FiniteProblem):
 def tv_bound(p: FiniteProblem, p_prime: FiniteProblem, ell_max: float) -> float:
     """Bound a joint-law substitution by loss range times total variation."""
     _require_shared_but_eta(p, p_prime)
-    if ell_max < float(p.loss.max()):
-        raise ValidationError(
-            f"ell_max = {ell_max} is below the largest loss entry"
-            f" {float(p.loss.max())}",
-            field="ell_max",
-        )
+    require(float(p.loss.max()) <= ell_max < np.inf, "ell_max",
+            f"must be finite and at least the largest loss {float(p.loss.max())}")
     return float(ell_max) * total_variation(p.eta.ravel(), p_prime.eta.ravel())
 
 
@@ -124,8 +119,7 @@ def s_metric(problem: FiniteProblem) -> np.ndarray:
 def s_metric_weighted(wp: WeightedProblem, p: float) -> np.ndarray:
     """Weighted analog of :func:`s_metric`: the lambda-L^p norm of the
     per-predictor loss gaps."""
-    if p < 1:
-        raise ValidationError("p must be at least 1", field="p")
+    require(p >= 1, "p", "must be at least 1")
     flat = wp.problem.predictor_loss_stack().reshape(wp.problem.n_predictors, -1)
     gaps = np.abs(flat[:, :, None] - flat[:, None, :])
     return np.einsum("h,hij->ij", wp.lam, gaps**p) ** (1.0 / p)
@@ -186,12 +180,14 @@ def noise_bound_metric(
     returning a meaningless number), then charges C times the average
     transport cost from the no-noise kernel to ``n_kernel``.
     """
+    require(0 <= lipschitz_c < np.inf, "lipschitz_c", "must be finite and nonnegative")
     d_y = np.asarray(d_y, dtype=float)
     if d_y.shape != (problem.ny, problem.ny):
         raise ValidationError(
             f"d_y has shape {d_y.shape}, expected {(problem.ny, problem.ny)}",
             field="d_y",
         )
+    require(np.isfinite(d_y), "d_y", "must be finite")
     gaps = np.abs(problem.loss[:, :, None] - problem.loss[:, None, :])
     allowed = lipschitz_c * d_y[None, :, :]
     slack = gaps - allowed
@@ -294,9 +290,7 @@ def run_pipeline(
                     current, np.asarray(params["f"], dtype=float)
                 )
             elif kind == "restrict":
-                current, bound = restrict(
-                    current, np.asarray(params["A"], dtype=bool)
-                )
+                current, bound = restrict(current, params["A"])
             elif kind == "label_noise":
                 n_kernel = np.asarray(params["kernel"], dtype=float)
                 noised = apply_label_noise(current, n_kernel)

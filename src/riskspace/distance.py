@@ -22,7 +22,7 @@ import numpy as np
 # a module binding of its own: the perfbench tracer wraps it to time minimax LPs
 from scipy.optimize import linprog
 
-from .errors import CapacityError, SolverError, ValidationError
+from .errors import CapacityError, SolverError, ValidationError, require
 from .problems import (
     FiniteProblem,
     WeightedProblem,
@@ -80,11 +80,7 @@ class DistanceResult:
         if self.status not in ("exact", "upper_bound"):
             raise ValidationError(f"unknown status {self.status!r}",
                                   field="status")
-        if np.isnan(self.value) or self.value < 0:
-            raise ValidationError(
-                f"distance value {self.value!r} is not a nonnegative number",
-                field="value",
-            )
+        require(self.value >= 0, "value", "must be a nonnegative number")
         for name in ("witness_coupling", "witness_correspondence",
                      "witness_predictor_coupling"):
             arr = getattr(self, name)
@@ -94,20 +90,11 @@ class DistanceResult:
                 object.__setattr__(self, name, arr)
 
 
-def _check_nonnegative(**counts: int):
-    """Reject a negative size cap or restart count, naming the argument."""
-    for name, value in counts.items():
-        if value < 0:
-            raise ValidationError(f"{name} = {value} is negative", field=name)
-
-
 def check_correspondence(r: np.ndarray, name: str = "correspondence") -> np.ndarray:
     r = np.asarray(r, dtype=bool)
     if r.ndim != 2:
         raise ValidationError(f"{name} must be a boolean matrix", field=name)
-    if not np.all(r.any(axis=1)):
-        (h,) = np.argwhere(~r.any(axis=1))[0]
-        raise ValidationError(f"{name} row {h} covers nothing", field=f"{name}[{h}]")
+    require(r.any(axis=1), name, "must cover some column")
     if not np.all(r.any(axis=0)):
         (hp,) = np.argwhere(~r.any(axis=0))[0]
         raise ValidationError(
@@ -127,17 +114,6 @@ def _flat_eta(p: FiniteProblem) -> np.ndarray:
 def _coupling_to_product(gamma_flat: np.ndarray, p: FiniteProblem,
                          q: FiniteProblem) -> np.ndarray:
     return gamma_flat.reshape(p.nx, p.ny, q.nx, q.ny)
-
-
-def _coupling_from_product(gamma: np.ndarray, p: FiniteProblem,
-                           q: FiniteProblem) -> np.ndarray:
-    gamma = np.asarray(gamma, dtype=float)
-    expected = (p.nx, p.ny, q.nx, q.ny)
-    if gamma.shape != expected:
-        raise ValidationError(
-            f"coupling has shape {gamma.shape}, expected {expected}", field="gamma"
-        )
-    return gamma.reshape(p.nx * p.ny, q.nx * q.ny)
 
 
 def _pair_costs(p: FiniteProblem, q: FiniteProblem) -> np.ndarray:
@@ -168,9 +144,8 @@ def pair_cost_matrix(
     p: FiniteProblem, p_prime: FiniteProblem, gamma: np.ndarray
 ) -> np.ndarray:
     """Expected loss gaps for every predictor pair under a fixed coupling."""
-    gamma_flat = _coupling_from_product(gamma, p, p_prime)
-    check_coupling(gamma_flat, _flat_eta(p), _flat_eta(p_prime), name="gamma")
-    return _costs_under(_pair_costs(p, p_prime), gamma_flat)
+    gamma = check_coupling(gamma, p.eta, p_prime.eta, name="gamma")
+    return _costs_under(_pair_costs(p, p_prime), gamma)
 
 
 def risk_distortion(
@@ -351,8 +326,9 @@ def risk_distance_exact(
     Argument order is canonicalized internally, making the function exactly
     symmetric.
     """
-    _check_nonnegative(cap_pairs=cap_pairs, cap_support=cap_support,
-                       restarts=restarts)
+    require(cap_pairs >= 0, "cap_pairs", "must be nonnegative")
+    require(cap_support >= 0, "cap_support", "must be nonnegative")
+    require(restarts >= 0, "restarts", "must be nonnegative")
     if _canonical_key(p_prime) < _canonical_key(p):
         result = risk_distance_exact(
             p_prime, p, cap_pairs=cap_pairs, cap_support=cap_support,
@@ -515,8 +491,7 @@ def lp_risk_distortion(
 ) -> float:
     """L^p average (or supported supremum, for p = inf) of the pair costs
     under a predictor coupling and an observation coupling."""
-    if p != np.inf and p < 1:
-        raise ValidationError("p must be at least 1", field="p")
+    require(p >= 1, "p", "must be at least 1")
     rho = check_coupling(rho, wp.lam, wp_prime.lam, name="rho")
     pair_costs = pair_cost_matrix(wp.problem, wp_prime.problem, gamma)
     if p == np.inf:
@@ -566,9 +541,8 @@ def lp_risk_distance(
     singleton predictor sets, else ``upper_bound``.  For p = 1 the objective
     is nonincreasing along iterations.
     """
-    if p == np.inf or p < 1:
-        raise ValidationError("p must lie in [1, inf)", field="p")
-    _check_nonnegative(restarts=restarts)
+    require(1 <= p < np.inf, "p", "must lie in [1, inf)")
+    require(restarts >= 0, "restarts", "must be nonnegative")
     pa, pb = wp.problem, wp_prime.problem
     mu, nu = _flat_eta(pa), _flat_eta(pb)
     rng = np.random.default_rng(seed)
@@ -702,8 +676,7 @@ def geodesic_problem(
     correspondence pairs as product predictors.  Endpoints are at distance
     zero from the originals, and the family is a geodesic.
     """
-    if not (0.0 <= t <= 1.0):
-        raise ValidationError(f"t = {t} outside [0, 1]", field="t")
+    require(0.0 <= t <= 1.0, "t", "must lie in [0, 1]")
     if witness.status != "exact":
         raise ValidationError(
             "geodesic construction needs exact optimal witnesses", field="witness"
@@ -712,8 +685,7 @@ def geodesic_problem(
         raise ValidationError("witnesses are missing", field="witness")
     gamma = witness.witness_coupling
     r = check_correspondence(witness.witness_correspondence)
-    gamma_flat = _coupling_from_product(gamma, p0, p1)
-    check_coupling(gamma_flat, _flat_eta(p0), _flat_eta(p1), name="witness coupling")
+    check_coupling(gamma, p0.eta, p1.eta, name="witness coupling")
     if r.shape != (p0.n_predictors, p1.n_predictors):
         raise ValidationError(
             "witness correspondence shape does not match the predictor sets",

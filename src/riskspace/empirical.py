@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, require
 from . import distance as _distance
 from .corruption import tv_bound
 from .problems import FiniteProblem
@@ -54,8 +54,7 @@ def _resample(
     Only the joint law changes: it becomes the average of the n observed
     point masses.
     """
-    if n < 1:
-        raise ValidationError("sample size must be at least 1", field="n")
+    require(n >= 1, "n", "must be at least 1")
     flat = problem.eta.ravel()
     draws = rng.choice(len(flat), size=n, p=flat)
     counts = np.bincount(draws, minlength=len(flat)).astype(float)
@@ -85,8 +84,7 @@ def convergence_experiment(
     Trials are independent; each derives its own sub-seed from
     (seed, n, trial).
     """
-    if trials < 1:
-        raise ValidationError("trials must be at least 1", field="trials")
+    require(trials >= 1, "trials", "must be at least 1")
     ell_max = float(problem.loss.max())
     support_product = (problem.nx * problem.ny) ** 2
     pairs = problem.n_predictors**2
@@ -131,10 +129,8 @@ def rademacher_mc(
     takes the best sign-weighted average loss over the predictor list.
     Returns (mean, standard error).
     """
-    if m < 1:
-        raise ValidationError("m must be at least 1", field="m")
-    if num_samples < 1:
-        raise ValidationError("num_samples must be at least 1", field="num_samples")
+    require(m >= 1, "m", "must be at least 1")
+    require(num_samples >= 1, "num_samples", "must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     flat_losses = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
     flat_eta = problem.eta.ravel()
@@ -160,8 +156,7 @@ def _exhaustive_rademacher(values: np.ndarray, weights: np.ndarray, m: int) -> f
     (tuple, sign vector) terms, so which inputs are accepted depends on the
     sizes alone.
     """
-    if m < 1:
-        raise ValidationError("m must be at least 1", field="m")
+    require(m >= 1, "m", "must be at least 1")
     atoms = len(weights)
     work = (atoms**m) * (2**m)
     if work > RADEMACHER_CAPACITY:
@@ -216,7 +211,7 @@ def rademacher_gap_bound(
     gaps = _distance._pair_costs(p, p_prime)
     gap_complexity = _exhaustive_rademacher(
         gaps.reshape(-1, gaps.shape[-1]),
-        _distance._coupling_from_product(gamma, p, p_prime).ravel(),
+        np.asarray(gamma, dtype=float).ravel(),
         m,
     )
     bound = distortion + 2.0 * gap_complexity

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one input check."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -11,6 +13,26 @@ class ValidationError(ValueError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def require(ok, name: str, reason: str) -> None:
+    """Raise :class:`ValidationError` unless every entry of ``ok`` holds.
+
+    State the valid condition, never the bad one: ``require(p >= 1, "p",
+    ...)``, ``require(np.isfinite(a) & (a >= 0), "a", ...)``.  NaN fails
+    every comparison, so a stated valid condition refuses it without a
+    special case, where ``if p < 1: raise`` lets it through.
+
+    ``ok`` is a boolean scalar or array.  The error names the first false
+    entry in ``np.argwhere`` (C) order, ``name[i][j]`` for an array and
+    ``name`` for a scalar, and its message is that field followed by
+    ``reason``.
+    """
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    field = name + "".join(f"[{i}]" for i in np.argwhere(~ok)[0])
+    raise ValidationError(f"{field} {reason}", field=field)
 
 
 class CapacityError(RuntimeError):

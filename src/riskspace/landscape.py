@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, require
 from .distance import (
     DistanceResult,
-    _check_nonnegative,
     _coupling_to_product,
     _flat_eta,
     _minimax_coupling_lp,  # noqa: F401  unused; perfbench's tracer wraps this binding
@@ -25,7 +24,7 @@ from .distance import (
     _pattern_sweep,
     check_correspondence,
 )
-from .problems import FiniteProblem, all_risks, constrained_bayes_risk
+from .problems import FiniteProblem, _index_array, all_risks, constrained_bayes_risk
 
 CONNECTED_CAP_PAIRS = 9
 
@@ -39,20 +38,15 @@ class PredictorGraph:
 
     def __post_init__(self):
         n = self.problem.n_predictors
-        norm = []
-        for ei, (a, b) in enumerate(self.edges):
-            a, b = int(a), int(b)
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValidationError(
-                    f"edges[{ei}] = ({a}, {b}) has an endpoint outside [0, {n})",
-                    field=f"edges[{ei}]",
-                )
-            if a == b:
-                raise ValidationError(
-                    f"edges[{ei}] is a self-loop", field=f"edges[{ei}]"
-                )
-            norm.append((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", tuple(sorted(set(norm))))
+        edges = _index_array(self.edges, "edges")
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValidationError("edges must be a list of vertex pairs",
+                                  field="edges")
+        edges = edges.reshape(-1, 2)
+        require((edges >= 0) & (edges < n), "edges", f"must lie in [0, {n})")
+        require(edges[:, 0] != edges[:, 1], "edges", "must not be a self-loop")
+        norm = {(min(a, b), max(a, b)) for a, b in edges.tolist()}
+        object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     def adjacency(self) -> np.ndarray:
         n = self.problem.n_predictors
@@ -127,6 +121,7 @@ def reeb_graph(pg: PredictorGraph, height_tol: float = 0.0) -> ReebGraph:
     whose gap is at most the tolerance (discretized landscapes rarely collide
     exactly).  The minimum node height equals the problem's optimal risk.
     """
+    require(0 <= height_tol < np.inf, "height_tol", "must be finite and nonnegative")
     heights = risk_landscape(pg)
     n = len(heights)
     order = np.argsort(heights, kind="stable")
@@ -244,7 +239,7 @@ def connected_risk_distance_exact(
     distance.  If no correspondence is inverse-connected the distance is
     infinite.
     """
-    _check_nonnegative(cap_pairs=cap_pairs)
+    require(cap_pairs >= 0, "cap_pairs", "must be nonnegative")
     p, q = pg.problem, pg_prime.problem
     n_pairs = p.n_predictors * q.n_predictors
     if n_pairs > cap_pairs:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 # Probability-mass sums are validated at 1e-12; metric structure (symmetry,
 # triangle inequality) at 1e-9.  The first is data validation, the second
@@ -33,39 +33,44 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _index_matrix(raw) -> np.ndarray:
-    """Predictor label indices as an int64 matrix.
+_is_bool = np.vectorize(lambda v: isinstance(v, (bool, np.bool_)), otypes=[bool])
+
+
+def _index_array(raw, name: str) -> np.ndarray:
+    """Indices (labels, inputs, predictors, vertices) as an int64 array of
+    the shape ``raw`` has, which the caller checks.
 
     A cast would truncate 0.7 to 0 and read ``True`` as 1, so boolean and
-    non-integral entries are refused instead.  Arrays that are not matrices
-    pass through unchanged for the shape checks to report.
+    non-integral entries are refused instead, naming the entry.
     """
     try:
         arr = np.asarray(raw)
     except ValueError:
         raise ValidationError(
-            "predictors must be a rectangular array of label indices",
-            field="predictors",
+            f"{name} must be a rectangular array of indices", field=name
         ) from None
-    if arr.ndim != 2:
-        return arr
     if arr.dtype.kind not in "biuf":
-        raise ValidationError(
-            "predictors must hold integer label indices", field="predictors"
-        )
+        raise ValidationError(f"{name} must hold integer indices", field=name)
     # scanned entry by entry: numpy turns [0, True] into int64 without a trace
-    bad = np.array(
-        [[isinstance(v, (bool, np.bool_)) for v in row] for row in raw], dtype=bool
-    ).reshape(arr.shape)
+    ok = ~_is_bool(np.asarray(raw, dtype=object))
     if arr.dtype.kind == "f":
-        bad |= ~np.isfinite(arr) | (arr != np.trunc(arr))
-    if np.any(bad):
-        k, x = np.argwhere(bad)[0]
-        raise ValidationError(
-            f"predictors[{k}][{x}] is not an integer label index",
-            field=f"predictors[{k}][{x}]",
-        )
+        ok &= np.isfinite(arr) & (arr == np.trunc(arr))
+    require(ok, name, "must be an integer index")
     return arr.astype(np.int64, copy=False)
+
+
+def _check_mass(a, name: str) -> np.ndarray:
+    """``a`` as a float probability mass: finite nonnegative entries summing
+    to 1 within ``PROB_TOL``.  The one check of joint laws, predictor
+    weightings, loss profiles and transport marginals."""
+    a = np.asarray(a, dtype=float)
+    require(np.isfinite(a) & (a >= 0), name, "must be a finite nonnegative mass")
+    total = float(a.sum())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValidationError(
+            f"{name} sums to {total!r}, expected 1 within {PROB_TOL}", field=name
+        )
+    return a
 
 
 def _label_tuple(raw, field: str) -> tuple[str, ...]:
@@ -74,12 +79,8 @@ def _label_tuple(raw, field: str) -> tuple[str, ...]:
     if isinstance(raw, (str, Mapping, AbstractSet)) or not isinstance(raw, Iterable):
         raise ValidationError(f"{field} must be a list of labels", field=field)
     labels = tuple(raw)
-    for i, label in enumerate(labels):
-        if not isinstance(label, (str, Real)) or isinstance(label, bool):
-            raise ValidationError(
-                f"{field}[{i}] must be a string or a number, got {label!r}",
-                field=f"{field}[{i}]",
-            )
+    scalar = [isinstance(s, (str, Real)) and not isinstance(s, bool) for s in labels]
+    require(np.array(scalar, dtype=bool), field, "must be a string or a number")
     return tuple(str(s) for s in labels)
 
 
@@ -110,7 +111,8 @@ class FiniteProblem:
         object.__setattr__(self, "y_labels", _label_tuple(self.y_labels, "y_labels"))
         object.__setattr__(self, "eta", _freeze(np.asarray(self.eta, dtype=float)))
         object.__setattr__(self, "loss", _freeze(np.asarray(self.loss, dtype=float)))
-        object.__setattr__(self, "predictors", _freeze(_index_matrix(self.predictors)))
+        predictors = _index_array(self.predictors, "predictors")
+        object.__setattr__(self, "predictors", _freeze(predictors))
         self._validate()
 
     def _validate(self):
@@ -127,31 +129,13 @@ class FiniteProblem:
             raise ValidationError(
                 f"eta has shape {self.eta.shape}, expected {(nx, ny)}", field="eta"
             )
-        if not np.all(np.isfinite(self.eta)):
-            i, j = np.argwhere(~np.isfinite(self.eta))[0]
-            raise ValidationError(f"eta[{i}][{j}] is not finite", field=f"eta[{i}][{j}]")
-        if np.any(self.eta < 0):
-            i, j = np.argwhere(self.eta < 0)[0]
-            raise ValidationError(f"eta[{i}][{j}] is negative", field=f"eta[{i}][{j}]")
-        total = float(self.eta.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(
-                f"eta sums to {total!r}, expected 1 within {PROB_TOL}", field="eta"
-            )
+        _check_mass(self.eta, "eta")
         if self.loss.shape != (ny, ny):
             raise ValidationError(
                 f"loss has shape {self.loss.shape}, expected {(ny, ny)}", field="loss"
             )
-        if not np.all(np.isfinite(self.loss)):
-            i, j = np.argwhere(~np.isfinite(self.loss))[0]
-            raise ValidationError(
-                f"loss[{i}][{j}] is not finite", field=f"loss[{i}][{j}]"
-            )
-        if np.any(self.loss < 0):
-            i, j = np.argwhere(self.loss < 0)[0]
-            raise ValidationError(
-                f"loss[{i}][{j}] is negative", field=f"loss[{i}][{j}]"
-            )
+        require(np.isfinite(self.loss) & (self.loss >= 0), "loss",
+                "must be finite and nonnegative")
         if self.predictors.ndim != 2 or self.predictors.shape[0] < 1:
             raise ValidationError(
                 "predictors must be a nonempty list of index vectors",
@@ -162,13 +146,8 @@ class FiniteProblem:
                 f"predictors have length {self.predictors.shape[1]}, expected {nx}",
                 field="predictors",
             )
-        bad = (self.predictors < 0) | (self.predictors >= ny)
-        if np.any(bad):
-            k, x = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"predictors[{k}][{x}] = {self.predictors[k, x]} is outside [0, {ny})",
-                field=f"predictors[{k}][{x}]",
-            )
+        require((self.predictors >= 0) & (self.predictors < ny), "predictors",
+                f"must lie in [0, {ny})")
         # Finite risk is automatic for finite matrices; assert anyway.
         assert np.all(np.isfinite(self.loss[self.predictors]))
 
@@ -229,15 +208,7 @@ class WeightedProblem:
                 f" ({self.problem.n_predictors},)",
                 field="lambda",
             )
-        if np.any(self.lam < 0):
-            (k,) = np.argwhere(self.lam < 0)[0]
-            raise ValidationError(f"lambda[{k}] is negative", field=f"lambda[{k}]")
-        if abs(float(self.lam.sum()) - 1.0) > PROB_TOL:
-            raise ValidationError(
-                f"lambda sums to {float(self.lam.sum())!r}, expected 1 within"
-                f" {PROB_TOL}",
-                field="lambda",
-            )
+        _check_mass(self.lam, "lambda")
 
     def __eq__(self, other):
         if not isinstance(other, WeightedProblem):
@@ -259,10 +230,7 @@ class LossProfile:
             raise ValidationError("profile values/masses must be equal-length vectors")
         if np.any(np.diff(self.values) <= 0):
             raise ValidationError("profile values must be strictly increasing")
-        if np.any(self.masses < 0):
-            raise ValidationError("profile masses must be nonnegative")
-        if abs(float(self.masses.sum()) - 1.0) > PROB_TOL:
-            raise ValidationError("profile masses must sum to 1")
+        _check_mass(self.masses, "masses")
 
     def mean(self) -> float:
         return float(self.values @ self.masses)
@@ -286,24 +254,24 @@ class Partition:
     ny: int
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+        blocks = []
         seen: set[int] = set()
-        for bi, block in enumerate(blocks):
-            if len(block) == 0:
-                raise ValidationError(f"blocks[{bi}] is empty", field=f"blocks[{bi}]")
-            for i in block:
-                if not (0 <= i < self.ny):
-                    raise ValidationError(
-                        f"blocks[{bi}] contains {i}, outside [0, {self.ny})",
-                        field=f"blocks[{bi}]",
-                    )
+        for bi, raw in enumerate(self.blocks):
+            block = _index_array(raw, f"blocks[{bi}]")
+            if block.ndim != 1 or block.size == 0:
+                raise ValidationError(f"blocks[{bi}] must be a nonempty list",
+                                      field=f"blocks[{bi}]")
+            require((block >= 0) & (block < self.ny), f"blocks[{bi}]",
+                    f"must lie in [0, {self.ny})")
+            blocks.append(tuple(block.tolist()))
+            for i in blocks[-1]:
                 if i in seen:
                     raise ValidationError(
                         f"index {i} appears in more than one block",
                         field=f"blocks[{bi}]",
                     )
                 seen.add(i)
+        object.__setattr__(self, "blocks", tuple(blocks))
         if len(seen) != self.ny:
             missing = sorted(set(range(self.ny)) - seen)
             raise ValidationError(
@@ -414,8 +382,7 @@ def cross_predictor_pseudometric(
 
 def one_point_problem(c: float) -> FiniteProblem:
     """The problem with a single point, constant loss ``c``, and one predictor."""
-    if c < 0:
-        raise ValidationError("constant loss must be nonnegative", field="c")
+    require(0 <= c < np.inf, "c", "must be a finite nonnegative loss")
     return FiniteProblem(
         x_labels=("*",),
         y_labels=("*",),
@@ -443,8 +410,9 @@ def encode_mm_space(
             f"dist has shape {dist.shape}, expected {(n, n)}", field="dist"
         )
     _check_metric_matrix(dist, field="dist")
-    if mu.shape != (n,) or np.any(mu < 0) or abs(float(mu.sum()) - 1.0) > PROB_TOL:
-        raise ValidationError("mu must be a probability vector over points", field="mu")
+    if mu.shape != (n,):
+        raise ValidationError(f"mu has shape {mu.shape}, expected {(n,)}", field="mu")
+    _check_mass(mu, "mu")
     eta = np.diag(mu)
     predictors = np.repeat(np.arange(n)[:, None], n, axis=1)
     return FiniteProblem(
@@ -466,8 +434,7 @@ def encode_mm_space_weighted(
 
 
 def _check_metric_matrix(d: np.ndarray, field: str = "dist"):
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise ValidationError(f"{field} must be finite and nonnegative", field=field)
+    require(np.isfinite(d) & (d >= 0), field, "must be finite and nonnegative")
     if np.any(np.abs(np.diag(d)) > 0):
         raise ValidationError(f"{field} must have a zero diagonal", field=field)
     if np.max(np.abs(d - d.T)) > METRIC_TOL:
@@ -579,32 +546,20 @@ def verify_simulation(
     rich joint law must equal the base law, and matched predictors must incur
     identical losses at every rich observation of positive mass.
     """
-    f1 = np.asarray(f1, dtype=np.int64)
-    f2 = np.asarray(f2, dtype=np.int64)
-    fwd = np.asarray(fwd, dtype=np.int64)
-    bwd = np.asarray(bwd, dtype=np.int64)
-    if f1.shape != (p_rich.nx,):
-        raise ValidationError(f"f1 must have length {p_rich.nx}", field="f1")
-    if f2.shape != (p_rich.ny,):
-        raise ValidationError(f"f2 must have length {p_rich.ny}", field="f2")
-    if np.any((f1 < 0) | (f1 >= p.nx)):
-        raise ValidationError(f"f1 values must lie in [0, {p.nx})", field="f1")
-    if np.any((f2 < 0) | (f2 >= p.ny)):
-        raise ValidationError(f"f2 values must lie in [0, {p.ny})", field="f2")
-    if fwd.shape != (p.n_predictors,) or np.any(
-        (fwd < 0) | (fwd >= p_rich.n_predictors)
+    require(0 <= tol < np.inf, "tol", "must be finite and nonnegative")
+    maps = []
+    for name, raw, length, bound in (
+        ("f1", f1, p_rich.nx, p.nx),
+        ("f2", f2, p_rich.ny, p.ny),
+        ("fwd", fwd, p.n_predictors, p_rich.n_predictors),
+        ("bwd", bwd, p_rich.n_predictors, p.n_predictors),
     ):
-        raise ValidationError(
-            f"fwd must map [0, {p.n_predictors}) into [0, {p_rich.n_predictors})",
-            field="fwd",
-        )
-    if bwd.shape != (p_rich.n_predictors,) or np.any(
-        (bwd < 0) | (bwd >= p.n_predictors)
-    ):
-        raise ValidationError(
-            f"bwd must map [0, {p_rich.n_predictors}) into [0, {p.n_predictors})",
-            field="bwd",
-        )
+        m = _index_array(raw, name)
+        if m.shape != (length,):
+            raise ValidationError(f"{name} must have length {length}", field=name)
+        require((m >= 0) & (m < bound), name, f"must lie in [0, {bound})")
+        maps.append(m)
+    f1, f2, fwd, bwd = maps
 
     pushed = np.zeros((p.nx, p.ny))
     np.add.at(pushed, (f1[:, None], f2[None, :]), p_rich.eta)
@@ -614,7 +569,7 @@ def verify_simulation(
         return SimulationCheck(
             False,
             f"pushforward of the rich joint law differs from eta at [{i}][{j}]:"
-            f" {pushed[i, j]!r} vs {p.eta[i, j]!r}",
+            f" {float(pushed[i, j])!r} vs {float(p.eta[i, j])!r}",
         )
 
     support = p_rich.eta > 0
@@ -629,8 +584,8 @@ def verify_simulation(
             return SimulationCheck(
                 False,
                 f"predictor {h} (matched to rich predictor {fwd[h]}) incurs"
-                f" loss {pulled[h][i, j]!r} but the rich problem pays"
-                f" {rich_tables[fwd[h]][i, j]!r} at supported point [{i}][{j}]",
+                f" loss {float(pulled[h][i, j])!r} but the rich problem pays"
+                f" {float(rich_tables[fwd[h]][i, j])!r} at supported point [{i}][{j}]",
             )
     for hp in range(p_rich.n_predictors):
         diff = np.abs(rich_tables[hp] - pulled[bwd[hp]])
@@ -640,7 +595,7 @@ def verify_simulation(
             return SimulationCheck(
                 False,
                 f"rich predictor {hp} (matched to predictor {bwd[hp]}) pays"
-                f" {rich_tables[hp][i, j]!r} but the base problem pays"
-                f" {pulled[bwd[hp]][i, j]!r} at supported point [{i}][{j}]",
+                f" {float(rich_tables[hp][i, j])!r} but the base problem pays"
+                f" {float(pulled[bwd[hp]][i, j])!r} at supported point [{i}][{j}]",
             )
     return SimulationCheck(True, None)

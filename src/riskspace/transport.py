@@ -17,13 +17,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, require
 from .problems import (
     METRIC_TOL,
     PROB_TOL,
     FiniteProblem,
     LossProfile,
     WeightedProblem,
+    _check_mass,
     loss_profile_distribution,
     loss_profile_set,
 )
@@ -41,32 +42,28 @@ def check_distribution(vec: np.ndarray, name: str = "distribution") -> np.ndarra
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1:
         raise ValidationError(f"{name} must be a vector", field=name)
-    if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-        (i,) = np.argwhere((vec < 0) | ~np.isfinite(vec))[0]
-        raise ValidationError(f"{name}[{i}] is not a valid mass", field=f"{name}[{i}]")
-    if abs(float(vec.sum()) - 1.0) > PROB_TOL:
-        raise ValidationError(
-            f"{name} sums to {float(vec.sum())!r}, expected 1 within {PROB_TOL}",
-            field=name,
-        )
-    return vec
+    return _check_mass(vec, name)
 
 
 def check_coupling(
     gamma: np.ndarray, mu: np.ndarray, nu: np.ndarray, name: str = "coupling"
 ) -> np.ndarray:
+    """``gamma`` as a float coupling of ``mu`` and ``nu``, of shape
+    ``mu.shape + nu.shape`` (a coupling of two joint laws has shape
+    (nx, ny, nx', ny')); entries and marginals are checked to METRIC_TOL."""
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (len(mu), len(nu)):
+    if gamma.shape != mu.shape + nu.shape:
         raise ValidationError(
-            f"{name} has shape {gamma.shape}, expected {(len(mu), len(nu))}",
+            f"{name} has shape {gamma.shape}, expected {mu.shape + nu.shape}",
             field=name,
         )
-    if np.any(gamma < -METRIC_TOL):
-        raise ValidationError(f"{name} has negative entries", field=name)
-    if np.max(np.abs(gamma.sum(axis=1) - mu)) > METRIC_TOL:
+    require(np.isfinite(gamma) & (gamma >= -METRIC_TOL), name,
+            "must be a finite nonnegative mass")
+    flat = gamma.reshape(mu.size, nu.size)
+    if np.max(np.abs(flat.sum(axis=1) - mu.ravel())) > METRIC_TOL:
         raise ValidationError(f"{name} row sums do not match the first marginal",
                               field=name)
-    if np.max(np.abs(gamma.sum(axis=0) - nu)) > METRIC_TOL:
+    if np.max(np.abs(flat.sum(axis=0) - nu.ravel())) > METRIC_TOL:
         raise ValidationError(f"{name} column sums do not match the second marginal",
                               field=name)
     return gamma
@@ -76,18 +73,10 @@ def check_markov_kernel(kernel: np.ndarray, name: str = "kernel") -> np.ndarray:
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2:
         raise ValidationError(f"{name} must be a matrix", field=name)
-    if np.any(kernel < 0) or not np.all(np.isfinite(kernel)):
-        i, j = np.argwhere((kernel < 0) | ~np.isfinite(kernel))[0]
-        raise ValidationError(
-            f"{name}[{i}][{j}] is not a valid mass", field=f"{name}[{i}][{j}]"
-        )
-    rows = kernel.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > PROB_TOL:
-        (i,) = np.argwhere(np.abs(rows - 1.0) > PROB_TOL)[0]
-        raise ValidationError(
-            f"{name} row {i} sums to {rows[i]!r}, expected 1 within {PROB_TOL}",
-            field=f"{name}[{i}]",
-        )
+    require(np.isfinite(kernel) & (kernel >= 0), name,
+            "must be a finite nonnegative mass")
+    require(np.abs(kernel.sum(axis=1) - 1.0) <= PROB_TOL, name,
+            f"must sum to 1 within {PROB_TOL}")
     return kernel
 
 
@@ -156,8 +145,7 @@ def solve_ot_exact(
         raise ValidationError(
             f"cost has shape {cost.shape}, expected {(len(mu), len(nu))}", field="cost"
         )
-    if not np.all(np.isfinite(cost)):
-        raise ValidationError("cost must be finite", field="cost")
+    require(np.isfinite(cost), "cost", "must be finite")
 
     support = _support(mu, nu)
     m, n = len(support.rows), len(support.cols)
@@ -304,8 +292,7 @@ def wasserstein_profile_distributions(
 ) -> float:
     """Outer p-Wasserstein distance between the two weighted profile
     distributions, with ground distance 1-Wasserstein between profiles."""
-    if p < 1:
-        raise ValidationError("p must be at least 1", field="p")
+    require(p >= 1, "p", "must be at least 1")
     atoms_a = loss_profile_distribution(wp)
     atoms_b = loss_profile_distribution(wp_prime)
     cost = np.array(

@@ -1,10 +1,13 @@
 """CLI subcommands, JSON schemas, exit codes, atomic output."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 import riskspace as rs
@@ -478,6 +481,160 @@ def test_cli_convergence_rejects_bad_sizes(capsys, paths, flags, field):
     _, write = paths
     path = _problem_file(write, "p.json", identity_support_problem())
     assert _validation_field(capsys, ["convergence", path, *flags]) == field
+
+
+# Three labels and three predictors, so every index-taking command has room
+# for both a fractional and a boolean index.
+_THREE = rs.FiniteProblem(("x0", "x1"), ("a", "b", "c"), np.full((2, 3), 1 / 6),
+                          1.0 - np.eye(3), [[0, 1], [1, 2], [2, 0]])
+_MAPS = {"f1": [0, 1], "f2": [0, 1, 2], "fwd": [0, 1, 2], "bwd": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("command, data, field", [
+    ("coarsen", {"blocks": [[0.7, 1], [2.2]]}, "blocks[0][0]"),
+    ("coarsen", {"blocks": [[0, 1], [2, True]]}, "blocks[1][1]"),
+    ("reeb", {"edges": [[0.5, 1.9], [True, 2]]}, "edges[0][0]"),
+    ("reeb", {"edges": [[0, 1], [True, 2]]}, "edges[1][0]"),
+    ("verify", dict(_MAPS, f1=[0.9, 1]), "f1[0]"),
+    ("verify", dict(_MAPS, bwd=[0, 1, True]), "bwd[2]"),
+])
+def test_cli_rejects_non_integer_indices(capsys, paths, command, data, field):
+    _, write = paths
+    problem = _problem_file(write, "p.json", _THREE)
+    extra = write("extra.json", data)
+    argv = {"coarsen": ["coarsen", problem, extra],
+            "reeb": ["reeb", problem, "--edges", extra],
+            "verify": ["verify", problem, problem, extra]}[command]
+    assert _validation_field(capsys, argv) == field
+
+
+def _plateau_reeb(write, tol):
+    # risks 0.5, 0.5, 1.0 on a path: the first two predictors form a plateau
+    plateau = rs.FiniteProblem(("x",), ("a", "b", "c"), [[1.0, 0.0, 0.0]],
+                               np.repeat([[0.5], [0.5], [1.0]], 3, axis=1),
+                               [[0], [1], [2]])
+    return ["reeb", _problem_file(write, "plateau.json", plateau), "--edges",
+            write("edges.json", {"edges": [[0, 1], [1, 2]]}), "--tol", tol]
+
+
+def _failing_verify(write, tol):
+    moved = rs.FiniteProblem(_THREE.x_labels, _THREE.y_labels,
+                             [[0.3, 0.1, 0.1], [0.1, 0.2, 0.2]], _THREE.loss,
+                             _THREE.predictors)
+    return ["verify", _problem_file(write, "p.json", _THREE),
+            _problem_file(write, "moved.json", moved), write("maps.json", _MAPS),
+            "--tol", tol]
+
+
+def _nan_lipschitz_corrupt(write):
+    stage = {"kind": "label_noise", "kernel": rs.no_noise_kernel(_THREE).tolist(),
+             "lipschitz_c": float("nan")}
+    return ["corrupt", _problem_file(write, "p.json", _THREE),
+            write("pipeline.json", [stage])]
+
+
+def _nan_ell_max_bound(write):
+    path = _problem_file(write, "p.json", _THREE)
+    return ["bound", path, path, "--mode", "eta-tv", "--ell-max", "nan"]
+
+
+@pytest.mark.parametrize("make_argv, field", [
+    (lambda write: _failing_verify(write, "nan"), "tol"),
+    (lambda write: _plateau_reeb(write, "nan"), "height_tol"),
+    (lambda write: _plateau_reeb(write, "-1"), "height_tol"),
+    (_nan_lipschitz_corrupt, "lipschitz_c"),
+    (_nan_ell_max_bound, "ell_max"),
+], ids=["verify-tol-nan", "reeb-tol-nan", "reeb-tol-negative",
+        "corrupt-lipschitz-nan", "bound-ell-max-nan"])
+def test_cli_rejects_tolerances_that_certify_wrong_answers(capsys, paths,
+                                                           make_argv, field):
+    _, write = paths
+    assert _validation_field(capsys, make_argv(write)) == field
+
+
+def test_cli_valid_tolerances_still_answer(capsys, paths):
+    _, write = paths
+    code, out, _ = _run(capsys, _failing_verify(write, "1e-12"))
+    assert code == 0 and json.loads(out)["ok"] is False
+    code, out, _ = _run(capsys, _plateau_reeb(write, "0"))
+    assert code == 0 and len(json.loads(out)["nodes"]) == 2
+
+
+_TWO = rs.FiniteProblem(("x0", "x1"), ("a", "b"), np.full((2, 2), 0.25),
+                        1.0 - np.eye(2), [[0, 1], [1, 0]])
+_TWO_W = rs.WeightedProblem(_TWO, [0.25, 0.75])
+_NAN_GAMMA = np.full((2, 2, 2, 2), np.nan)
+_GAMMA = np.multiply.outer(_TWO.eta, _TWO.eta)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: rs.WeightedProblem(_TWO, [np.nan, 0.5]), "lambda[0]"),
+    (lambda: rs.risk_distortion(_TWO, _TWO, np.ones((2, 2), bool), _NAN_GAMMA),
+     "gamma[0][0][0][0]"),
+    (lambda: rs.pair_cost_matrix(_TWO, _TWO, _NAN_GAMMA), "gamma[0][0][0][0]"),
+    (lambda: rs.lp_risk_distortion(_TWO_W, _TWO_W, _NAN_GAMMA[0, 0], _GAMMA, 1.0),
+     "rho[0][0]"),
+    (lambda: rs.lp_risk_distortion(_TWO_W, _TWO_W, np.diag([0.25, 0.75]),
+                                   _NAN_GAMMA, 1.0), "gamma[0][0][0][0]"),
+    (["distance-lp", "--p", "nan"], "p"),
+    (["profile", "--p", "nan"], "p"),
+    (lambda: rs.one_point_problem(np.nan), "c"),
+    (lambda: rs.encode_mm_space(("u", "v"), 1.0 - np.eye(2), [np.nan, 0.5]),
+     "mu[0]"),
+], ids=["weighted-lambda", "risk-distortion-gamma", "pair-cost-gamma",
+        "lp-distortion-rho", "lp-distortion-gamma", "distance-lp-p", "profile-p",
+        "one-point-c", "mm-space-mu"])
+def test_fields_name_the_bad_input(capsys, paths, call, field):
+    """Each call (a library call, or a CLI command on a weighted problem) is
+    refused naming the input that is wrong, not a later quantity built from
+    it."""
+    if callable(call):
+        with pytest.raises(rs.ValidationError) as err:
+            call()
+        assert err.value.field == field
+        return
+    command, *flags = call
+    path = _problem_file(paths[1], "w.json", _TWO, lam=_TWO_W.lam)
+    assert _validation_field(capsys, [command, path, path, *flags]) == field
+
+
+# Replacements each key must refuse.  A loss of 0.5 or 1 (JSON true) is a
+# valid loss; in eta and lambda they break the sum to 1, since no entry
+# below is 0.5 or 1 already.
+_MUTATIONS = {
+    "eta": [float("nan"), float("inf"), -1.0, 0.5, True],
+    "loss": [float("nan"), float("inf"), -1.0],
+    "lambda": [float("nan"), float("inf"), -1.0, 0.5, True],
+    "predictors": [float("nan"), float("inf"), -1, 0.5, True],
+}
+_MUTATED_BASE = serialize.weighted_problem_to_dict(rs.WeightedProblem(
+    rs.FiniteProblem(("x0", "x1"), ("a", "b"), [[0.1, 0.2], [0.3, 0.4]],
+                     [[0.0, 1.5], [2.0, 0.0]], [[0, 1], [1, 0], [1, 1]]),
+    [0.125, 0.25, 0.625],
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_mutated_json_never_tracebacks(tmp_path_factory, data):
+    key = data.draw(st.sampled_from(sorted(_MUTATIONS)))
+    value = data.draw(st.sampled_from(_MUTATIONS[key]))
+    command = data.draw(st.sampled_from(["distance", "distance-lp"]))
+    mutated = json.loads(json.dumps(_MUTATED_BASE))
+    entries = np.asarray(mutated[key], dtype=object)
+    index = data.draw(st.sampled_from(list(np.ndindex(entries.shape))))
+    entries[index] = value
+    mutated[key] = entries.tolist()
+    path = tmp_path_factory.mktemp("mutated") / "p.json"
+    path.write_text(json.dumps(mutated))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, str(path), str(path)])
+    assert code == 1
+    error = json.loads(err.getvalue())
+    assert error["error"] == "validation"
+    assert error["field"].startswith(key), (key, value, index, error)
+
 
 def test_cli_missing_file_exit_1(capsys):
     code, _, err = _run(capsys, ["distance", "/nonexistent/a.json",

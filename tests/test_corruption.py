@@ -69,6 +69,17 @@ def test_restrict_half_mass():
     assert restricted.eta[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("mask, field", [
+    ([[0.5, 1], [0, 0]], "A[0][0]"),
+    ([[1, np.nan], [0, 0]], "A[0][1]"),
+    ([[True, False], [2, False]], "A[1][0]"),
+])
+def test_restrict_mask_is_refused_not_cast(mask, field):
+    with pytest.raises(rs.ValidationError) as err:
+        rs.restrict(identity_support_problem(), mask)
+    assert err.value.field == field
+
+
 def test_restrict_bound_dominates_exact():
     rng = np.random.default_rng(75)
     for _ in range(8):
@@ -260,6 +271,19 @@ def test_noise_bound_refuses_bad_lipschitz_constant():
     d_y = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(rs.ValidationError, match="Lipschitz"):
         rs.noise_bound_metric(p, rs.no_noise_kernel(p), d_y, 0.5)
+
+
+@pytest.mark.parametrize("lipschitz_c, d_y, field", [
+    (np.nan, [[0.0, 1.0], [1.0, 0.0]], "lipschitz_c"),
+    (np.inf, [[0.0, 1.0], [1.0, 0.0]], "lipschitz_c"),
+    (-1.0, [[0.0, 1.0], [1.0, 0.0]], "lipschitz_c"),
+    (1.0, [[0.0, np.nan], [1.0, 0.0]], "d_y[0][1]"),
+])
+def test_noise_bound_refuses_non_finite_parameters(lipschitz_c, d_y, field):
+    p = identity_support_problem()
+    with pytest.raises(rs.ValidationError) as err:
+        rs.noise_bound_metric(p, rs.no_noise_kernel(p), d_y, lipschitz_c)
+    assert err.value.field == field
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riskspace as rs
-from riskspace.distance import _coupling_from_product, _pair_costs
+from riskspace.distance import _pair_costs
 from riskspace.empirical import _exhaustive_rademacher
 from gen import (
     identity_support_problem,
@@ -193,7 +193,7 @@ def _oracle_cases():
         q = random_problem(rng, nx=2, ny=2, n_h=2)
         result = rs.risk_distance_exact(p, q)
         gaps = _pair_costs(p, q)
-        weights = _coupling_from_product(result.witness_coupling, p, q).ravel()
+        weights = result.witness_coupling.ravel()
         cases.append((gaps.reshape(-1, gaps.shape[-1]), weights, m))
     return cases
 

@@ -123,6 +123,34 @@ def test_reeb_height_tolerance_merges_levels():
     assert len(rs.reeb_graph(pg, height_tol=1e-6).nodes) == 2
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_reeb_height_tolerance_must_be_finite_nonnegative(tol):
+    pg = _path_graph(_heights_problem([0.5, 0.5, 1.0]))
+    with pytest.raises(rs.ValidationError) as err:
+        rs.reeb_graph(pg, height_tol=tol)
+    assert err.value.field == "height_tol"
+
+
+@pytest.mark.parametrize("edges, field", [
+    ([[0.5, 1.9], [True, 2]], "edges[0][0]"),
+    ([[0, 1], [True, 2]], "edges[1][0]"),
+    ([[0, 1], [1, 3]], "edges[1][1]"),
+    ([[0, 1], [2, 2]], "edges[1]"),
+    ([0, 1], "edges"),
+])
+def test_predictor_graph_edges_are_refused_not_cast(edges, field):
+    with pytest.raises(rs.ValidationError) as err:
+        rs.PredictorGraph(_heights_problem([0.1, 0.2, 0.3]), edges)
+    assert err.value.field == field
+
+
+def test_predictor_graph_normalizes_edges():
+    pg = rs.PredictorGraph(_heights_problem([0.1, 0.2, 0.3]),
+                           [[2, 1.0], [1, 2], [0, 1]])
+    assert pg.edges == ((0, 1), (1, 2))
+    assert rs.PredictorGraph(_heights_problem([0.1]), ()).edges == ()
+
+
 def test_circle_vs_interval_minima_counts():
     circle, interval = cutoff_landscapes(6)
     reeb_circle = rs.reeb_graph(circle)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import riskspace as rs
+from riskspace.errors import require
 from gen import (
     brute_profile,
     brute_risk,
@@ -16,6 +19,28 @@ from gen import (
 # --------------------------------------------------------------------------
 # Validation
 # --------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(ok=arrays(bool, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)))
+def test_require_names_the_first_false_entry(ok):
+    first = next((i for i in np.ndindex(ok.shape) if not ok[i]), None)
+    if first is None:
+        require(ok, "a", "must hold")
+        return
+    with pytest.raises(rs.ValidationError) as err:
+        require(ok, "a", "must hold")
+    field = "a" + "".join(f"[{i}]" for i in first)
+    assert err.value.field == field
+    assert str(err.value) == f"{field} must hold"
+
+
+def test_require_refuses_nan_through_the_valid_condition():
+    nan = float("nan")
+    for ok in (nan >= 1, 0 <= nan < np.inf, np.array(nan) >= 0):
+        with pytest.raises(rs.ValidationError) as err:
+            require(ok, "p", "must be at least 1")
+        assert err.value.field == "p"
+
 
 def test_eta_must_sum_to_one():
     with pytest.raises(rs.ValidationError, match="eta"):
@@ -368,6 +393,24 @@ def test_invalid_partition_rejected():
         rs.Partition(blocks=((0,),), ny=2)
 
 
+@pytest.mark.parametrize("blocks, field", [
+    ([[0.7, 1], [2.2]], "blocks[0][0]"),
+    ([[0, 1], [2, True]], "blocks[1][1]"),
+    ([[0, 1], [np.nan]], "blocks[1][0]"),
+    ([[0, 1], [2, 3]], "blocks[1][1]"),
+    ([[0, 1, 2], []], "blocks[1]"),
+])
+def test_partition_indices_are_refused_not_cast(blocks, field):
+    with pytest.raises(rs.ValidationError) as err:
+        rs.Partition(blocks=blocks, ny=3)
+    assert err.value.field == field
+
+
+def test_partition_accepts_integral_floats():
+    q = rs.Partition(blocks=[[0.0, 2], [1]], ny=3)
+    assert q.blocks == ((0, 2), (1,))
+
+
 # --------------------------------------------------------------------------
 # Simulation checking
 # --------------------------------------------------------------------------
@@ -428,6 +471,24 @@ def test_perturbed_pushforward_fails():
                                  fwd=fwd, bwd=bwd)
     assert not check.ok
     assert "pushforward" in check.violation
+    assert "np.float64" not in check.violation
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("f1", [0.9, 1], "f1[0]"),
+    ("f2", [0, True], "f2[1]"),
+    ("fwd", [0, 1, 2, 3.5], "fwd[3]"),
+    ("bwd", [0, 1, 2, 4], "bwd[3]"),
+    ("tol", np.nan, "tol"),
+    ("tol", -1e-9, "tol"),
+])
+def test_simulation_maps_are_indices_not_casts(key, value, field):
+    p = identity_support_problem()
+    args = {"f1": [0, 1], "f2": [0, 1], "fwd": [0, 1, 2, 3], "bwd": [0, 1, 2, 3]}
+    args[key] = value
+    with pytest.raises(rs.ValidationError) as err:
+        rs.verify_simulation(p, p, **args)
+    assert err.value.field == field
 
 
 def test_simulation_shape_mismatch_errors():
