@@ -11,6 +11,7 @@ stages yields a ledger of per-stage and cumulative certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .problems import (
     METRIC_TOL,
     FiniteProblem,
     WeightedProblem,
+    _float_array,
     cross_predictor_pseudometric,
 )
 from .transport import (
@@ -42,7 +44,7 @@ def apply_bias_density(
     The certificate is half the eta-expected |1 - f|, i.e. the total
     variation between the original and reweighted laws.
     """
-    f = np.asarray(f, dtype=float)
+    f = _float_array(f, "f")
     if f.shape != problem.eta.shape:
         raise ValidationError(
             f"f has shape {f.shape}, expected {problem.eta.shape}", field="f"
@@ -66,7 +68,7 @@ def restrict(
 
     The certificate is the mass of the discarded region.
     """
-    a_mask = np.asarray(a_mask)
+    a_mask = _float_array(a_mask, "A")
     if a_mask.shape != problem.eta.shape:
         raise ValidationError(
             f"A has shape {a_mask.shape}, expected {problem.eta.shape}", field="A"
@@ -181,7 +183,7 @@ def noise_bound_metric(
     transport cost from the no-noise kernel to ``n_kernel``.
     """
     require(0 <= lipschitz_c < np.inf, "lipschitz_c", "must be finite and nonnegative")
-    d_y = np.asarray(d_y, dtype=float)
+    d_y = _float_array(d_y, "d_y")
     if d_y.shape != (problem.ny, problem.ny):
         raise ValidationError(
             f"d_y has shape {d_y.shape}, expected {(problem.ny, problem.ny)}",
@@ -257,6 +259,15 @@ def predictor_set_bound(
 # Pipelines
 # --------------------------------------------------------------------------
 
+def _number(params: dict, key: str, default: float) -> float:
+    """A scalar stage parameter; a cast would read JSON true as 1 and raise
+    on a string."""
+    value = params.get(key, default)
+    require(isinstance(value, Real) and not isinstance(value, bool), key,
+            "must be a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StageRecord:
     kind: str
@@ -286,18 +297,14 @@ def run_pipeline(
         params = {k: v for k, v in stage.items() if k != "kind"}
         try:
             if kind == "bias_density":
-                current, bound = apply_bias_density(
-                    current, np.asarray(params["f"], dtype=float)
-                )
+                current, bound = apply_bias_density(current, params["f"])
             elif kind == "restrict":
                 current, bound = restrict(current, params["A"])
             elif kind == "label_noise":
-                n_kernel = np.asarray(params["kernel"], dtype=float)
+                n_kernel = check_markov_kernel(params["kernel"], "kernel")
                 noised = apply_label_noise(current, n_kernel)
-                d_y = np.asarray(
-                    params.get("d_y", (current.loss > 0).astype(float)), dtype=float
-                )
-                lipschitz_c = float(params.get("lipschitz_c", 1.0))
+                d_y = params.get("d_y", (current.loss > 0).astype(float))
+                lipschitz_c = _number(params, "lipschitz_c", 1.0)
                 bound = noise_bound_metric(current, n_kernel, d_y, lipschitz_c)
                 current = noised
             elif kind == "general_noise":
@@ -308,14 +315,12 @@ def run_pipeline(
                     )
                 wp, bound = apply_general_noise(
                     WeightedProblem(problem=current, lam=lam),
-                    np.asarray(params["kernel"], dtype=float),
-                    p=float(params.get("p", 1.0)),
+                    check_markov_kernel(params["kernel"], "kernel"),
+                    p=_number(params, "p", 1.0),
                 )
                 current = wp.problem
             elif kind == "loss_swap":
-                swapped = replace(
-                    current, loss=np.asarray(params["loss"], dtype=float)
-                )
+                swapped = replace(current, loss=params["loss"])
                 bound = _loss_swap_bound(current, swapped)
                 current = swapped
             elif kind == "predictor_swap":

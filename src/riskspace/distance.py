@@ -372,6 +372,26 @@ def risk_distance_exact(
     )
 
 
+def _solved_once(solve):
+    """``solve``, a function of one array, memoized on the array's bytes.
+
+    Alternating descents re-solve the LPs of converged rounds, and restarts
+    reach couplings an earlier restart already visited.  HiGHS is
+    deterministic, so a hit returns exactly what a re-solve would (see
+    docs/algorithms.md).  The memo lives as long as the returned function,
+    i.e. one solver call; callers only read the results it hands out.
+    """
+    memo: dict[bytes, object] = {}
+
+    def solved(a: np.ndarray):
+        key = a.tobytes()
+        if key not in memo:
+            memo[key] = solve(a)
+        return memo[key]
+
+    return solved
+
+
 def _alternating_upper_bound(
     p: FiniteProblem,
     p_prime: FiniteProblem,
@@ -382,6 +402,7 @@ def _alternating_upper_bound(
     coupling LP; a descent heuristic whose result is a certified upper bound."""
     costs = _pair_costs(p, p_prime)
     mu, nu = _flat_eta(p), _flat_eta(p_prime)
+    pattern_lp = _solved_once(lambda r: _minimax_coupling_lp(costs[r], mu, nu))
     rng = np.random.default_rng(seed)
     inits = [np.outer(mu, nu)]
     inits += [random_coupling_vertex(mu, nu, rng) for _ in range(restarts)]
@@ -402,7 +423,7 @@ def _alternating_upper_bound(
             r = np.zeros(cost_matrix.shape, dtype=bool)
             r[np.arange(p.n_predictors), np.argmin(cost_matrix, axis=1)] = True
             r[np.argmin(cost_matrix, axis=0), np.arange(p_prime.n_predictors)] = True
-            _, gamma_flat = _minimax_coupling_lp(costs[r], mu, nu)
+            _, gamma_flat = pattern_lp(r)
         final_value, witness = hausdorff_reduction(_costs_under(costs, gamma_flat))
         if final_value < best[0]:
             best = (final_value, gamma_flat, witness)
@@ -555,18 +576,19 @@ def lp_risk_distance(
         pair = flat_pairwise @ gamma_flat
         return float(np.sum(rho * pair**p) ** (1.0 / p))
 
+    gamma_step = _solved_once(lambda c: solve_ot_exact(c, mu, nu))
+    rho_step = _solved_once(lambda c: solve_ot_exact(c, wp.lam, wp_prime.lam))
+
     best = (np.inf, None, None)
     for rho in _rho_inits(wp.lam, wp_prime.lam, restarts, rng):
         gamma_flat = np.outer(mu, nu).ravel()
         current = np.inf
         for _ in range(_MAX_ITER):
             gamma_cost = np.tensordot(rho, pow_pairwise, axes=2)
-            gamma, _ = solve_ot_exact(
-                gamma_cost.reshape(len(mu), len(nu)), mu, nu
-            )
+            gamma, _ = gamma_step(gamma_cost.reshape(len(mu), len(nu)))
             gamma_flat = gamma.ravel()
             pair = flat_pairwise @ gamma_flat
-            rho, _ = solve_ot_exact(pair**p, wp.lam, wp_prime.lam)
+            rho, _ = rho_step(pair**p)
             value = objective(rho, gamma_flat)
             if trace is not None:
                 trace.append(value)
@@ -636,18 +658,16 @@ def bilinear_gw(
         values = vertices @ cost @ vertices.T
         return float(max(values.min(), 0.0))
 
+    # both half-steps are transport problems on (mu_a, mu_b): one memo
+    half_step = _solved_once(lambda c: solve_ot_exact(c, mu_a, mu_b))
     rng = np.random.default_rng(seed)
     best = np.inf
     for rho in _rho_inits(mu_a, mu_b, restarts, rng):
         rho_flat = rho.ravel()
         current = np.inf
         for _ in range(_MAX_ITER):
-            gamma, _ = solve_ot_exact(
-                (cost.T @ rho_flat).reshape(na, nb), mu_a, mu_b
-            )
-            rho, _ = solve_ot_exact(
-                (cost @ gamma.ravel()).reshape(na, nb), mu_a, mu_b
-            )
+            gamma, _ = half_step((cost.T @ rho_flat).reshape(na, nb))
+            rho, _ = half_step((cost @ gamma.ravel()).reshape(na, nb))
             rho_flat = rho.ravel()
             value = float(rho_flat @ cost @ gamma.ravel())
             if current - value < _GW_TOL:

@@ -59,11 +59,26 @@ def _index_array(raw, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _float_array(raw, name: str) -> np.ndarray:
+    """Numbers (masses, losses, densities, costs) as a float array of the
+    shape ``raw`` has, which the caller checks; a ragged or non-numeric
+    ``raw`` is refused where a cast would raise or parse strings."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:
+        raise ValidationError(
+            f"{name} must be a rectangular numeric array", field=name
+        ) from None
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must hold numbers", field=name)
+    return arr.astype(float, copy=False)
+
+
 def _check_mass(a, name: str) -> np.ndarray:
     """``a`` as a float probability mass: finite nonnegative entries summing
     to 1 within ``PROB_TOL``.  The one check of joint laws, predictor
     weightings, loss profiles and transport marginals."""
-    a = np.asarray(a, dtype=float)
+    a = _float_array(a, name)
     require(np.isfinite(a) & (a >= 0), name, "must be a finite nonnegative mass")
     total = float(a.sum())
     if abs(total - 1.0) > PROB_TOL:
@@ -109,8 +124,8 @@ class FiniteProblem:
     def __post_init__(self):
         object.__setattr__(self, "x_labels", _label_tuple(self.x_labels, "x_labels"))
         object.__setattr__(self, "y_labels", _label_tuple(self.y_labels, "y_labels"))
-        object.__setattr__(self, "eta", _freeze(np.asarray(self.eta, dtype=float)))
-        object.__setattr__(self, "loss", _freeze(np.asarray(self.loss, dtype=float)))
+        object.__setattr__(self, "eta", _freeze(_float_array(self.eta, "eta")))
+        object.__setattr__(self, "loss", _freeze(_float_array(self.loss, "loss")))
         predictors = _index_array(self.predictors, "predictors")
         object.__setattr__(self, "predictors", _freeze(predictors))
         self._validate()
@@ -167,19 +182,20 @@ class FiniteProblem:
 
     def predictor_loss(self, h_index: int) -> np.ndarray:
         """The (nx, ny) table of losses incurred by predictor ``h_index``."""
-        self._check_h(h_index)
-        return self.loss[self.predictors[h_index], :]
+        return self.loss[self.predictors[self._check_h(h_index)], :]
 
     def predictor_loss_stack(self) -> np.ndarray:
         """All predictor loss tables, shape (nH, nx, ny)."""
         return self.loss[self.predictors, :]
 
-    def _check_h(self, h_index: int):
-        if not (0 <= int(h_index) < self.n_predictors):
-            raise ValidationError(
-                f"predictor index {h_index} outside [0, {self.n_predictors})",
-                field="h_index",
-            )
+    def _check_h(self, h_index: int) -> int:
+        h = _index_array(h_index, "h_index")
+        if h.ndim != 0:
+            raise ValidationError("h_index must be one predictor index",
+                                  field="h_index")
+        require((h >= 0) & (h < self.n_predictors), "h_index",
+                f"must lie in [0, {self.n_predictors})")
+        return int(h)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteProblem):
@@ -201,7 +217,7 @@ class WeightedProblem:
     lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _freeze(np.asarray(self.lam, dtype=float)))
+        object.__setattr__(self, "lam", _freeze(_float_array(self.lam, "lambda")))
         if self.lam.shape != (self.problem.n_predictors,):
             raise ValidationError(
                 f"lambda has length {self.lam.shape}, expected"
@@ -254,6 +270,9 @@ class Partition:
     ny: int
 
     def __post_init__(self):
+        if not isinstance(self.blocks, Iterable):
+            raise ValidationError("blocks must be a list of index lists",
+                                  field="blocks")
         blocks = []
         seen: set[int] = set()
         for bi, raw in enumerate(self.blocks):

@@ -50,15 +50,6 @@ def _require(data: dict, key: str) -> Any:
     return data[key]
 
 
-def _as_array(data: dict, key: str, dtype) -> np.ndarray:
-    try:
-        return np.asarray(_require(data, key), dtype=dtype)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(
-            f"{key} is not a rectangular numeric array: {exc}", field=key
-        ) from None
-
-
 def problem_from_dict(data: dict[str, Any]) -> tuple[FiniteProblem, np.ndarray | None]:
     """Parse the problem schema; returns (problem, lambda-or-None)."""
     if not isinstance(data, dict):
@@ -66,14 +57,13 @@ def problem_from_dict(data: dict[str, Any]) -> tuple[FiniteProblem, np.ndarray |
     problem = FiniteProblem(
         x_labels=_require(data, "x_labels"),
         y_labels=_require(data, "y_labels"),
-        eta=_as_array(data, "eta", float),
-        loss=_as_array(data, "loss", float),
+        eta=_require(data, "eta"),
+        loss=_require(data, "loss"),
         predictors=_require(data, "predictors"),
     )
     lam = None
     if data.get("lambda") is not None:
-        lam = _as_array(data, "lambda", float)
-        WeightedProblem(problem=problem, lam=lam)  # runs the invariants
+        lam = WeightedProblem(problem=problem, lam=data["lambda"]).lam
     return problem, lam
 
 

@@ -25,6 +25,7 @@ from .problems import (
     LossProfile,
     WeightedProblem,
     _check_mass,
+    _float_array,
     loss_profile_distribution,
     loss_profile_set,
 )
@@ -39,7 +40,7 @@ _LP_OPTIONS = {
 
 
 def check_distribution(vec: np.ndarray, name: str = "distribution") -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
+    vec = _float_array(vec, name)
     if vec.ndim != 1:
         raise ValidationError(f"{name} must be a vector", field=name)
     return _check_mass(vec, name)
@@ -51,7 +52,7 @@ def check_coupling(
     """``gamma`` as a float coupling of ``mu`` and ``nu``, of shape
     ``mu.shape + nu.shape`` (a coupling of two joint laws has shape
     (nx, ny, nx', ny')); entries and marginals are checked to METRIC_TOL."""
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _float_array(gamma, name)
     if gamma.shape != mu.shape + nu.shape:
         raise ValidationError(
             f"{name} has shape {gamma.shape}, expected {mu.shape + nu.shape}",
@@ -70,7 +71,7 @@ def check_coupling(
 
 
 def check_markov_kernel(kernel: np.ndarray, name: str = "kernel") -> np.ndarray:
-    kernel = np.asarray(kernel, dtype=float)
+    kernel = _float_array(kernel, name)
     if kernel.ndim != 2:
         raise ValidationError(f"{name} must be a matrix", field=name)
     require(np.isfinite(kernel) & (kernel >= 0), name,

@@ -472,6 +472,26 @@ def test_cli_corrupt_non_object_stage(capsys, paths):
     assert _validation_field(capsys, ["corrupt", problem, pipeline]) == "stages[0]"
 
 
+_RAGGED = [[0.5, 0.5], [1.0]]
+# the label-noise identity of identity_support_problem (two inputs, two labels)
+_NO_NOISE = np.tile(np.eye(2), (2, 1)).tolist()
+
+
+@pytest.mark.parametrize("stage, field", [
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "lipschitz_c": "x"}, "lipschitz_c"),
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "lipschitz_c": True}, "lipschitz_c"),
+    ({"kind": "bias_density", "f": _RAGGED}, "f"),
+    ({"kind": "label_noise", "kernel": _RAGGED}, "kernel"),
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "d_y": _RAGGED}, "d_y"),
+    ({"kind": "loss_swap", "loss": _RAGGED}, "loss"),
+])
+def test_cli_corrupt_rejects_bad_stage_parameters(capsys, paths, stage, field):
+    _, write = paths
+    problem = _problem_file(write, "p.json", identity_support_problem())
+    pipeline = write("pipeline.json", [stage])
+    assert _validation_field(capsys, ["corrupt", problem, pipeline]) == field
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--ns", "0"], "n"),
     (["--trials", "-1"], "trials"),
@@ -497,6 +517,7 @@ _MAPS = {"f1": [0, 1], "f2": [0, 1, 2], "fwd": [0, 1, 2], "bwd": [0, 1, 2]}
     ("reeb", {"edges": [[0, 1], [True, 2]]}, "edges[1][0]"),
     ("verify", dict(_MAPS, f1=[0.9, 1]), "f1[0]"),
     ("verify", dict(_MAPS, bwd=[0, 1, True]), "bwd[2]"),
+    ("coarsen", {"blocks": 5}, "blocks"),
 ])
 def test_cli_rejects_non_integer_indices(capsys, paths, command, data, field):
     _, write = paths

@@ -442,6 +442,32 @@ def test_pipeline_missing_parameter_named():
     assert "stages[0]" in str(err.value)
 
 
+_RAGGED = [[0.5, 0.5], [1.0]]
+_NO_NOISE = np.tile(np.eye(2), (2, 1)).tolist()
+
+
+@pytest.mark.parametrize("stage, field", [
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "lipschitz_c": "x"}, "lipschitz_c"),
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "lipschitz_c": True}, "lipschitz_c"),
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "lipschitz_c": None}, "lipschitz_c"),
+    ({"kind": "bias_density", "f": _RAGGED}, "f"),
+    ({"kind": "bias_density", "f": [["1", "1"], ["1", "1"]]}, "f"),
+    ({"kind": "restrict", "A": _RAGGED}, "A"),
+    ({"kind": "label_noise", "kernel": _RAGGED}, "kernel"),
+    ({"kind": "label_noise", "kernel": [[1.0, 0.0]] * 3 + [[0.5, 0.6]]}, "kernel[3]"),
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "d_y": _RAGGED}, "d_y"),
+    ({"kind": "loss_swap", "loss": _RAGGED}, "loss"),
+    ({"kind": "general_noise", "kernel": _RAGGED}, "kernel"),
+    ({"kind": "general_noise", "kernel": np.eye(4).tolist(), "p": "2"}, "p"),
+])
+def test_pipeline_refuses_bad_stage_parameters(stage, field):
+    # _NO_NOISE is the label-noise identity of this two-input, two-label problem
+    p = identity_support_problem()
+    with pytest.raises(rs.ValidationError) as err:
+        rs.run_pipeline(p, [stage], lam=np.full(p.n_predictors, 1 / p.n_predictors))
+    assert err.value.field == field
+
+
 def test_pipeline_general_noise_needs_weights():
     p = identity_support_problem()
     kernel = np.eye(4).tolist()

@@ -3,6 +3,7 @@ the bilinear relaxation, geodesics, and weak-isomorphism witnesses."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import riskspace as rs
 from gen import (
@@ -533,6 +534,71 @@ def test_lp_distance_equals_bilinear_on_encoded_spaces():
         lp = rs.lp_risk_distance(wa, wb, p=1.0)
         relaxed = rs.bilinear_gw(da, mua, db, mub)
         assert lp.value == pytest.approx(relaxed, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Alternating solvers: each distinct LP is solved once per call
+# --------------------------------------------------------------------------
+
+def _alternating_cases():
+    rng = np.random.default_rng(62)
+    for order in (1.0, 2.0):
+        for n_h in (2, 3):
+            wa = random_weighted(rng, nx=3, ny=3, n_h=n_h)
+            wb = random_weighted(rng, nx=3, ny=3, n_h=3)
+            yield lambda wa=wa, wb=wb, order=order: _lp_outcome(wa, wb, order)
+    for na, nb in ((4, 4), (4, 5)):
+        spaces = (*_space(rng, na), *_space(rng, nb))
+        yield lambda spaces=spaces: (rs.bilinear_gw(*spaces),)
+    for _ in range(2):
+        p = random_problem(rng, nx=3, ny=3, n_h=3)
+        q = random_problem(rng, nx=3, ny=3, n_h=3)
+        yield lambda p=p, q=q: _fallback_outcome(p, q)
+
+
+def _lp_outcome(wa, wb, order):
+    trace: list[float] = []
+    result = rs.lp_risk_distance(wa, wb, p=order, trace=trace)
+    return (result.value, result.witness_coupling.tobytes(),
+            result.witness_predictor_coupling.tobytes(), np.array(trace).tobytes())
+
+
+def _fallback_outcome(p, q):
+    result = rs.risk_distance_exact(p, q, cap_pairs=4)
+    assert result.status == "upper_bound"
+    return (result.value, result.witness_coupling.tobytes(),
+            result.witness_correspondence.tobytes())
+
+
+def _recorded_lps(monkeypatch, call):
+    """Outcome of ``call`` and the inputs of every LP it solved."""
+    solved = []
+
+    def recording(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **kwargs):
+        solved.append(tuple(None if a is None else np.asarray(a).tobytes()
+                            for a in (c, A_ub, b_ub, A_eq, b_eq)))
+        return scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                                      b_eq=b_eq, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rs.transport, "linprog", recording)
+        patch.setattr(rs.distance, "linprog", recording)
+        return call(), solved
+
+
+def test_alternating_solvers_match_unmemoized(monkeypatch):
+    repeats = 0
+    for call in _alternating_cases():
+        memoized, solved = _recorded_lps(monkeypatch, call)
+        assert len(set(solved)) == len(solved)
+        with monkeypatch.context() as patch:
+            patch.setattr(rs.distance, "_solved_once", lambda solve: solve)
+            plain, solved_plain = _recorded_lps(monkeypatch, call)
+        assert memoized == plain
+        assert set(solved_plain) == set(solved)
+        repeats += len(solved_plain) - len(solved)
+    # the unmemoized runs do repeat LPs, so the comparison is not vacuous
+    assert repeats > 0
 
 
 # --------------------------------------------------------------------------

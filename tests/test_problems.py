@@ -169,6 +169,18 @@ def test_risk_index_out_of_range():
         rs.risk(identity_support_problem(), 9)
 
 
+@pytest.mark.parametrize("h_index", [0.7, float("nan"), True, -1, [0, 1]])
+def test_risk_index_is_refused_not_cast(h_index):
+    with pytest.raises(rs.ValidationError) as err:
+        rs.risk(identity_support_problem(), h_index)
+    assert err.value.field == "h_index"
+
+
+def test_risk_accepts_integral_index_types():
+    p = identity_support_problem()
+    assert rs.risk(p, 1.0) == rs.risk(p, np.int64(1)) == rs.risk(p, 1)
+
+
 def test_bayes_risk_one_point_equals_constant():
     for c in (0.0, 1.0, 2.5):
         assert rs.constrained_bayes_risk(rs.one_point_problem(c)) == c
@@ -399,6 +411,7 @@ def test_invalid_partition_rejected():
     ([[0, 1], [np.nan]], "blocks[1][0]"),
     ([[0, 1], [2, 3]], "blocks[1][1]"),
     ([[0, 1, 2], []], "blocks[1]"),
+    (5, "blocks"),
 ])
 def test_partition_indices_are_refused_not_cast(blocks, field):
     with pytest.raises(rs.ValidationError) as err:
