@@ -86,7 +86,6 @@ def _build_parser() -> _Parser:
                    help="fail (exit 2) instead of falling back beyond the caps")
     p.add_argument("--witnesses", action="store_true",
                    help="include witness coupling/correspondence in the output")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("distance-lp", "weighted distance by alternating minimization")
     p.add_argument("problem_a")
@@ -189,7 +188,7 @@ def _cmd_distance(args) -> dict:
     pb, _ = _load(args.problem_b)
     result = distance.risk_distance_exact(
         pa, pb, cap_pairs=args.cap_pairs, cap_support=args.cap_support,
-        fallback=not args.no_heuristic, seed=args.seed,
+        fallback=not args.no_heuristic,
     )
     return serialize.distance_result_to_dict(result,
                                              include_witnesses=args.witnesses)

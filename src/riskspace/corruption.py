@@ -149,18 +149,24 @@ def no_noise_kernel(problem: FiniteProblem) -> np.ndarray:
     return kernel
 
 
+def _label_kernel(problem: FiniteProblem, n_kernel: np.ndarray) -> np.ndarray:
+    """``n_kernel`` checked as a label-noise kernel of ``problem``."""
+    n_kernel = check_markov_kernel(n_kernel, "kernel")
+    expected = (problem.nx * problem.ny, problem.ny)
+    if n_kernel.shape != expected:
+        raise ValidationError(
+            f"kernel has shape {n_kernel.shape}, expected {expected}", field="kernel"
+        )
+    return n_kernel
+
+
 def apply_label_noise(problem: FiniteProblem, n_kernel: np.ndarray) -> FiniteProblem:
     """Push each observation's label through an input-dependent noise kernel.
 
     ``n_kernel`` rows are indexed by flattened (x, y) pairs and give the law
     of the corrupted label.  The input marginal is preserved.
     """
-    n_kernel = check_markov_kernel(n_kernel, "N")
-    expected = (problem.nx * problem.ny, problem.ny)
-    if n_kernel.shape != expected:
-        raise ValidationError(
-            f"N has shape {n_kernel.shape}, expected {expected}", field="N"
-        )
+    n_kernel = _label_kernel(problem, n_kernel)
     flat = problem.eta.reshape(problem.nx, problem.ny)
     new_eta = np.zeros_like(flat)
     for x in range(problem.nx):
@@ -201,7 +207,7 @@ def noise_bound_metric(
             f" C*d_y = {allowed[0, y, yp]!r}",
             field="lipschitz_c",
         )
-    n_kernel = check_markov_kernel(n_kernel, "N")
+    n_kernel = _label_kernel(problem, n_kernel)
     return float(lipschitz_c) * kernel_w1(
         n_kernel, no_noise_kernel(problem), problem.eta.ravel(), d_y
     )
@@ -222,10 +228,10 @@ def apply_general_noise(
     """
     problem = wp.problem
     n = problem.nx * problem.ny
-    n_kernel = check_markov_kernel(n_kernel, "N")
+    n_kernel = check_markov_kernel(n_kernel, "kernel")
     if n_kernel.shape != (n, n):
         raise ValidationError(
-            f"N has shape {n_kernel.shape}, expected {(n, n)}", field="N"
+            f"kernel has shape {n_kernel.shape}, expected {(n, n)}", field="kernel"
         )
     new_eta = (problem.eta.ravel() @ n_kernel).reshape(problem.nx, problem.ny)
     noised = replace(wp, problem=replace(problem, eta=new_eta))
@@ -301,11 +307,10 @@ def run_pipeline(
             elif kind == "restrict":
                 current, bound = restrict(current, params["A"])
             elif kind == "label_noise":
-                n_kernel = check_markov_kernel(params["kernel"], "kernel")
-                noised = apply_label_noise(current, n_kernel)
+                noised = apply_label_noise(current, params["kernel"])
                 d_y = params.get("d_y", (current.loss > 0).astype(float))
                 lipschitz_c = _number(params, "lipschitz_c", 1.0)
-                bound = noise_bound_metric(current, n_kernel, d_y, lipschitz_c)
+                bound = noise_bound_metric(current, params["kernel"], d_y, lipschitz_c)
                 current = noised
             elif kind == "general_noise":
                 if lam is None:
@@ -315,7 +320,7 @@ def run_pipeline(
                     )
                 wp, bound = apply_general_noise(
                     WeightedProblem(problem=current, lam=lam),
-                    check_markov_kernel(params["kernel"], "kernel"),
+                    params["kernel"],
                     p=_number(params, "p", 1.0),
                 )
                 current = wp.problem

@@ -26,15 +26,16 @@ from .errors import CapacityError, SolverError, ValidationError, require
 from .problems import (
     FiniteProblem,
     WeightedProblem,
-    _check_metric_matrix,
+    _freeze,
+    _mm_space_arrays,
     constrained_bayes_risk,
+    encode_mm_space_weighted,
 )
 from .transport import (
     _LP_OPTIONS,
     _marginal_equalities,
     _support,
     check_coupling,
-    check_distribution,
     coupling_vertices,
     hausdorff,
     hausdorff_loss_profiles,
@@ -51,12 +52,12 @@ DEFAULT_CAP_SUPPORT = 256
 _EXHAUSTIVE_VERTEX_LIMIT = 9
 
 # Alternating descents stop after _MAX_ITER rounds or once a round gains less
-# than their tolerance; bilinear_gw enumerates every vertex pair instead when
-# both supports have at most _GW_EXACT_MAX_SUPPORT points.
+# than _DESCENT_TOL.  The fallback beyond the caps starts from the independent
+# coupling and _FALLBACK_RESTARTS random vertices drawn with _FALLBACK_SEED.
 _MAX_ITER = 100
 _DESCENT_TOL = 1e-10
-_GW_TOL = 1e-12
-_GW_EXACT_MAX_SUPPORT = 3
+_FALLBACK_RESTARTS = 4
+_FALLBACK_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,7 @@ class DistanceResult:
                      "witness_predictor_coupling"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.ascontiguousarray(arr)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, _freeze(arr))
 
 
 def check_correspondence(r: np.ndarray, name: str = "correspondence") -> np.ndarray:
@@ -305,8 +304,6 @@ def risk_distance_exact(
     cap_pairs: int = DEFAULT_CAP_PAIRS,
     cap_support: int = DEFAULT_CAP_SUPPORT,
     fallback: bool = True,
-    restarts: int = 4,
-    seed: int = 0,
 ) -> DistanceResult:
     """The Risk distance between two finite problems.
 
@@ -328,11 +325,10 @@ def risk_distance_exact(
     """
     require(cap_pairs >= 0, "cap_pairs", "must be nonnegative")
     require(cap_support >= 0, "cap_support", "must be nonnegative")
-    require(restarts >= 0, "restarts", "must be nonnegative")
     if _canonical_key(p_prime) < _canonical_key(p):
         result = risk_distance_exact(
             p_prime, p, cap_pairs=cap_pairs, cap_support=cap_support,
-            fallback=fallback, restarts=restarts, seed=seed,
+            fallback=fallback,
         )
         return DistanceResult(
             value=result.value,
@@ -356,7 +352,7 @@ def risk_distance_exact(
                 cap="cap_pairs" if n_pairs > cap_pairs else "cap_support",
                 actual=n_pairs if n_pairs > cap_pairs else support,
             )
-        return _alternating_upper_bound(p, p_prime, restarts=restarts, seed=seed)
+        return _alternating_upper_bound(p, p_prime)
 
     costs = _pair_costs(p, p_prime)
     _, best_gamma, _ = _pattern_sweep(
@@ -393,19 +389,16 @@ def _solved_once(solve):
 
 
 def _alternating_upper_bound(
-    p: FiniteProblem,
-    p_prime: FiniteProblem,
-    restarts: int,
-    seed: int,
+    p: FiniteProblem, p_prime: FiniteProblem
 ) -> DistanceResult:
     """Alternate between the closed-form correspondence step and the minimax
     coupling LP; a descent heuristic whose result is a certified upper bound."""
     costs = _pair_costs(p, p_prime)
     mu, nu = _flat_eta(p), _flat_eta(p_prime)
     pattern_lp = _solved_once(lambda r: _minimax_coupling_lp(costs[r], mu, nu))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_FALLBACK_SEED)
     inits = [np.outer(mu, nu)]
-    inits += [random_coupling_vertex(mu, nu, rng) for _ in range(restarts)]
+    inits += [random_coupling_vertex(mu, nu, rng) for _ in range(_FALLBACK_RESTARTS)]
 
     best = (np.inf, None, None)
     for gamma in inits:
@@ -619,63 +612,27 @@ def bilinear_gw(
     mu_a: np.ndarray,
     dist_b: np.ndarray,
     mu_b: np.ndarray,
-    restarts: int = 8,
-    seed: int = 0,
 ) -> float:
-    """Minimize the metric-gap integral over two independent couplings.
+    """Minimize the metric-gap integral over two independent couplings:
+    the p = 1 weighted Risk distance of the encoded spaces.
 
     The objective int int |d_A(a2,a1) - d_B(b2,b1)| dgamma(a1,b1) drho(a2,b2)
-    is bilinear, so its minimum over the product of the two transportation
-    polytopes is attained at a vertex pair.  When both supports have at most
-    three points the vertex pairs are enumerated outright
-    (exact); otherwise alternating exact transport steps from several starts
-    give an upper bound.
+    is :func:`lp_risk_distance` at p = 1 between the two
+    :func:`encode_mm_space_weighted` problems: their joint laws sit on the
+    diagonal, so the constant predictor at ``a2`` has loss d_A(a2, a1) at the
+    point ``a1``, and the pair cost of (a2, b2) under gamma is the inner
+    integral.  The objective is bilinear, so its minimum is attained at a
+    vertex pair; when the support product is at most
+    ``_EXHAUSTIVE_VERTEX_LIMIT`` every predictor-coupling vertex is a start
+    and the value is exact, otherwise it is an upper bound.
     """
-    dist_a = np.asarray(dist_a, dtype=float)
-    dist_b = np.asarray(dist_b, dtype=float)
-    _check_metric_matrix(dist_a, field="dist_a")
-    _check_metric_matrix(dist_b, field="dist_b")
-    mu_a = check_distribution(mu_a, "mu_a")
-    mu_b = check_distribution(mu_b, "mu_b")
-    if dist_a.shape != (len(mu_a),) * 2:
-        raise ValidationError("dist_a and mu_a sizes disagree", field="dist_a")
-    if dist_b.shape != (len(mu_b),) * 2:
-        raise ValidationError("dist_b and mu_b sizes disagree", field="dist_b")
-
-    support = _support(mu_a, mu_b)
-    dist_a = dist_a[np.ix_(support.rows, support.rows)]
-    dist_b = dist_b[np.ix_(support.cols, support.cols)]
-    mu_a, mu_b = support.mu, support.nu
-    na, nb = len(mu_a), len(mu_b)
-
-    # cost[(a2, b2), (a1, b1)] = |d_A(a2, a1) - d_B(b2, b1)|
-    cost = np.abs(
-        dist_a[:, None, :, None] - dist_b[None, :, None, :]
-    ).reshape(na * nb, na * nb)
-
-    if na <= _GW_EXACT_MAX_SUPPORT and nb <= _GW_EXACT_MAX_SUPPORT:
-        vertices = coupling_vertices(mu_a, mu_b).reshape(-1, na * nb)
-        values = vertices @ cost @ vertices.T
-        return float(max(values.min(), 0.0))
-
-    # both half-steps are transport problems on (mu_a, mu_b): one memo
-    half_step = _solved_once(lambda c: solve_ot_exact(c, mu_a, mu_b))
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for rho in _rho_inits(mu_a, mu_b, restarts, rng):
-        rho_flat = rho.ravel()
-        current = np.inf
-        for _ in range(_MAX_ITER):
-            gamma, _ = half_step((cost.T @ rho_flat).reshape(na, nb))
-            rho, _ = half_step((cost @ gamma.ravel()).reshape(na, nb))
-            rho_flat = rho.ravel()
-            value = float(rho_flat @ cost @ gamma.ravel())
-            if current - value < _GW_TOL:
-                current = min(current, value)
-                break
-            current = value
-        best = min(best, current)
-    return float(max(best, 0.0))
+    dist_a, mu_a = _mm_space_arrays(dist_a, mu_a, "dist_a", "mu_a")
+    dist_b, mu_b = _mm_space_arrays(dist_b, mu_b, "dist_b", "mu_b")
+    return lp_risk_distance(
+        encode_mm_space_weighted(range(len(mu_a)), dist_a, mu_a),
+        encode_mm_space_weighted(range(len(mu_b)), dist_b, mu_b),
+        p=1.0,
+    ).value
 
 
 # --------------------------------------------------------------------------

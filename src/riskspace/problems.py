@@ -28,7 +28,9 @@ METRIC_TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only private copy of ``a``: the caller's array stays writeable,
+    and later edits to it do not reach the copy."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -411,6 +413,23 @@ def one_point_problem(c: float) -> FiniteProblem:
     )
 
 
+def _mm_space_arrays(dist, mu, dist_name: str, mu_name: str):
+    """The distance matrix and point masses of a finite metric measure space
+    as checked float arrays, each error naming ``dist_name`` or ``mu_name``.
+    The number of points is the length of ``mu``."""
+    mu = _float_array(mu, mu_name)
+    if mu.ndim != 1:
+        raise ValidationError(f"{mu_name} must be a vector", field=mu_name)
+    n = len(mu)
+    dist = _float_array(dist, dist_name)
+    if dist.shape != (n, n):
+        raise ValidationError(
+            f"{dist_name} has shape {dist.shape}, expected {(n, n)}", field=dist_name
+        )
+    _check_metric_matrix(dist, field=dist_name)
+    return dist, _check_mass(mu, mu_name)
+
+
 def encode_mm_space(
     points: Sequence[str], dist: np.ndarray, mu: np.ndarray
 ) -> FiniteProblem:
@@ -421,22 +440,19 @@ def encode_mm_space(
     predictors are the constant maps.  Isometric relabelings encode to
     problems at distance zero.
     """
-    dist = np.asarray(dist, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    n = len(points)
-    if dist.shape != (n, n):
+    labels = _label_tuple(points, "points")
+    dist, mu = _mm_space_arrays(dist, mu, "dist", "mu")
+    n = len(mu)
+    if len(labels) != n:
         raise ValidationError(
-            f"dist has shape {dist.shape}, expected {(n, n)}", field="dist"
+            f"points has {len(labels)} labels, expected {n} (one per mass in mu)",
+            field="points",
         )
-    _check_metric_matrix(dist, field="dist")
-    if mu.shape != (n,):
-        raise ValidationError(f"mu has shape {mu.shape}, expected {(n,)}", field="mu")
-    _check_mass(mu, "mu")
     eta = np.diag(mu)
     predictors = np.repeat(np.arange(n)[:, None], n, axis=1)
     return FiniteProblem(
-        x_labels=tuple(points),
-        y_labels=tuple(points),
+        x_labels=labels,
+        y_labels=labels,
         eta=eta,
         loss=dist,
         predictors=predictors,

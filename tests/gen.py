@@ -255,6 +255,23 @@ def ot_value_by_vertices(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> fl
     return min(float(np.sum(v * cost)) for v in transport_vertices(mu, nu))
 
 
+def bilinear_vertex_oracle(
+    dist_a: np.ndarray, mu_a: np.ndarray, dist_b: np.ndarray, mu_b: np.ndarray
+) -> float:
+    """min over couplings gamma, rho of (mu_a, mu_b) of
+    sum |d_A(a2, a1) - d_B(b2, b1)| gamma(a1, b1) rho(a2, b2).
+
+    The objective is bilinear, so the minimum is attained at a pair of
+    transportation-polytope vertices; every pair is evaluated."""
+    na, nb = len(mu_a), len(mu_b)
+    # cost[(a2, b2), (a1, b1)] = |d_A(a2, a1) - d_B(b2, b1)|
+    cost = np.abs(
+        np.asarray(dist_a)[:, None, :, None] - np.asarray(dist_b)[None, :, None, :]
+    ).reshape(na * nb, na * nb)
+    vertices = np.array([v.ravel() for v in transport_vertices(mu_a, mu_b)])
+    return float((vertices @ cost @ vertices.T).min())
+
+
 def enumerate_correspondences(n_h: int, n_hp: int):
     """All correspondences on an (n_h, n_hp) grid; n_h * n_hp <= 9 expected."""
     cells = list(itertools.product(range(n_h), range(n_hp)))

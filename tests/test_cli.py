@@ -484,6 +484,7 @@ _NO_NOISE = np.tile(np.eye(2), (2, 1)).tolist()
     ({"kind": "label_noise", "kernel": _RAGGED}, "kernel"),
     ({"kind": "label_noise", "kernel": _NO_NOISE, "d_y": _RAGGED}, "d_y"),
     ({"kind": "loss_swap", "loss": _RAGGED}, "loss"),
+    ({"kind": "label_noise", "kernel": _NO_NOISE[:3]}, "kernel"),
 ])
 def test_cli_corrupt_rejects_bad_stage_parameters(capsys, paths, stage, field):
     _, write = paths

@@ -459,6 +459,8 @@ _NO_NOISE = np.tile(np.eye(2), (2, 1)).tolist()
     ({"kind": "loss_swap", "loss": _RAGGED}, "loss"),
     ({"kind": "general_noise", "kernel": _RAGGED}, "kernel"),
     ({"kind": "general_noise", "kernel": np.eye(4).tolist(), "p": "2"}, "p"),
+    ({"kind": "label_noise", "kernel": _NO_NOISE[:3]}, "kernel"),
+    ({"kind": "general_noise", "kernel": np.eye(3).tolist()}, "kernel"),
 ])
 def test_pipeline_refuses_bad_stage_parameters(stage, field):
     # _NO_NOISE is the label-noise identity of this two-input, two-label problem
@@ -466,6 +468,21 @@ def test_pipeline_refuses_bad_stage_parameters(stage, field):
     with pytest.raises(rs.ValidationError) as err:
         rs.run_pipeline(p, [stage], lam=np.full(p.n_predictors, 1 / p.n_predictors))
     assert err.value.field == field
+
+
+def test_noise_operations_name_a_misshapen_kernel():
+    # the certificate compares against an internal no-noise kernel; a shape
+    # mismatch is the caller's kernel's fault, never that one's
+    p = identity_support_problem()
+    d_y = 1.0 - np.eye(2)
+    for call in (lambda: rs.apply_label_noise(p, _NO_NOISE[:3]),
+                 lambda: rs.noise_bound_metric(p, _NO_NOISE[:3], d_y, 1.0),
+                 lambda: rs.noise_bound_metric(p, np.eye(4), d_y, 1.0),
+                 lambda: rs.apply_general_noise(
+                     rs.WeightedProblem(p, np.full(4, 0.25)), np.eye(3))):
+        with pytest.raises(rs.ValidationError) as err:
+            call()
+        assert err.value.field == "kernel"
 
 
 def test_pipeline_general_noise_needs_weights():

@@ -8,6 +8,7 @@ import scipy.optimize
 import riskspace as rs
 from gen import (
     assignment_unions_oracle,
+    bilinear_vertex_oracle,
     correspondence_minimax_oracle,
     grid_distance_oracle,
     identity_support_problem,
@@ -250,7 +251,6 @@ def test_capacity_error_without_fallback():
 @pytest.mark.parametrize("kwargs, field", [
     ({"cap_pairs": -3}, "cap_pairs"),
     ({"cap_support": -1}, "cap_support"),
-    ({"restarts": -5}, "restarts"),
 ])
 def test_exact_rejects_negative_caps_and_restarts(kwargs, field):
     p = identity_support_problem()
@@ -534,6 +534,52 @@ def test_lp_distance_equals_bilinear_on_encoded_spaces():
         lp = rs.lp_risk_distance(wa, wb, p=1.0)
         relaxed = rs.bilinear_gw(da, mua, db, mub)
         assert lp.value == pytest.approx(relaxed, abs=1e-9)
+        assert relaxed == pytest.approx(
+            bilinear_vertex_oracle(da, mua, db, mub), abs=1e-9)
+
+
+@pytest.mark.parametrize("na, nb", [
+    (1, 2), (1, 5), (1, 9), (9, 1), (2, 2), (2, 3), (2, 4), (4, 2), (3, 3),
+])
+def test_bilinear_exact_at_support_product_up_to_nine(na, nb):
+    rng = np.random.default_rng(63 + 10 * na + nb)
+    for _ in range(3):
+        spaces = (*_space(rng, na), *_space(rng, nb))
+        assert rs.bilinear_gw(*spaces) == pytest.approx(
+            bilinear_vertex_oracle(*spaces), abs=1e-9)
+
+
+def test_bilinear_exact_with_zero_mass_atoms():
+    # zero-mass points leave the support product at most 9 on larger spaces
+    rng = np.random.default_rng(64)
+    for na, nb, dead_a, dead_b in ((4, 4, [0], [3]), (5, 3, [1, 3], []),
+                                   (4, 6, [0, 2], [1, 2, 4])):
+        da, mua = _space(rng, na)
+        db, mub = _space(rng, nb)
+        mua[dead_a] = 0.0
+        mub[dead_b] = 0.0
+        mua, mub = mua / mua.sum(), mub / mub.sum()
+        assert rs.bilinear_gw(da, mua, db, mub) == pytest.approx(
+            bilinear_vertex_oracle(da, mua, db, mub), abs=1e-9)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((np.zeros((2, 3)), [0.5, 0.5]), "dist_a"),
+    (([[0.0, "x"], ["x", 0.0]], [0.5, 0.5]), "dist_a"),
+    (([[0.0, 1.0], [1.0]], [0.5, 0.5]), "dist_a"),
+    ((1.0 - np.eye(3), [0.5, 0.5]), "dist_a"),
+    ((1.0 - np.eye(2), [[0.5, 0.5]]), "mu_a"),
+    ((1.0 - np.eye(2), ["a", "b"]), "mu_a"),
+    ((1.0 - np.eye(2), [0.7, 0.7]), "mu_a"),
+])
+def test_bilinear_names_the_bad_input(args, field):
+    good = (1.0 - np.eye(2), np.array([0.5, 0.5]))
+    with pytest.raises(rs.ValidationError) as err:
+        rs.bilinear_gw(*args, *good)
+    assert err.value.field == field
+    with pytest.raises(rs.ValidationError) as err:
+        rs.bilinear_gw(*good, *args)
+    assert err.value.field == field.replace("_a", "_b")
 
 
 # --------------------------------------------------------------------------

@@ -535,8 +535,43 @@ def test_encode_rejects_non_metric():
         rs.encode_mm_space(("a", "b", "c"), bad, np.array([0.4, 0.3, 0.3]))
 
 
+@pytest.mark.parametrize("points, dist, mu, field", [
+    (("a", "b"), np.zeros((2, 3)), [0.5, 0.5], "dist"),
+    (("a", "b"), [[0.0, "x"], ["x", 0.0]], [0.5, 0.5], "dist"),
+    (("a", "b"), [[0.0, 1.0], [1.0]], [0.5, 0.5], "dist"),
+    (("a", "b"), 1.0 - np.eye(2), [[0.5, 0.5]], "mu"),
+    (("a", "b"), 1.0 - np.eye(2), ["a", "b"], "mu"),
+    (("a", "b", "c"), 1.0 - np.eye(2), [0.5, 0.5], "points"),
+    ("ab", 1.0 - np.eye(2), [0.5, 0.5], "points"),
+])
+def test_encode_names_the_bad_input(points, dist, mu, field):
+    for encode in (rs.encode_mm_space, rs.encode_mm_space_weighted):
+        with pytest.raises(rs.ValidationError) as err:
+            encode(points, dist, mu)
+        assert err.value.field == field
+
+
 def test_encode_weighted_attaches_mu():
     mu = np.array([0.25, 0.75])
     wp = rs.encode_mm_space_weighted(("u", "v"),
                                      np.array([[0.0, 2.0], [2.0, 0.0]]), mu)
     assert np.array_equal(wp.lam, mu)
+
+
+def test_constructors_freeze_a_private_copy():
+    eta = np.full((2, 2), 0.25)
+    loss = 1.0 - np.eye(2)
+    predictors = np.array([[0, 1], [1, 0]])
+    lam = np.array([0.5, 0.5])
+    p = rs.FiniteProblem(("x0", "x1"), ("a", "b"), eta, loss, predictors)
+    wp = rs.WeightedProblem(problem=p, lam=lam)
+    witness = np.eye(2, dtype=bool)
+    result = rs.DistanceResult(value=0.0, status="exact",
+                               witness_correspondence=witness)
+    for caller, stored in ((eta, p.eta), (loss, p.loss),
+                           (predictors, p.predictors), (lam, wp.lam),
+                           (witness, result.witness_correspondence)):
+        assert caller.flags.writeable
+        assert not stored.flags.writeable
+        caller[0] = 0
+        assert stored[0].any()
