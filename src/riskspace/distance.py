@@ -27,13 +27,13 @@ from .problems import (
     FiniteProblem,
     WeightedProblem,
     _freeze,
-    _mm_space_arrays,
+    _mm_space,
     constrained_bayes_risk,
-    encode_mm_space_weighted,
 )
 from .transport import (
     _LP_OPTIONS,
     _marginal_equalities,
+    _Support,
     _support,
     check_coupling,
     coupling_vertices,
@@ -115,10 +115,11 @@ def _coupling_to_product(gamma_flat: np.ndarray, p: FiniteProblem,
     return gamma_flat.reshape(p.nx, p.ny, q.nx, q.ny)
 
 
-def _pair_costs(p: FiniteProblem, q: FiniteProblem) -> np.ndarray:
+def _pair_costs(p: FiniteProblem, q: FiniteProblem,
+                support: _Support | None = None) -> np.ndarray:
     """The pair-cost functionals |l_h - l'_{h'}| of every predictor pair, flat
     over the product of the two observation grids: shape
-    (|H|, |H'|, nx*ny*nx'*ny').
+    (|H|, |H'|, nx*ny*nx'*ny'), or over the cells of a ``support`` only.
 
     The cost matrix under a coupling (:func:`_costs_under`) takes one dot
     product per pair, not one matrix product over this array: a matrix
@@ -127,6 +128,8 @@ def _pair_costs(p: FiniteProblem, q: FiniteProblem) -> np.ndarray:
     """
     la = p.predictor_loss_stack().reshape(p.n_predictors, -1)
     lb = q.predictor_loss_stack().reshape(q.n_predictors, -1)
+    if support is not None:
+        la, lb = la[:, support.rows], lb[:, support.cols]
     return np.abs(la[:, None, :, None] - lb[None, :, None, :]).reshape(
         p.n_predictors, q.n_predictors, -1
     )
@@ -549,7 +552,9 @@ def lp_risk_distance(
     for every p.  Restarts cover the independent coupling, the diagonal
     coupling when the two weightings coincide, and polytope vertices: all of
     them when the predictor supports are small (which makes the p = 1 result
-    provably optimal), a seeded random sample otherwise.
+    provably optimal), a seeded random sample otherwise; at p = 1 with both
+    polytopes that small, every vertex pair instead, with no LP.  Only the
+    supported observation cells enter the steps.
 
     The result is labeled ``exact`` only in the trivially tight case of
     singleton predictor sets, else ``upper_bound``.  For p = 1 the objective
@@ -558,11 +563,13 @@ def lp_risk_distance(
     require(1 <= p < np.inf, "p", "must lie in [1, inf)")
     require(restarts >= 0, "restarts", "must be nonnegative")
     pa, pb = wp.problem, wp_prime.problem
-    mu, nu = _flat_eta(pa), _flat_eta(pb)
+    support = _support(_flat_eta(pa), _flat_eta(pb))
+    mu, nu = support.mu, support.nu
+    m, n = len(mu), len(nu)
     rng = np.random.default_rng(seed)
 
     n_h, n_hp = pa.n_predictors, pb.n_predictors
-    flat_pairwise = _pair_costs(pa, pb)
+    flat_pairwise = _pair_costs(pa, pb, support)
     pow_pairwise = flat_pairwise if p == 1.0 else flat_pairwise**p
 
     def objective(rho: np.ndarray, gamma_flat: np.ndarray) -> float:
@@ -573,12 +580,26 @@ def lp_risk_distance(
     rho_step = _solved_once(lambda c: solve_ot_exact(c, wp.lam, wp_prime.lam))
 
     best = (np.inf, None, None)
-    for rho in _rho_inits(wp.lam, wp_prime.lam, restarts, rng):
+    inits = []
+    rho_support = np.count_nonzero(wp.lam) * np.count_nonzero(wp_prime.lam)
+    if p == 1.0 and max(rho_support, m * n) <= _EXHAUSTIVE_VERTEX_LIMIT:
+        rhos = coupling_vertices(wp.lam, wp_prime.lam)
+        # the polytopes coincide for encoded metric measure spaces
+        same = np.array_equal(wp.lam, mu) and np.array_equal(wp_prime.lam, nu)
+        gammas = (rhos if same else coupling_vertices(mu, nu)).reshape(-1, m * n)
+        values = np.einsum("vij,ijk,wk->vw", rhos, flat_pairwise, gammas)
+        v, w = np.unravel_index(np.argmin(values), values.shape)
+        best = (values[v, w], gammas[w], rhos[v])
+        if trace is not None:
+            trace.append(float(values[v, w]))
+    else:
+        inits = _rho_inits(wp.lam, wp_prime.lam, restarts, rng)
+    for rho in inits:
         gamma_flat = np.outer(mu, nu).ravel()
         current = np.inf
         for _ in range(_MAX_ITER):
             gamma_cost = np.tensordot(rho, pow_pairwise, axes=2)
-            gamma, _ = gamma_step(gamma_cost.reshape(len(mu), len(nu)))
+            gamma, _ = gamma_step(gamma_cost.reshape(m, n))
             gamma_flat = gamma.ravel()
             pair = flat_pairwise @ gamma_flat
             rho, _ = rho_step(pair**p)
@@ -595,10 +616,11 @@ def lp_risk_distance(
 
     value, gamma_flat, rho = best
     status = "exact" if n_h == 1 and n_hp == 1 else "upper_bound"
+    gamma = support.embed(gamma_flat.reshape(m, n))
     return DistanceResult(
         value=max(float(value), 0.0),
         status=status,
-        witness_coupling=_coupling_to_product(gamma_flat, pa, pb),
+        witness_coupling=_coupling_to_product(gamma.ravel(), pa, pb),
         witness_predictor_coupling=rho,
     )
 
@@ -623,14 +645,12 @@ def bilinear_gw(
     point ``a1``, and the pair cost of (a2, b2) under gamma is the inner
     integral.  The objective is bilinear, so its minimum is attained at a
     vertex pair; when the support product is at most
-    ``_EXHAUSTIVE_VERTEX_LIMIT`` every predictor-coupling vertex is a start
-    and the value is exact, otherwise it is an upper bound.
+    ``_EXHAUSTIVE_VERTEX_LIMIT`` every vertex pair is evaluated and the
+    value is exact, otherwise it is an upper bound.
     """
-    dist_a, mu_a = _mm_space_arrays(dist_a, mu_a, "dist_a", "mu_a")
-    dist_b, mu_b = _mm_space_arrays(dist_b, mu_b, "dist_b", "mu_b")
     return lp_risk_distance(
-        encode_mm_space_weighted(range(len(mu_a)), dist_a, mu_a),
-        encode_mm_space_weighted(range(len(mu_b)), dist_b, mu_b),
+        _mm_space(None, dist_a, mu_a, "dist_a", "mu_a"),
+        _mm_space(None, dist_b, mu_b, "dist_b", "mu_b"),
         p=1.0,
     ).value
 

@@ -413,10 +413,13 @@ def one_point_problem(c: float) -> FiniteProblem:
     )
 
 
-def _mm_space_arrays(dist, mu, dist_name: str, mu_name: str):
-    """The distance matrix and point masses of a finite metric measure space
-    as checked float arrays, each error naming ``dist_name`` or ``mu_name``.
-    The number of points is the length of ``mu``."""
+def _mm_space(points, dist, mu, dist_name: str = "dist",
+              mu_name: str = "mu") -> WeightedProblem:
+    """The weighted encoding of a finite metric measure space (see
+    :func:`encode_mm_space`), each error naming ``dist_name`` or ``mu_name``.
+    The number of points is the length of ``mu``; ``points=None`` labels
+    the points by their indices."""
+    labels = None if points is None else _label_tuple(points, "points")
     mu = _float_array(mu, mu_name)
     if mu.ndim != 1:
         raise ValidationError(f"{mu_name} must be a vector", field=mu_name)
@@ -427,7 +430,22 @@ def _mm_space_arrays(dist, mu, dist_name: str, mu_name: str):
             f"{dist_name} has shape {dist.shape}, expected {(n, n)}", field=dist_name
         )
     _check_metric_matrix(dist, field=dist_name)
-    return dist, _check_mass(mu, mu_name)
+    _check_mass(mu, mu_name)
+    if labels is None:
+        labels = tuple(str(i) for i in range(n))
+    elif len(labels) != n:
+        raise ValidationError(
+            f"points has {len(labels)} labels, expected {n} (one per mass in mu)",
+            field="points",
+        )
+    problem = FiniteProblem(
+        x_labels=labels,
+        y_labels=labels,
+        eta=np.diag(mu),
+        loss=dist,
+        predictors=np.repeat(np.arange(n)[:, None], n, axis=1),
+    )
+    return WeightedProblem(problem=problem, lam=mu)
 
 
 def encode_mm_space(
@@ -440,23 +458,7 @@ def encode_mm_space(
     predictors are the constant maps.  Isometric relabelings encode to
     problems at distance zero.
     """
-    labels = _label_tuple(points, "points")
-    dist, mu = _mm_space_arrays(dist, mu, "dist", "mu")
-    n = len(mu)
-    if len(labels) != n:
-        raise ValidationError(
-            f"points has {len(labels)} labels, expected {n} (one per mass in mu)",
-            field="points",
-        )
-    eta = np.diag(mu)
-    predictors = np.repeat(np.arange(n)[:, None], n, axis=1)
-    return FiniteProblem(
-        x_labels=labels,
-        y_labels=labels,
-        eta=eta,
-        loss=dist,
-        predictors=predictors,
-    )
+    return _mm_space(points, dist, mu).problem
 
 
 def encode_mm_space_weighted(
@@ -464,8 +466,7 @@ def encode_mm_space_weighted(
 ) -> WeightedProblem:
     """Weighted variant of :func:`encode_mm_space`: the constant predictor at
     each point carries that point's mass."""
-    problem = encode_mm_space(points, dist, mu)
-    return WeightedProblem(problem=problem, lam=np.asarray(mu, dtype=float))
+    return _mm_space(points, dist, mu)
 
 
 def _check_metric_matrix(d: np.ndarray, field: str = "dist"):

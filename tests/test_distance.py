@@ -1,6 +1,8 @@
 """Risk distortion, the exact distance solver, bounds, weighted variants,
 the bilinear relaxation, geodesics, and weak-isomorphism witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -15,6 +17,7 @@ from gen import (
     rademacher_example_problem,
     random_problem,
     random_weighted,
+    transport_vertices,
 )
 
 
@@ -561,6 +564,54 @@ def test_bilinear_exact_with_zero_mass_atoms():
         mua, mub = mua / mua.sum(), mub / mub.sum()
         assert rs.bilinear_gw(da, mua, db, mub) == pytest.approx(
             bilinear_vertex_oracle(da, mua, db, mub), abs=1e-9)
+
+
+def test_lp_distance_p1_small_polytopes_is_vertex_pair_minimum(monkeypatch):
+    # both coupling polytopes have support product at most 9, some through
+    # zero-mass cells: the p = 1 value is the least distortion over every
+    # pair of vertices, found without an LP
+    rng = np.random.default_rng(65)
+    for nx, ny, support in ((1, 3, None), (1, 2, None), (2, 3, 3), (3, 3, 2)):
+        wa = random_weighted(rng, nx=nx, ny=ny, n_h=3, eta_support=support)
+        wb = random_weighted(rng, nx=nx, ny=ny, n_h=3, eta_support=support)
+        result, solved = _recorded_lps(
+            monkeypatch, lambda: rs.lp_risk_distance(wa, wb, p=1.0))
+        assert solved == []
+        shape = (nx, ny, nx, ny)
+        oracle = min(
+            rs.lp_risk_distortion(wa, wb, rho, gamma.reshape(shape), 1.0)
+            for rho in transport_vertices(wa.lam, wb.lam)
+            for gamma in transport_vertices(wa.problem.eta.ravel(),
+                                            wb.problem.eta.ravel()))
+        assert result.value == pytest.approx(oracle, abs=1e-9)
+        assert rs.lp_risk_distortion(
+            wa, wb, result.witness_predictor_coupling, result.witness_coupling,
+            1.0) == pytest.approx(result.value, abs=1e-9)
+
+
+def test_bilinear_memory_on_fifteen_point_spaces():
+    # the pair costs cover the supported cells only: (15 * 15)^2 entries,
+    # not 15^6 over the full observation grids (about 90 MB)
+    rng = np.random.default_rng(66)
+    spaces = (*_space(rng, 15), *_space(rng, 15))
+    tracemalloc.start()
+    try:
+        value = rs.bilinear_gw(*spaces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value >= 0.0
+    assert peak < 16e6
+
+
+def test_bilinear_checks_each_metric_once(monkeypatch):
+    checked = []
+    check = rs.problems._check_metric_matrix
+    monkeypatch.setattr(rs.problems, "_check_metric_matrix",
+                        lambda d, field: checked.append(field) or check(d, field))
+    rng = np.random.default_rng(67)
+    rs.bilinear_gw(*_space(rng, 3), *_space(rng, 4))
+    assert checked == ["dist_a", "dist_b"]
 
 
 @pytest.mark.parametrize("args, field", [
