@@ -56,17 +56,6 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _emit(args, text: str):
-    if getattr(args, "out", None):
-        serialize.atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, data):
-    _emit(args, serialize.dump_json(data))
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="riskspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -277,7 +266,11 @@ def _cmd_sample(args) -> dict:
 
 def _cmd_convergence(args):
     problem, _ = _load(args.problem)
-    ns = [int(tok) for tok in str(args.ns).split(",") if tok]
+    try:
+        ns = json.loads(f"[{args.ns}]")
+    except json.JSONDecodeError:
+        raise ValidationError(f"--ns must be comma-separated numbers, got {args.ns!r}",
+                              field="ns") from None
     report = empirical.convergence_experiment(
         problem, ns, trials=args.trials, seed=args.seed,
         cap_pairs=args.cap_pairs, cap_support=args.cap_support,
@@ -403,6 +396,7 @@ _CSV_COMMANDS = {"convergence", "reeb"}
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    field = "path"  # what an OSError or undecodable file blames: an input, then --out
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -414,6 +408,12 @@ def main(argv: list[str] | None = None) -> int:
                 field="format",
             )
         result = _COMMANDS[args.command](args)
+        text = result if isinstance(result, str) else serialize.dump_json(result)
+        field = "out"
+        if args.out:
+            serialize.atomic_write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except _UsageError as exc:
         sys.stderr.write(str(exc))
         return 1
@@ -433,9 +433,9 @@ def main(argv: list[str] | None = None) -> int:
             "error": "solver", "message": str(exc),
         }))
         return 3
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(serialize.dump_json({
-            "error": "validation", "message": str(exc), "field": "path",
+            "error": "validation", "message": str(exc), "field": field,
         }))
         return 1
     except json.JSONDecodeError as exc:
@@ -444,10 +444,6 @@ def main(argv: list[str] | None = None) -> int:
             "field": "path",
         }))
         return 1
-    if isinstance(result, str):
-        _emit(args, result)
-    else:
-        _emit_json(args, result)
     return 0
 
 

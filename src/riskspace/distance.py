@@ -28,6 +28,7 @@ from .problems import (
     WeightedProblem,
     _freeze,
     _mm_space,
+    _seed,
     constrained_bayes_risk,
 )
 from .transport import (
@@ -566,7 +567,7 @@ def lp_risk_distance(
     support = _support(_flat_eta(pa), _flat_eta(pb))
     mu, nu = support.mu, support.nu
     m, n = len(mu), len(nu)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
 
     n_h, n_hp = pa.n_predictors, pb.n_predictors
     flat_pairwise = _pair_costs(pa, pb, support)

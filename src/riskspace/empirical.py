@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityError, require
 from . import distance as _distance
 from .corruption import tv_bound
-from .problems import FiniteProblem
+from .problems import FiniteProblem, _index_array, _seed
 
 PRNG_ID = "numpy-PCG64"
 
@@ -66,7 +66,8 @@ def sample_empirical(problem: FiniteProblem, n: int, seed: int) -> FiniteProblem
 
     Identical seeds give bit-identical samples.
     """
-    return _resample(problem, n, np.random.default_rng(np.random.SeedSequence([seed])))
+    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed)]))
+    return _resample(problem, n, rng)
 
 
 def convergence_experiment(
@@ -84,13 +85,16 @@ def convergence_experiment(
     Trials are independent; each derives its own sub-seed from
     (seed, n, trial).
     """
+    ns = _index_array(ns, "ns")
+    require(ns.ndim == 1 and ns.size >= 1, "ns", "must list at least one sample size")
     require(trials >= 1, "trials", "must be at least 1")
+    seed = _seed(seed)
     ell_max = float(problem.loss.max())
     support_product = (problem.nx * problem.ny) ** 2
     pairs = problem.n_predictors**2
     exact_feasible = pairs <= cap_pairs and support_product <= cap_support
     rows = []
-    for n in ns:
+    for n in ns.tolist():
         for trial in range(trials):
             empirical = _resample(problem, n, _sub_seed(seed, n, trial))
             bound = tv_bound(problem, empirical, ell_max)
@@ -131,7 +135,7 @@ def rademacher_mc(
     """
     require(m >= 1, "m", "must be at least 1")
     require(num_samples >= 1, "num_samples", "must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed)]))
     flat_losses = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
     flat_eta = problem.eta.ravel()
     draws = rng.choice(len(flat_eta), size=(num_samples, m), p=flat_eta)

@@ -91,22 +91,22 @@ class ReebGraph:
         return [i for i in range(len(self.nodes)) if heights[i] < neighbor_min[i]]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _components(vertices, adjacent) -> list[list[int]]:
+    """Connected components of the graph that the boolean matrix
+    ``adjacent[v][w]`` induces on ``vertices``, each a sorted list, ordered
+    by their smallest members."""
+    unseen = sorted(vertices)
+    components = []
+    while unseen:
+        component = [unseen.pop(0)]
+        for v in component:  # also visits the vertices appended on the way
+            row = adjacent[v]
+            reached = [w for w in unseen if row[w]]
+            if reached:
+                component += reached
+                unseen = [w for w in unseen if not row[w]]
+        components.append(sorted(component))
+    return components
 
 
 def risk_landscape(pg: PredictorGraph) -> np.ndarray:
@@ -125,56 +125,23 @@ def reeb_graph(pg: PredictorGraph, height_tol: float = 0.0) -> ReebGraph:
     heights = risk_landscape(pg)
     n = len(heights)
     order = np.argsort(heights, kind="stable")
+    jumps = np.diff(heights[order], prepend=heights[order[0]]) > height_tol
     level_of = np.empty(n, dtype=int)
-    level = 0
-    prev = None
-    for idx in order:
-        if prev is not None and heights[idx] - prev > height_tol:
-            level += 1
-        level_of[idx] = level
-        prev = heights[idx]
-
-    uf = _UnionFind(n)
-    for a, b in pg.edges:
-        if level_of[a] == level_of[b]:
-            uf.union(a, b)
-    roots = sorted({uf.find(i) for i in range(n)})
-    node_of_root = {root: k for k, root in enumerate(roots)}
-    members: list[list[int]] = [[] for _ in roots]
-    for i in range(n):
-        members[node_of_root[uf.find(i)]].append(i)
+    level_of[order] = np.cumsum(jumps)  # a new level after each jump
+    same_level = pg.adjacency() & (level_of[:, None] == level_of[None, :])
+    members = _components(range(n), same_level.tolist())
     # Members share one height when height_tol is 0; min keeps the lowest
     # node's height bit-equal to the optimal risk even when levels merge.
-    nodes = tuple(
-        (float(heights[m].min()), tuple(sorted(m))) for m in members
-    )
-    edges = set()
-    node_of = {i: node_of_root[uf.find(i)] for i in range(n)}
-    for a, b in pg.edges:
-        na, nb = node_of[a], node_of[b]
-        if na != nb:
-            edges.add((min(na, nb), max(na, nb)))
+    nodes = tuple((float(heights[m].min()), tuple(m)) for m in members)
+    node_of = {i: k for k, m in enumerate(members) for i in m}
+    edges = {tuple(sorted((node_of[a], node_of[b]))) for a, b in pg.edges
+             if node_of[a] != node_of[b]}
     return ReebGraph(nodes=nodes, edges=tuple(sorted(edges)))
 
 
 # --------------------------------------------------------------------------
 # Inverse-connected correspondences
 # --------------------------------------------------------------------------
-
-def _connected(indices: list[int], adjacency: np.ndarray) -> bool:
-    if not indices:
-        return False
-    seen = {indices[0]}
-    stack = [indices[0]]
-    index_set = set(indices)
-    while stack:
-        v = stack.pop()
-        for w in indices:
-            if w not in seen and adjacency[v, w]:
-                seen.add(w)
-                stack.append(w)
-    return seen == index_set
-
 
 def is_inverse_connected(
     r: np.ndarray, left: PredictorGraph, right: PredictorGraph
@@ -189,37 +156,15 @@ def is_inverse_connected(
     docs/algorithms.md).
     """
     r = check_correspondence(r)
-    adj_left = left.adjacency()
-    adj_right = right.adjacency()
-    pairs = [tuple(idx) for idx in np.argwhere(r)]
-    index_of = {pair: k for k, pair in enumerate(pairs)}
-    k = len(pairs)
-    adj = np.zeros((k, k), dtype=bool)
-    for i, (h1, g1) in enumerate(pairs):
-        for j in range(i + 1, k):
-            h2, g2 = pairs[j]
-            left_ok = h1 == h2 or adj_left[h1, h2]
-            right_ok = g1 == g2 or adj_right[g1, g2]
-            if left_ok and right_ok:
-                adj[i, j] = adj[j, i] = True
-
-    def fiber_left(vertices: set[int]) -> list[int]:
-        return [index_of[pr] for pr in pairs if pr[0] in vertices]
-
-    def fiber_right(vertices: set[int]) -> list[int]:
-        return [index_of[pr] for pr in pairs if pr[1] in vertices]
-
-    for h in range(left.problem.n_predictors):
-        if not _connected(fiber_left({h}), adj):
-            return False
-    for a, b in left.edges:
-        if not _connected(fiber_left({a, b}), adj):
-            return False
-    for g in range(right.problem.n_predictors):
-        if not _connected(fiber_right({g}), adj):
-            return False
-    for a, b in right.edges:
-        if not _connected(fiber_right({a, b}), adj):
+    pairs = np.argwhere(r).tolist()
+    adj_left, adj_right = left.adjacency().tolist(), right.adjacency().tolist()
+    adj = [[(h == h2 or adj_left[h][h2]) and (g == g2 or adj_right[g][g2])
+            for h2, g2 in pairs] for h, g in pairs]
+    for side, graph in enumerate((left, right)):
+        vertex_fibers = [[k for k, pair in enumerate(pairs) if pair[side] == v]
+                         for v in range(graph.problem.n_predictors)]
+        edge_fibers = [vertex_fibers[a] + vertex_fibers[b] for a, b in graph.edges]
+        if any(len(_components(f, adj)) != 1 for f in vertex_fibers + edge_fibers):
             return False
     return True
 

@@ -61,6 +61,15 @@ def _index_array(raw, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _seed(seed) -> int:
+    """A PRNG seed as a Python int.  numpy refuses negative and fractional
+    seeds with its own errors and reads ``True`` as 1; these are refused
+    here instead, naming ``seed``."""
+    ok = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    require(ok and seed >= 0, "seed", "must be a nonnegative integer")
+    return int(seed)
+
+
 def _float_array(raw, name: str) -> np.ndarray:
     """Numbers (masses, losses, densities, costs) as a float array of the
     shape ``raw`` has, which the caller checks; a ragged or non-numeric
@@ -375,10 +384,7 @@ def predictor_pseudometric(problem: FiniteProblem) -> np.ndarray:
     Symmetric, zero-diagonal, and triangle-inequality compliant; compares
     predictors purely by the losses they incur.
     """
-    stack = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
-    weights = problem.eta.ravel()
-    diff = np.abs(stack[:, None, :] - stack[None, :, :])
-    return diff @ weights
+    return cross_predictor_pseudometric(problem, problem.predictors)
 
 
 def cross_predictor_pseudometric(

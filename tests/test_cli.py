@@ -495,6 +495,10 @@ def test_cli_corrupt_rejects_bad_stage_parameters(capsys, paths, stage, field):
 
 @pytest.mark.parametrize("flags, field", [
     (["--ns", "0"], "n"),
+    (["--ns", "a,b"], "ns"),
+    (["--ns", "1.5"], "ns[0]"),
+    (["--ns", ""], "ns"),
+    (["--ns", "5,"], "ns"),
     (["--trials", "-1"], "trials"),
     (["--trials", "0"], "trials"),
 ])
@@ -656,6 +660,38 @@ def test_cli_mutated_json_never_tracebacks(tmp_path_factory, data):
     error = json.loads(err.getvalue())
     assert error["error"] == "validation"
     assert error["field"].startswith(key), (key, value, index, error)
+
+
+@pytest.mark.parametrize("case", ["out-missing-dir", "out-is-dir", "input-is-dir",
+                                  "input-not-utf8"])
+def test_cli_file_errors_name_the_path(capsys, paths, case):
+    tmp_path, write = paths
+    a = _problem_file(write, "a.json", identity_support_problem())
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    argv, field = {
+        "out-missing-dir": (["distance", a, a, "--out", str(tmp_path / "no" / "o")],
+                            "out"),
+        "out-is-dir": (["distance", a, a, "--out", str(tmp_path)], "out"),
+        "input-is-dir": (["distance", str(tmp_path), a], "path"),
+        "input-not-utf8": (["distance", str(tmp_path / "binary.json"), a], "path"),
+    }[case]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["field"] == field
+    assert not [f for f in tmp_path.iterdir() if f.suffix == ".tmp"]
+
+
+@pytest.mark.parametrize("command", [["sample", "--n", "5"], ["rademacher"],
+                                     ["convergence", "--ns", "5"], ["distance-lp"]])
+def test_cli_rejects_negative_seed(capsys, paths, command):
+    _, write = paths
+    p = identity_support_problem()
+    lam = np.full(p.n_predictors, 1 / p.n_predictors)
+    path = _problem_file(write, "p.json", p, lam=lam)
+    name, *flags = command
+    inputs = [path, path] if name == "distance-lp" else [path]
+    argv = [name, *inputs, *flags, "--seed", "-1"]
+    assert _validation_field(capsys, argv) == "seed"
 
 
 def test_cli_missing_file_exit_1(capsys):

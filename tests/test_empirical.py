@@ -64,9 +64,48 @@ def test_sample_rejects_nonpositive_n():
         rs.sample_empirical(_four_atom_problem(), 0, seed=0)
 
 
+_SEEDED = {
+    "sample_empirical": lambda p, seed: rs.sample_empirical(p, 5, seed),
+    "rademacher_mc": lambda p, seed: rs.rademacher_mc(p, 1, 10, seed),
+    "convergence_experiment": lambda p, seed: rs.convergence_experiment(
+        p, [5], trials=1, seed=seed),
+    "lp_risk_distance": lambda p, seed: rs.lp_risk_distance(
+        rs.WeightedProblem(p, [0.2, 0.3, 0.5]),
+        rs.WeightedProblem(p, [0.5, 0.5, 0.0]), seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3"])
+def test_seeded_calls_refuse_bad_seeds(name, seed):
+    with pytest.raises(rs.ValidationError) as err:
+        _SEEDED[name](_four_atom_problem(), seed)
+    assert err.value.field == "seed"
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seeded_calls_take_numpy_integer_seeds(name):
+    p = _four_atom_problem()
+    a, b = _SEEDED[name](p, 7), _SEEDED[name](p, np.int64(7))
+    assert repr(a) == repr(b)
+
+
 # --------------------------------------------------------------------------
 # Convergence experiment
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ns, field", [
+    ([], "ns"),
+    ([[5, 10]], "ns"),
+    ([5, 2.5], "ns[1]"),
+    ([True], "ns[0]"),
+    (["5"], "ns"),
+])
+def test_convergence_refuses_bad_sizes(ns, field):
+    with pytest.raises(rs.ValidationError) as err:
+        rs.convergence_experiment(_four_atom_problem(), ns, trials=1, seed=0)
+    assert err.value.field == field
+
 
 def test_convergence_degenerate_law_all_zero():
     p = rs.FiniteProblem(("x",), ("a", "b"), np.array([[1.0, 0.0]]),

@@ -1,11 +1,13 @@
 """Risk landscapes, Reeb graphs, inverse connectivity, connected distance."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import riskspace as rs
+from riskspace import serialize
 from gen import (
     connected_distance_oracle,
     connected_gap_instance,
@@ -121,6 +123,53 @@ def test_reeb_height_tolerance_merges_levels():
     pg = _path_graph(_heights_problem([0.5, 0.5 + 1e-7, 1.0]))
     assert len(rs.reeb_graph(pg).nodes) == 3
     assert len(rs.reeb_graph(pg, height_tol=1e-6).nodes) == 2
+
+
+def _reeb_oracle(pg: rs.PredictorGraph, height_tol: float):
+    """Same-level contraction by brute force: two predictors share a level
+    when the sorted heights between them never jump by more than the
+    tolerance; a node is a class of the transitive closure of same-level
+    edges, numbered in order of its smallest member."""
+    heights = rs.risk_landscape(pg).tolist()
+    n = len(heights)
+
+    def same_level(a, b):
+        lo, hi = sorted((heights[a], heights[b]))
+        between = sorted(h for h in heights if lo <= h <= hi)
+        return all(y - x <= height_tol for x, y in zip(between, between[1:]))
+
+    joined = [[a == b or ((min(a, b), max(a, b)) in pg.edges and same_level(a, b))
+               for b in range(n)] for a in range(n)]
+    for k in range(n):  # Warshall's transitive closure
+        for a in range(n):
+            for b in range(n):
+                joined[a][b] = joined[a][b] or (joined[a][k] and joined[k][b])
+    classes = sorted({tuple(b for b in range(n) if joined[a][b]) for a in range(n)})
+    node_of = {v: k for k, members in enumerate(classes) for v in members}
+    nodes = tuple((min(heights[v] for v in members), members) for members in classes)
+    edges = sorted({tuple(sorted((node_of[a], node_of[b]))) for a, b in pg.edges
+                    if node_of[a] != node_of[b]})
+    return nodes, tuple(edges)
+
+
+@pytest.mark.parametrize("height_tol", [0.0, 0.05])
+def test_reeb_matches_brute_force_contraction(height_tol):
+    rng = np.random.default_rng(109)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        # heights on a coarse grid plus small jitter: ties, near-ties and gaps
+        heights = rng.integers(0, 4, size=n) / 4 + rng.choice([0.0, 0.03], size=n)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        pg = rs.PredictorGraph(problem=_heights_problem(heights), edges=edges)
+        reeb = rs.reeb_graph(pg, height_tol=height_tol)
+        assert (reeb.nodes, reeb.edges) == _reeb_oracle(pg, height_tol)
+
+
+def test_reeb_dict_is_json_serializable():
+    rng = np.random.default_rng(110)
+    pg = random_predictor_graph(rng, n_h=3)
+    data = serialize.reeb_to_dict(rs.reeb_graph(pg))
+    assert json.loads(json.dumps(data)) == data
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
@@ -252,17 +301,23 @@ def test_split_fiber_not_inverse_connected():
 def test_fiber_criterion_matches_full_subset_oracle():
     rng = np.random.default_rng(105)
     edge_sets_2 = [(), ((0, 1),)]
+    # edgeless, one edge, path, and the cycle, which on three vertices is
+    # also the complete graph
     edge_sets_3 = [(), ((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))]
     a_problem = random_problem(rng, n_h=2)
     b_problem = random_problem(rng, n_h=3)
-    for edges_a in edge_sets_2:
-        for edges_b in edge_sets_3:
-            pg_a = rs.PredictorGraph(problem=a_problem, edges=edges_a)
-            pg_b = rs.PredictorGraph(problem=b_problem, edges=edges_b)
-            for r in enumerate_correspondences(2, 3):
-                assert rs.is_inverse_connected(r, pg_a, pg_b) == (
-                    _inverse_connected_oracle(r, pg_a, pg_b)
-                )
+    c_problem = random_problem(rng, n_h=3)
+    for left_problem, left_edge_sets in ((a_problem, edge_sets_2),
+                                         (c_problem, edge_sets_3)):
+        n_left = left_problem.n_predictors
+        for edges_a in left_edge_sets:
+            for edges_b in edge_sets_3:
+                pg_a = rs.PredictorGraph(problem=left_problem, edges=edges_a)
+                pg_b = rs.PredictorGraph(problem=b_problem, edges=edges_b)
+                for r in enumerate_correspondences(n_left, 3):
+                    assert rs.is_inverse_connected(r, pg_a, pg_b) == (
+                        _inverse_connected_oracle(r, pg_a, pg_b)
+                    )
 
 
 # --------------------------------------------------------------------------
