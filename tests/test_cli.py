@@ -495,12 +495,12 @@ def test_cli_corrupt_rejects_bad_stage_parameters(capsys, paths, stage, field):
 
 @pytest.mark.parametrize("flags, field", [
     (["--ns", "0"], "n"),
+    (["--trials", "-1"], "trials"),
+    (["--trials", "0"], "trials"),
     (["--ns", "a,b"], "ns"),
     (["--ns", "1.5"], "ns[0]"),
     (["--ns", ""], "ns"),
     (["--ns", "5,"], "ns"),
-    (["--trials", "-1"], "trials"),
-    (["--trials", "0"], "trials"),
 ])
 def test_cli_convergence_rejects_bad_sizes(capsys, paths, flags, field):
     _, write = paths
