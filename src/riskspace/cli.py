@@ -37,12 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _load(path: str):
-    return serialize.load_problem(path)
-
-
 def _load_weighted(path: str) -> WeightedProblem:
-    problem, lam = _load(path)
+    problem, lam = serialize.load_problem(path)
     if lam is None:
         raise ValidationError(
             f"{path} lacks the 'lambda' key required for weighted commands",
@@ -54,6 +50,21 @@ def _load_weighted(path: str) -> WeightedProblem:
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load_object(path: str, name: str, *keys: str) -> dict:
+    """The JSON object in the ``name`` file ``path``, holding every key of
+    ``keys``.  Anything else is refused naming ``name``, or the first
+    missing key."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{name} file {path} must hold a JSON object",
+                              field=name)
+    for key in keys:
+        if key not in data:
+            raise ValidationError(f"{name} file {path} lacks key {key!r}",
+                                  field=key)
+    return data
 
 
 def _build_parser() -> _Parser:
@@ -165,16 +176,13 @@ def _build_parser() -> _Parser:
 
 
 def _edges_graph(problem, path: str) -> landscape.PredictorGraph:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "edges" not in data:
-        raise ValidationError(f"{path} must be an object with an 'edges' key",
-                              field="edges")
-    return landscape.PredictorGraph(problem=problem, edges=data["edges"])
+    edges = _load_object(path, "edges", "edges")["edges"]
+    return landscape.PredictorGraph(problem=problem, edges=edges)
 
 
 def _cmd_distance(args) -> dict:
-    pa, _ = _load(args.problem_a)
-    pb, _ = _load(args.problem_b)
+    pa, _ = serialize.load_problem(args.problem_a)
+    pb, _ = serialize.load_problem(args.problem_b)
     result = distance.risk_distance_exact(
         pa, pb, cap_pairs=args.cap_pairs, cap_support=args.cap_support,
         fallback=not args.no_heuristic,
@@ -196,8 +204,8 @@ def _cmd_distance_lp(args) -> dict:
 
 
 def _cmd_bound(args) -> dict:
-    pa, _ = _load(args.problem_a)
-    pb, _ = _load(args.problem_b)
+    pa, _ = serialize.load_problem(args.problem_a)
+    pb, _ = serialize.load_problem(args.problem_b)
     if args.mode == "loss-swap":
         value = distance.risk_distance_upper_shared(pa, pb, "shared_eta_H")
     elif args.mode == "eta-w1":
@@ -216,7 +224,7 @@ def _cmd_bound(args) -> dict:
 
 
 def _cmd_corrupt(args) -> dict:
-    problem, lam = _load(args.problem)
+    problem, lam = serialize.load_problem(args.problem)
     stages = _load_json(args.pipeline)
     if not isinstance(stages, list):
         raise ValidationError("pipeline JSON must be a list of stage objects",
@@ -240,12 +248,9 @@ def _cmd_corrupt(args) -> dict:
 
 
 def _cmd_coarsen(args) -> dict:
-    problem, _ = _load(args.problem)
-    data = _load_json(args.partition)
-    if not isinstance(data, dict) or "blocks" not in data:
-        raise ValidationError("partition JSON must be {\"blocks\": [[...], ...]}",
-                              field="blocks")
-    q = Partition(blocks=data["blocks"], ny=problem.ny)
+    problem, _ = serialize.load_problem(args.problem)
+    blocks = _load_object(args.partition, "blocks", "blocks")["blocks"]
+    q = Partition(blocks=blocks, ny=problem.ny)
     coarse = coarsen(problem, q)
     return {
         "problem": serialize.problem_to_dict(coarse),
@@ -254,7 +259,7 @@ def _cmd_coarsen(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
-    problem, _ = _load(args.problem)
+    problem, _ = serialize.load_problem(args.problem)
     sampled = empirical.sample_empirical(problem, args.n, args.seed)
     return {
         "problem": serialize.problem_to_dict(sampled),
@@ -265,7 +270,7 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_convergence(args):
-    problem, _ = _load(args.problem)
+    problem, _ = serialize.load_problem(args.problem)
     try:
         ns = json.loads(f"[{args.ns}]")
     except json.JSONDecodeError:
@@ -281,7 +286,7 @@ def _cmd_convergence(args):
 
 
 def _cmd_rademacher(args) -> dict:
-    problem, _ = _load(args.problem)
+    problem, _ = serialize.load_problem(args.problem)
     if args.exact:
         value = empirical.rademacher_exact_small(problem, args.m)
         return {"m": args.m, "value": value, "method": "exact"}
@@ -298,7 +303,7 @@ def _cmd_rademacher(args) -> dict:
 
 
 def _cmd_reeb(args):
-    problem, _ = _load(args.problem)
+    problem, _ = serialize.load_problem(args.problem)
     graph = _edges_graph(problem, args.edges)
     reeb = landscape.reeb_graph(graph, height_tol=args.tol)
     if args.format == "csv":
@@ -307,8 +312,8 @@ def _cmd_reeb(args):
 
 
 def _cmd_connected(args) -> dict:
-    pa, _ = _load(args.problem_a)
-    pb, _ = _load(args.problem_b)
+    pa, _ = serialize.load_problem(args.problem_a)
+    pb, _ = serialize.load_problem(args.problem_b)
     ga = _edges_graph(pa, args.edges_a)
     gb = _edges_graph(pb, args.edges_b)
     result = landscape.connected_risk_distance_exact(ga, gb,
@@ -321,8 +326,8 @@ def _cmd_connected(args) -> dict:
 
 
 def _cmd_geodesic(args) -> dict:
-    pa, _ = _load(args.problem_a)
-    pb, _ = _load(args.problem_b)
+    pa, _ = serialize.load_problem(args.problem_a)
+    pb, _ = serialize.load_problem(args.problem_b)
     witness = distance.risk_distance_exact(
         pa, pb, cap_pairs=args.cap_pairs, cap_support=args.cap_support,
         fallback=False,
@@ -336,7 +341,7 @@ def _cmd_geodesic(args) -> dict:
 
 
 def _cmd_profile(args) -> dict:
-    pa, lam_a = _load(args.problem_a)
+    pa, lam_a = serialize.load_problem(args.problem_a)
     out: dict = {
         "profiles_a": [
             {"values": prof.values.tolist(), "masses": prof.masses.tolist()}
@@ -344,7 +349,7 @@ def _cmd_profile(args) -> dict:
         ]
     }
     if args.problem_b:
-        pb, lam_b = _load(args.problem_b)
+        pb, lam_b = serialize.load_problem(args.problem_b)
         out["profiles_b"] = [
             {"values": prof.values.tolist(), "masses": prof.masses.tolist()}
             for prof in loss_profile_set(pb)
@@ -362,12 +367,9 @@ def _cmd_profile(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    rich, _ = _load(args.rich)
-    base, _ = _load(args.base)
-    maps = _load_json(args.maps)
-    for key in ("f1", "f2", "fwd", "bwd"):
-        if key not in maps:
-            raise ValidationError(f"maps JSON lacks key {key!r}", field=key)
+    rich, _ = serialize.load_problem(args.rich)
+    base, _ = serialize.load_problem(args.base)
+    maps = _load_object(args.maps, "maps", "f1", "f2", "fwd", "bwd")
     check = verify_simulation(
         rich, base, maps["f1"], maps["f2"], maps["fwd"], maps["bwd"],
         tol=args.tol,

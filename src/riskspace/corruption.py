@@ -86,22 +86,25 @@ def restrict(
 # Joint-law substitution bounds
 # --------------------------------------------------------------------------
 
-def _require_shared_but_eta(p: FiniteProblem, p_prime: FiniteProblem):
+def _require_shared(p: FiniteProblem, p_prime: FiniteProblem, *parts: str):
+    """Refuse, naming ``p_prime``, two problems that differ in their label
+    sets or in any of the named arrays (``"eta"``, ``"loss"``,
+    ``"predictors"``): the one check behind every bound that holds only for
+    problems sharing those components."""
     if (
         p.x_labels != p_prime.x_labels
         or p.y_labels != p_prime.y_labels
-        or not np.array_equal(p.loss, p_prime.loss)
-        or not np.array_equal(p.predictors, p_prime.predictors)
+        or not all(np.array_equal(getattr(p, a), getattr(p_prime, a)) for a in parts)
     ):
         raise ValidationError(
-            "problems must agree in everything except the joint law",
+            f"problems must share their label sets and {', '.join(parts)}",
             field="p_prime",
         )
 
 
 def tv_bound(p: FiniteProblem, p_prime: FiniteProblem, ell_max: float) -> float:
     """Bound a joint-law substitution by loss range times total variation."""
-    _require_shared_but_eta(p, p_prime)
+    _require_shared(p, p_prime, "loss", "predictors")
     require(float(p.loss.max()) <= ell_max < np.inf, "ell_max",
             f"must be finite and at least the largest loss {float(p.loss.max())}")
     return float(ell_max) * total_variation(p.eta.ravel(), p_prime.eta.ravel())
@@ -130,7 +133,7 @@ def s_metric_weighted(wp: WeightedProblem, p: float) -> np.ndarray:
 def w1_eta_bound(p: FiniteProblem, p_prime: FiniteProblem) -> float:
     """Bound a joint-law substitution by exact transport under the
     observation pseudometric of :func:`s_metric`."""
-    _require_shared_but_eta(p, p_prime)
+    _require_shared(p, p_prime, "loss", "predictors")
     _, value = solve_ot_exact(s_metric(p), p.eta.ravel(), p_prime.eta.ravel())
     return float(value)
 
@@ -247,6 +250,7 @@ def apply_general_noise(
 def _loss_swap_bound(p: FiniteProblem, p_prime: FiniteProblem) -> float:
     """Bound a loss substitution (same joint law and predictors) by the worst
     per-predictor expected loss gap."""
+    _require_shared(p, p_prime, "eta", "predictors")
     gaps = np.abs(p.predictor_loss_stack() - p_prime.predictor_loss_stack())
     return float(np.max(np.einsum("xy,hxy->h", p.eta, gaps)))
 

@@ -22,13 +22,19 @@ import numpy as np
 # a module binding of its own: the perfbench tracer wraps it to time minimax LPs
 from scipy.optimize import linprog
 
+from .corruption import (
+    _loss_swap_bound,
+    _require_shared,
+    predictor_set_bound,
+    w1_eta_bound,
+)
 from .errors import CapacityError, SolverError, ValidationError, require
 from .problems import (
     FiniteProblem,
     WeightedProblem,
+    _count,
     _freeze,
     _mm_space,
-    _seed,
     constrained_bayes_risk,
 )
 from .transport import (
@@ -327,8 +333,8 @@ def risk_distance_exact(
     Argument order is canonicalized internally, making the function exactly
     symmetric.
     """
-    require(cap_pairs >= 0, "cap_pairs", "must be nonnegative")
-    require(cap_support >= 0, "cap_support", "must be nonnegative")
+    cap_pairs = _count(cap_pairs, "cap_pairs")
+    cap_support = _count(cap_support, "cap_support")
     if _canonical_key(p_prime) < _canonical_key(p):
         result = risk_distance_exact(
             p_prime, p, cap_pairs=cap_pairs, cap_support=cap_support,
@@ -449,43 +455,17 @@ def risk_distance_upper_shared(
     the predictor-uniform loss-gap pseudometric on observations.
     ``shared_all_but_H``: only the predictor set differs; Hausdorff distance
     between the predictor sets in L1(eta).
-    """
-    if p.x_labels != p_prime.x_labels or p.y_labels != p_prime.y_labels:
-        raise ValidationError("problems must share label sets", field="mode")
-    if mode == "shared_eta_H":
-        if not np.array_equal(p.eta, p_prime.eta) or not np.array_equal(
-            p.predictors, p_prime.predictors
-        ):
-            raise ValidationError(
-                "mode shared_eta_H requires identical eta and predictors",
-                field="mode",
-            )
-        from .corruption import _loss_swap_bound
 
+    Two problems that do not share what ``mode`` needs are refused naming
+    ``p_prime``.
+    """
+    if mode == "shared_eta_H":
         return _loss_swap_bound(p, p_prime)
     if mode == "shared_all_but_eta":
-        if not np.array_equal(p.loss, p_prime.loss) or not np.array_equal(
-            p.predictors, p_prime.predictors
-        ):
-            raise ValidationError(
-                "mode shared_all_but_eta requires identical loss and predictors",
-                field="mode",
-            )
-        from .corruption import w1_eta_bound
-
         return w1_eta_bound(p, p_prime)
     if mode == "shared_all_but_H":
-        if not np.array_equal(p.eta, p_prime.eta) or not np.array_equal(
-            p.loss, p_prime.loss
-        ):
-            raise ValidationError(
-                "mode shared_all_but_H requires identical eta and loss",
-                field="mode",
-            )
-        from .corruption import predictor_set_bound
-
-        _, bound = predictor_set_bound(p, p_prime.predictors)
-        return bound
+        _require_shared(p, p_prime, "eta", "loss")
+        return predictor_set_bound(p, p_prime.predictors)[1]
     raise ValidationError(f"unknown mode {mode!r}", field="mode")
 
 
@@ -562,12 +542,12 @@ def lp_risk_distance(
     is nonincreasing along iterations.
     """
     require(1 <= p < np.inf, "p", "must lie in [1, inf)")
-    require(restarts >= 0, "restarts", "must be nonnegative")
+    restarts = _count(restarts, "restarts")
     pa, pb = wp.problem, wp_prime.problem
     support = _support(_flat_eta(pa), _flat_eta(pb))
     mu, nu = support.mu, support.nu
     m, n = len(mu), len(nu)
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_count(seed, "seed"))
 
     n_h, n_hp = pa.n_predictors, pb.n_predictors
     flat_pairwise = _pair_costs(pa, pb, support)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityError, require
 from . import distance as _distance
 from .corruption import tv_bound
-from .problems import FiniteProblem, _index_array, _seed
+from .problems import FiniteProblem, _count, _index_array
 
 PRNG_ID = "numpy-PCG64"
 
@@ -54,7 +54,7 @@ def _resample(
     Only the joint law changes: it becomes the average of the n observed
     point masses.
     """
-    require(n >= 1, "n", "must be at least 1")
+    n = _count(n, "n", least=1)
     flat = problem.eta.ravel()
     draws = rng.choice(len(flat), size=n, p=flat)
     counts = np.bincount(draws, minlength=len(flat)).astype(float)
@@ -66,7 +66,7 @@ def sample_empirical(problem: FiniteProblem, n: int, seed: int) -> FiniteProblem
 
     Identical seeds give bit-identical samples.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed)]))
+    rng = np.random.default_rng(np.random.SeedSequence([_count(seed, "seed")]))
     return _resample(problem, n, rng)
 
 
@@ -87,19 +87,15 @@ def convergence_experiment(
     """
     ns = _index_array(ns, "ns")
     require(ns.ndim == 1 and ns.size >= 1, "ns", "must list at least one sample size")
-    require(trials >= 1, "trials", "must be at least 1")
-    seed = _seed(seed)
+    trials = _count(trials, "trials", least=1)
+    seed = _count(seed, "seed")
     ell_max = float(problem.loss.max())
-    support_product = (problem.nx * problem.ny) ** 2
-    pairs = problem.n_predictors**2
-    exact_feasible = pairs <= cap_pairs and support_product <= cap_support
     rows = []
     for n in ns.tolist():
         for trial in range(trials):
             empirical = _resample(problem, n, _sub_seed(seed, n, trial))
             bound = tv_bound(problem, empirical, ell_max)
-            exact = None
-            if exact_feasible:
+            try:
                 exact = _distance.risk_distance_exact(
                     problem,
                     empirical,
@@ -107,6 +103,8 @@ def convergence_experiment(
                     cap_support=cap_support,
                     fallback=False,
                 ).value
+            except CapacityError:
+                exact = None
             rows.append(
                 ExperimentRow(
                     n=n,
@@ -133,9 +131,9 @@ def rademacher_mc(
     takes the best sign-weighted average loss over the predictor list.
     Returns (mean, standard error).
     """
-    require(m >= 1, "m", "must be at least 1")
-    require(num_samples >= 1, "num_samples", "must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed)]))
+    m = _count(m, "m", least=1)
+    num_samples = _count(num_samples, "num_samples", least=1)
+    rng = np.random.default_rng(np.random.SeedSequence([_count(seed, "seed")]))
     flat_losses = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
     flat_eta = problem.eta.ravel()
     draws = rng.choice(len(flat_eta), size=(num_samples, m), p=flat_eta)
@@ -160,7 +158,7 @@ def _exhaustive_rademacher(values: np.ndarray, weights: np.ndarray, m: int) -> f
     (tuple, sign vector) terms, so which inputs are accepted depends on the
     sizes alone.
     """
-    require(m >= 1, "m", "must be at least 1")
+    m = _count(m, "m", least=1)
     atoms = len(weights)
     work = (atoms**m) * (2**m)
     if work > RADEMACHER_CAPACITY:

@@ -24,7 +24,13 @@ from .distance import (
     _pattern_sweep,
     check_correspondence,
 )
-from .problems import FiniteProblem, _index_array, all_risks, constrained_bayes_risk
+from .problems import (
+    FiniteProblem,
+    _count,
+    _index_array,
+    all_risks,
+    constrained_bayes_risk,
+)
 
 CONNECTED_CAP_PAIRS = 9
 
@@ -184,7 +190,7 @@ def connected_risk_distance_exact(
     distance.  If no correspondence is inverse-connected the distance is
     infinite.
     """
-    require(cap_pairs >= 0, "cap_pairs", "must be nonnegative")
+    cap_pairs = _count(cap_pairs, "cap_pairs")
     p, q = pg.problem, pg_prime.problem
     n_pairs = p.n_predictors * q.n_predictors
     if n_pairs > cap_pairs:

@@ -61,13 +61,14 @@ def _index_array(raw, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _seed(seed) -> int:
-    """A PRNG seed as a Python int.  numpy refuses negative and fractional
-    seeds with its own errors and reads ``True`` as 1; these are refused
-    here instead, naming ``seed``."""
-    ok = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    require(ok and seed >= 0, "seed", "must be a nonnegative integer")
-    return int(seed)
+def _count(value, name: str, least: int = 0) -> int:
+    """A count (seed, sample size, trials, restarts, cap) as a Python int of
+    at least ``least``.  ``range`` and numpy refuse fractional counts with
+    a bare TypeError and read ``True`` as 1; every non-integer is refused
+    here instead, naming ``name``."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    require(ok and value >= least, name, f"must be an integer of at least {least}")
+    return int(value)
 
 
 def _float_array(raw, name: str) -> np.ndarray:
@@ -494,6 +495,23 @@ def _check_metric_matrix(d: np.ndarray, field: str = "dist"):
 # Coarsening
 # --------------------------------------------------------------------------
 
+def _coarse_predictors(
+    problem: FiniteProblem, q: Partition
+) -> tuple[np.ndarray, np.ndarray]:
+    """``problem``'s predictors through ``q``'s quotient map, deduplicated in
+    first-seen order, and each predictor's coarse row.  The one check that
+    ``q`` partitions ``problem``'s labels; another label count names ``blocks``."""
+    if q.ny != problem.ny:
+        raise ValidationError(
+            f"partition covers [0, {q.ny}) but the problem has {problem.ny} labels",
+            field="blocks",
+        )
+    coarse = q.block_of()[problem.predictors]
+    _, keep, inverse = np.unique(coarse, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(keep)
+    return coarse[keep[order]], np.argsort(order)[inverse]
+
+
 def coarsen(problem: FiniteProblem, q: Partition) -> FiniteProblem:
     """Collapse the response space to the blocks of ``q``.
 
@@ -501,12 +519,7 @@ def coarsen(problem: FiniteProblem, q: Partition) -> FiniteProblem:
     labels, and predictors are composed with the quotient map (duplicates
     removed: a predictor set carries no multiplicity).
     """
-    if q.ny != problem.ny:
-        raise ValidationError(
-            f"partition covers [0, {q.ny}) but the problem has {problem.ny} labels",
-            field="blocks",
-        )
-    block_of = q.block_of()
+    predictors, _ = _coarse_predictors(problem, q)
     nb = len(q.blocks)
     eta_q = np.zeros((problem.nx, nb))
     for bi, block in enumerate(q.blocks):
@@ -515,9 +528,6 @@ def coarsen(problem: FiniteProblem, q: Partition) -> FiniteProblem:
     for bi, block_i in enumerate(q.blocks):
         for bj, block_j in enumerate(q.blocks):
             loss_q[bi, bj] = problem.loss[np.ix_(list(block_i), list(block_j))].max()
-    coarse = block_of[problem.predictors]
-    _, keep = np.unique(coarse, axis=0, return_index=True)
-    coarse = coarse[np.sort(keep)]
     labels = tuple(
         "{" + ",".join(problem.y_labels[i] for i in block) + "}" for block in q.blocks
     )
@@ -526,20 +536,15 @@ def coarsen(problem: FiniteProblem, q: Partition) -> FiniteProblem:
         y_labels=labels,
         eta=eta_q,
         loss=loss_q,
-        predictors=coarse,
+        predictors=predictors,
     )
 
 
 def coarsen_weighted(wp: WeightedProblem, q: Partition) -> WeightedProblem:
     """Coarsen a weighted problem; weights of predictors that collapse to the
     same coarse predictor are summed."""
-    block_of = q.block_of()
-    coarse = block_of[wp.problem.predictors]
-    _, keep, inverse = np.unique(coarse, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(keep)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    lam_q = np.bincount(rank[inverse], weights=wp.lam, minlength=len(order))
+    predictors, rows = _coarse_predictors(wp.problem, q)
+    lam_q = np.bincount(rows, weights=wp.lam, minlength=len(predictors))
     return WeightedProblem(problem=coarsen(wp.problem, q), lam=lam_q)
 
 
@@ -550,11 +555,7 @@ def coarsening_bound(problem: FiniteProblem, q: Partition) -> float:
     For every ordered block pair the loss is scanned over the product of the
     two blocks; the bound is the largest (max - min) gap found.
     """
-    if q.ny != problem.ny:
-        raise ValidationError(
-            f"partition covers [0, {q.ny}) but the problem has {problem.ny} labels",
-            field="blocks",
-        )
+    _coarse_predictors(problem, q)  # refuses a partition of another label count
     worst = 0.0
     for block_i in q.blocks:
         for block_j in q.blocks:

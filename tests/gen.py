@@ -9,8 +9,11 @@ exhaustive relation enumeration, and coupling optima from grid search.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riskspace import (
     FiniteProblem,
@@ -72,6 +75,39 @@ def random_partition(rng: np.random.Generator, ny: int) -> Partition:
     blocks = [tuple(np.flatnonzero(assignment == b)) for b in range(n_blocks)]
     blocks = [b for b in blocks if b]
     return Partition(blocks=tuple(blocks), ny=ny)
+
+
+# the component each shared-structure mode lets differ between two problems
+SHARED_MODE_CHANGES = {"shared_eta_H": "loss", "shared_all_but_eta": "eta",
+                       "shared_all_but_H": "predictors"}
+
+
+@st.composite
+def shared_pairs(draw, mode: str) -> tuple[FiniteProblem, FiniteProblem]:
+    """Small problem pairs (at most 2x3 grids and 3 predictors each, inside
+    the exact solver's caps) that share everything but the component
+    ``mode`` lets differ.  Joint laws are normalized weights 0-4, so zero
+    cells and ties come up often."""
+    nx, ny = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+
+    def eta():
+        weights = draw(arrays(np.int64, (nx, ny), elements=st.integers(0, 4))
+                       .filter(lambda w: w.sum() > 0))
+        return weights / weights.sum()
+
+    def loss():
+        return draw(arrays(float, (ny, ny), elements=st.floats(0, 2)))
+
+    def predictors():
+        return draw(arrays(np.int64, (draw(st.integers(1, 3)), nx),
+                           elements=st.integers(0, ny - 1)))
+
+    draws = {"eta": eta, "loss": loss, "predictors": predictors}
+    p = FiniteProblem(tuple(f"x{i}" for i in range(nx)),
+                      tuple(f"y{j}" for j in range(ny)),
+                      eta(), loss(), predictors())
+    changed = SHARED_MODE_CHANGES[mode]
+    return p, replace(p, **{changed: draws[changed]()})
 
 
 def random_predictor_graph(rng: np.random.Generator, **kwargs) -> PredictorGraph:

@@ -171,6 +171,16 @@ def test_cli_bound_modes(capsys, paths):
     assert code == 1
 
 
+@pytest.mark.parametrize("mode", ["loss-swap", "eta-w1", "eta-tv", "predictor-swap"])
+def test_cli_bound_mismatch_names_p_prime(capsys, paths, mode):
+    _, write = paths
+    p = random_problem(np.random.default_rng(136), nx=2, ny=2, n_h=2)
+    other = random_problem(np.random.default_rng(137), nx=2, ny=2, n_h=3)
+    argv = ["bound", _problem_file(write, "a.json", p),
+            _problem_file(write, "b.json", other), "--mode", mode, "--ell-max", "9"]
+    assert _validation_field(capsys, argv) == "p_prime"
+
+
 def test_cli_corrupt_ledger(capsys, paths):
     _, write = paths
     eta = np.array([[0.6, 0.2], [0.1, 0.1]])
@@ -523,6 +533,14 @@ _MAPS = {"f1": [0, 1], "f2": [0, 1, 2], "fwd": [0, 1, 2], "bwd": [0, 1, 2]}
     ("verify", dict(_MAPS, f1=[0.9, 1]), "f1[0]"),
     ("verify", dict(_MAPS, bwd=[0, 1, True]), "bwd[2]"),
     ("coarsen", {"blocks": 5}, "blocks"),
+    # a side file must hold an object with its keys
+    ("verify", 5, "maps"),
+    ("verify", "f1f2fwdbwd", "maps"),
+    ("verify", [_MAPS], "maps"),
+    ("verify", {"f1": [0, 1], "f2": [0, 1, 2], "fwd": [0, 1, 2]}, "bwd"),
+    ("reeb", [[0, 1]], "edges"),
+    ("reeb", {"edge": [[0, 1]]}, "edges"),
+    ("coarsen", [[0, 1], [2]], "blocks"),
 ])
 def test_cli_rejects_non_integer_indices(capsys, paths, command, data, field):
     _, write = paths

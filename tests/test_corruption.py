@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import riskspace as rs
-from gen import identity_support_problem, random_problem, random_weighted
+from gen import identity_support_problem, random_problem, random_weighted, shared_pairs
 
 
 # --------------------------------------------------------------------------
@@ -174,6 +175,13 @@ def test_w1_eta_bound_below_tv_bound():
         p = random_problem(rng)
         q = _eta_variant(rng, p)
         assert rs.w1_eta_bound(p, q) <= rs.tv_bound(p, q, float(p.loss.max())) + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=shared_pairs("shared_all_but_eta"))
+def test_w1_eta_bound_below_tv_bound_property(pair):
+    p, q = pair
+    assert rs.w1_eta_bound(p, q) <= rs.tv_bound(p, q, float(p.loss.max())) + 1e-9
 
 
 def test_w1_eta_bound_dominates_exact():

@@ -2,13 +2,16 @@
 the bilinear relaxation, geodesics, and weak-isomorphism witnesses."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 import riskspace as rs
 from gen import (
+    SHARED_MODE_CHANGES,
     assignment_unions_oracle,
     bilinear_vertex_oracle,
     correspondence_minimax_oracle,
@@ -17,6 +20,7 @@ from gen import (
     rademacher_example_problem,
     random_problem,
     random_weighted,
+    shared_pairs,
     transport_vertices,
 )
 
@@ -317,6 +321,42 @@ def test_mode_mismatch_rejected():
         rs.risk_distance_upper_shared(p, q, "shared_all_but_eta")
     with pytest.raises(rs.ValidationError):
         rs.risk_distance_upper_shared(p, q, "no_such_mode")
+
+
+# what each mode requires the two problems to share, besides their labels
+_SHARED = {"shared_eta_H": ("eta", "predictors"),
+           "shared_all_but_eta": ("loss", "predictors"),
+           "shared_all_but_H": ("eta", "loss")}
+_CHANGED = {
+    "y_labels": lambda p: replace(p, y_labels=("a", "b", "z")),
+    "eta": lambda p: replace(p, eta=np.full((2, 3), 1 / 6)),
+    "loss": lambda p: replace(p, loss=p.loss + 1.0),
+    "predictors": lambda p: replace(p, predictors=p.predictors[:1]),
+}
+
+
+@pytest.mark.parametrize("mode, changed", [
+    (mode, changed) for mode, parts in sorted(_SHARED.items())
+    for changed in ("y_labels", *parts)
+])
+def test_upper_shared_mismatch_names_p_prime(mode, changed):
+    p = rs.FiniteProblem(("x0", "x1"), ("a", "b", "c"),
+                         [[0.3, 0.1, 0.1], [0.1, 0.2, 0.2]], 1.0 - np.eye(3),
+                         [[0, 1], [1, 2], [2, 0]])
+    with pytest.raises(rs.ValidationError) as err:
+        rs.risk_distance_upper_shared(p, _CHANGED[changed](p), mode)
+    assert err.value.field == "p_prime"
+
+
+@pytest.mark.parametrize("mode", sorted(SHARED_MODE_CHANGES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lower_exact_upper_sandwich_property(mode, data):
+    p, q = data.draw(shared_pairs(mode))
+    exact = rs.risk_distance_exact(p, q)
+    assert exact.status == "exact"
+    assert rs.risk_distance_lower(p, q) <= exact.value + 1e-9
+    assert exact.value <= rs.risk_distance_upper_shared(p, q, mode) + 1e-9
 
 
 def test_lower_bound_below_exact_and_self_zero():

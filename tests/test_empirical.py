@@ -90,6 +90,52 @@ def test_seeded_calls_take_numpy_integer_seeds(name):
     assert repr(a) == repr(b)
 
 
+def _weighted(p):
+    return rs.WeightedProblem(p, [0.2, 0.3, 0.5])
+
+
+def _graph(p):
+    return rs.PredictorGraph(problem=p, edges=[[0, 1], [1, 2]])
+
+
+# (field, smallest valid count, a valid count, call with the count in that field)
+_COUNTED = {
+    "sample-n": ("n", 1, 5, lambda p, k: rs.sample_empirical(p, k, 0)),
+    "convergence-trials": ("trials", 1, 2, lambda p, k: rs.convergence_experiment(
+        p, [5], trials=k, seed=0)),
+    "mc-m": ("m", 1, 2, lambda p, k: rs.rademacher_mc(p, k, 10, 0)),
+    "mc-num-samples": ("num_samples", 1, 10, lambda p, k: rs.rademacher_mc(p, 1, k, 0)),
+    "exact-m": ("m", 1, 2, lambda p, k: rs.rademacher_exact_small(p, k)),
+    "lp-restarts": ("restarts", 0, 2, lambda p, k: rs.lp_risk_distance(
+        _weighted(p), _weighted(p), restarts=k)),
+    "exact-cap-pairs": ("cap_pairs", 0, 12, lambda p, k: rs.risk_distance_exact(
+        p, p, cap_pairs=k)),
+    "exact-cap-support": ("cap_support", 0, 256, lambda p, k: rs.risk_distance_exact(
+        p, p, cap_support=k)),
+    "connected-cap-pairs": ("cap_pairs", 0, 9, lambda p, k:
+                            rs.connected_risk_distance_exact(_graph(p), _graph(p),
+                                                             cap_pairs=k)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+@pytest.mark.parametrize("bad", ["below", 1.5, True, np.float64(2.0), "3", None])
+def test_counts_refuse_non_integers(name, bad):
+    """A fractional count would reach ``range`` or numpy as a bare TypeError,
+    and ``True`` would pass as 1."""
+    field, least, _, call = _COUNTED[name]
+    with pytest.raises(rs.ValidationError) as err:
+        call(_four_atom_problem(), least - 1 if bad == "below" else bad)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+def test_counts_take_numpy_integers(name):
+    _, _, count, call = _COUNTED[name]
+    p = _four_atom_problem()
+    assert repr(call(p, count)) == repr(call(p, np.int64(count)))
+
+
 # --------------------------------------------------------------------------
 # Convergence experiment
 # --------------------------------------------------------------------------
@@ -153,6 +199,29 @@ def test_convergence_skips_exact_when_caps_too_small():
                                        seed=2, cap_pairs=1)
     for row in report.rows:
         assert row.exact_distance is None
+
+
+# (n, trial, tv_bound, exact_distance) of the four-atom problem at seed 3,
+# frozen when the caps were still tested outside risk_distance_exact
+_FROZEN_ROWS = [
+    (10, 0, 0.10000000000000002, 0.1),
+    (10, 1, 0.19999999999999996, 0.19999999999999998),
+    (50, 0, 0.04000000000000003, 0.020000000000000018),
+    (50, 1, 0.059999999999999984, 0.04000000000000001),
+]
+
+
+@pytest.mark.parametrize("caps, exact", [
+    ({}, True),
+    ({"cap_pairs": 9, "cap_support": 16}, True),  # |H|^2 = 9, (nx*ny)^2 = 16
+    ({"cap_pairs": 8}, False),
+    ({"cap_support": 15}, False),
+])
+def test_convergence_rows_at_the_caps(caps, exact):
+    report = rs.convergence_experiment(_four_atom_problem(), [10, 50], trials=2,
+                                       seed=3, **caps)
+    rows = [(r.n, r.trial, r.tv_bound, r.exact_distance) for r in report.rows]
+    assert rows == [(n, t, tv, d if exact else None) for n, t, tv, d in _FROZEN_ROWS]
 
 
 # --------------------------------------------------------------------------

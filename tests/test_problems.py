@@ -12,7 +12,9 @@ from gen import (
     brute_risk,
     identity_support_problem,
     rademacher_example_problem,
+    random_partition,
     random_problem,
+    random_weighted,
 )
 
 
@@ -396,6 +398,33 @@ def test_coarsen_weighted_pushforward_masses():
     coarse = rs.coarsen_weighted(wp, rs.Partition(blocks=((0, 1), (2,)), ny=3))
     assert coarse.problem.n_predictors == 2
     assert coarse.lam.tolist() == pytest.approx([0.5, 0.5])
+
+
+def test_coarsen_weighted_sums_weights_in_first_seen_order():
+    rng = np.random.default_rng(412)
+    for _ in range(20):
+        wp = random_weighted(rng, n_h=int(rng.integers(1, 6)))
+        q = random_partition(rng, wp.problem.ny)
+        coarse = rs.coarsen_weighted(wp, q)
+        mapped = [tuple(q.block_of()[h]) for h in wp.problem.predictors]
+        seen = list(dict.fromkeys(mapped))
+        assert [tuple(h) for h in coarse.problem.predictors] == seen
+        assert coarse.problem == rs.coarsen(wp.problem, q)
+        sums = [sum(lam for m, lam in zip(mapped, wp.lam) if m == h) for h in seen]
+        assert coarse.lam.tolist() == pytest.approx(sums, abs=1e-15)
+
+
+@pytest.mark.parametrize("ny", [2, 4])
+@pytest.mark.parametrize("call", [
+    rs.coarsen, rs.coarsening_bound,
+    lambda p, q: rs.coarsen_weighted(rs.WeightedProblem(p, [0.5, 0.5]), q),
+], ids=["coarsen", "coarsening_bound", "coarsen_weighted"])
+def test_partition_of_another_label_count_names_blocks(call, ny):
+    p = rs.FiniteProblem(("x0", "x1"), ("a", "b", "c"), np.full((2, 3), 1 / 6),
+                         1.0 - np.eye(3), [[0, 1], [2, 2]])
+    with pytest.raises(rs.ValidationError) as err:
+        call(p, rs.singleton_partition(ny))
+    assert err.value.field == "blocks"
 
 
 def test_invalid_partition_rejected():
