@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# a module binding of its own: the perfbench tracer wraps it to time minimax LPs
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  unused; perfbench's tracer wraps this binding
 
 from .corruption import (
     _loss_swap_bound,
@@ -28,18 +27,18 @@ from .corruption import (
     predictor_set_bound,
     w1_eta_bound,
 )
-from .errors import CapacityError, SolverError, ValidationError, require
+from .errors import CapacityError, ValidationError, require
 from .problems import (
     FiniteProblem,
     WeightedProblem,
     _count,
+    _float_array,
     _freeze,
     _mm_space,
     constrained_bayes_risk,
 )
 from .transport import (
-    _LP_OPTIONS,
-    _marginal_equalities,
+    _coupling_lp,
     _Support,
     _support,
     check_coupling,
@@ -110,17 +109,8 @@ def check_correspondence(r: np.ndarray, name: str = "correspondence") -> np.ndar
 
 
 # --------------------------------------------------------------------------
-# Flattened views and pair costs
+# Pair costs
 # --------------------------------------------------------------------------
-
-def _flat_eta(p: FiniteProblem) -> np.ndarray:
-    return p.eta.ravel()
-
-
-def _coupling_to_product(gamma_flat: np.ndarray, p: FiniteProblem,
-                         q: FiniteProblem) -> np.ndarray:
-    return gamma_flat.reshape(p.nx, p.ny, q.nx, q.ny)
-
 
 def _pair_costs(p: FiniteProblem, q: FiniteProblem,
                 support: _Support | None = None) -> np.ndarray:
@@ -182,7 +172,8 @@ def hausdorff_reduction(costs: np.ndarray) -> tuple[float, np.ndarray]:
     Hausdorff value of the matrix; the maximal witness keeps every pair whose
     cost does not exceed that value.
     """
-    costs = np.asarray(costs, dtype=float)
+    costs = _float_array(costs, "costs")
+    require(np.isfinite(costs), "costs", "must be finite")
     value = hausdorff(costs)
     witness = costs <= value + 1e-12
     return value, check_correspondence(witness, name="witness")
@@ -202,34 +193,12 @@ def _minimax_coupling_lp(
     rows/columns are dropped before the solve and reinserted as zeros.
     """
     support = _support(mu, nu)
-    m, n = len(support.rows), len(support.cols)
-    sub_costs = support.restrict(costs.reshape(-1, *support.shape))
-
-    if m == 1 or n == 1:
-        # Unique coupling: the product measure.
-        plan = np.outer(support.mu, support.nu)
-        value = max(float(np.sum(c * plan)) for c in sub_costs)
-        return value, support.embed(plan).ravel()
-
-    n_gamma = m * n
     k = len(costs)
-    a_ub = np.hstack([sub_costs.reshape(k, n_gamma), np.full((k, 1), -1.0)])
-    a_eq, b_eq = _marginal_equalities(support.mu, support.nu, n_extra=1)
-    objective = np.zeros(n_gamma + 1)
-    objective[n_gamma] = 1.0
-    res = linprog(
-        objective,
-        A_ub=a_ub,
-        b_ub=np.zeros(k),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status != 0:
-        raise SolverError(f"minimax transport LP failed: {res.message}")
-    gamma_flat = support.embed(res.x[:n_gamma].reshape(m, n)).ravel()
+    sub_costs = support.restrict(costs.reshape(k, *support.shape)).reshape(k, -1)
+    objective = np.zeros(sub_costs.shape[1] + 1)
+    objective[-1] = 1.0
+    a_ub = np.hstack([sub_costs, np.full((k, 1), -1.0)])
+    gamma_flat = support.embed(_coupling_lp(support, objective, a_ub)).ravel()
     return max(float(c @ gamma_flat) for c in costs), gamma_flat
 
 
@@ -366,14 +335,14 @@ def risk_distance_exact(
 
     costs = _pair_costs(p, p_prime)
     _, best_gamma, _ = _pattern_sweep(
-        costs, _flat_eta(p), _flat_eta(p_prime),
+        costs, p.eta.ravel(), p_prime.eta.ravel(),
         _assignment_unions(p.n_predictors, p_prime.n_predictors),
     )
     value, witness_r = hausdorff_reduction(_costs_under(costs, best_gamma))
     return DistanceResult(
         value=max(float(value), 0.0),
         status="exact",
-        witness_coupling=_coupling_to_product(best_gamma, p, p_prime),
+        witness_coupling=best_gamma.reshape(p.eta.shape + p_prime.eta.shape),
         witness_correspondence=witness_r,
     )
 
@@ -404,7 +373,7 @@ def _alternating_upper_bound(
     """Alternate between the closed-form correspondence step and the minimax
     coupling LP; a descent heuristic whose result is a certified upper bound."""
     costs = _pair_costs(p, p_prime)
-    mu, nu = _flat_eta(p), _flat_eta(p_prime)
+    mu, nu = p.eta.ravel(), p_prime.eta.ravel()
     pattern_lp = _solved_once(lambda r: _minimax_coupling_lp(costs[r], mu, nu))
     rng = np.random.default_rng(_FALLBACK_SEED)
     inits = [np.outer(mu, nu)]
@@ -435,7 +404,7 @@ def _alternating_upper_bound(
     return DistanceResult(
         value=max(float(value), 0.0),
         status="upper_bound",
-        witness_coupling=_coupling_to_product(gamma_flat, p, p_prime),
+        witness_coupling=gamma_flat.reshape(p.eta.shape + p_prime.eta.shape),
         witness_correspondence=witness,
     )
 
@@ -544,7 +513,7 @@ def lp_risk_distance(
     require(1 <= p < np.inf, "p", "must lie in [1, inf)")
     restarts = _count(restarts, "restarts")
     pa, pb = wp.problem, wp_prime.problem
-    support = _support(_flat_eta(pa), _flat_eta(pb))
+    support = _support(pa.eta.ravel(), pb.eta.ravel())
     mu, nu = support.mu, support.nu
     m, n = len(mu), len(nu)
     rng = np.random.default_rng(_count(seed, "seed"))
@@ -565,9 +534,7 @@ def lp_risk_distance(
     rho_support = np.count_nonzero(wp.lam) * np.count_nonzero(wp_prime.lam)
     if p == 1.0 and max(rho_support, m * n) <= _EXHAUSTIVE_VERTEX_LIMIT:
         rhos = coupling_vertices(wp.lam, wp_prime.lam)
-        # the polytopes coincide for encoded metric measure spaces
-        same = np.array_equal(wp.lam, mu) and np.array_equal(wp_prime.lam, nu)
-        gammas = (rhos if same else coupling_vertices(mu, nu)).reshape(-1, m * n)
+        gammas = coupling_vertices(mu, nu).reshape(-1, m * n)
         values = np.einsum("vij,ijk,wk->vw", rhos, flat_pairwise, gammas)
         v, w = np.unravel_index(np.argmin(values), values.shape)
         best = (values[v, w], gammas[w], rhos[v])
@@ -597,11 +564,11 @@ def lp_risk_distance(
 
     value, gamma_flat, rho = best
     status = "exact" if n_h == 1 and n_hp == 1 else "upper_bound"
-    gamma = support.embed(gamma_flat.reshape(m, n))
     return DistanceResult(
         value=max(float(value), 0.0),
         status=status,
-        witness_coupling=_coupling_to_product(gamma.ravel(), pa, pb),
+        witness_coupling=support.embed(gamma_flat.reshape(m, n)).reshape(
+            pa.eta.shape + pb.eta.shape),
         witness_predictor_coupling=rho,
     )
 

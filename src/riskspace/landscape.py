@@ -17,8 +17,6 @@ import numpy as np
 from .errors import CapacityError, ValidationError, require
 from .distance import (
     DistanceResult,
-    _coupling_to_product,
-    _flat_eta,
     _minimax_coupling_lp,  # noqa: F401  unused; perfbench's tracer wraps this binding
     _pair_costs,
     _pattern_sweep,
@@ -204,7 +202,7 @@ def connected_risk_distance_exact(
     relations = relations.astype(bool).reshape(-1, p.n_predictors, q.n_predictors)
     covering = relations.any(axis=2).all(axis=1) & relations.any(axis=1).all(axis=1)
     value, gamma_flat, r = _pattern_sweep(
-        _pair_costs(p, q), _flat_eta(p), _flat_eta(q), relations[covering],
+        _pair_costs(p, q), p.eta.ravel(), q.eta.ravel(), relations[covering],
         admissible=lambda rel: is_inverse_connected(rel, pg, pg_prime),
     )
     if gamma_flat is None:
@@ -212,7 +210,7 @@ def connected_risk_distance_exact(
     return DistanceResult(
         value=max(float(value), 0.0),
         status="exact",
-        witness_coupling=_coupling_to_product(gamma_flat, p, q),
+        witness_coupling=gamma_flat.reshape(p.eta.shape + q.eta.shape),
         witness_correspondence=r,
     )
 

@@ -252,13 +252,19 @@ class LossProfile:
     masses: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=float)))
-        object.__setattr__(self, "masses", _freeze(np.asarray(self.masses, dtype=float)))
-        if self.values.ndim != 1 or self.values.shape != self.masses.shape:
-            raise ValidationError("profile values/masses must be equal-length vectors")
-        if np.any(np.diff(self.values) <= 0):
-            raise ValidationError("profile values must be strictly increasing")
-        _check_mass(self.masses, "masses")
+        values = _float_array(self.values, "values")
+        masses = _check_mass(self.masses, "masses")
+        if values.ndim != 1:
+            raise ValidationError("profile values must be a vector", field="values")
+        if masses.shape != values.shape:
+            raise ValidationError("profile masses must match the values",
+                                  field="masses")
+        require(np.isfinite(values), "values", "must be finite")
+        if not np.all(np.diff(values) > 0):
+            raise ValidationError("profile values must be strictly increasing",
+                                  field="values")
+        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "masses", _freeze(masses))
 
     def mean(self) -> float:
         return float(self.values @ self.masses)

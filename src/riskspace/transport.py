@@ -38,6 +38,8 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
+_VERTEX_BLOCK = 256  # cell sets per batched tree solve; bounds peak memory
+
 
 def check_distribution(vec: np.ndarray, name: str = "distribution") -> np.ndarray:
     vec = _float_array(vec, name)
@@ -128,6 +130,38 @@ def _support(mu: np.ndarray, nu: np.ndarray) -> _Support:
     return _Support(rows, cols, mu[rows], nu[cols], (len(mu), len(nu)))
 
 
+def _coupling_lp(
+    support: _Support, objective: np.ndarray, a_ub: np.ndarray | None = None
+) -> np.ndarray:
+    """The supported block of a coupling of ``support`` minimizing
+    ``objective``, subject to ``a_ub @ x <= 0`` when ``a_ub`` is given.
+
+    The LP variables are the supported block flattened row-major, followed by
+    as many free extra variables as ``objective`` has further entries.  With
+    one supported row or column the product coupling is the only one, and no
+    LP is solved.  This is the one call site of the LP solver.
+    """
+    m, n = len(support.mu), len(support.nu)
+    if m == 1 or n == 1:
+        return np.outer(support.mu, support.nu)
+    a_eq, b_eq = _marginal_equalities(support.mu, support.nu,
+                                      n_extra=len(objective) - m * n)
+    res = linprog(
+        objective,
+        A_ub=a_ub,
+        b_ub=None if a_ub is None else np.zeros(len(a_ub)),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+    if res.status != 0:
+        kind = "transport" if a_ub is None else "minimax transport"
+        raise SolverError(f"{kind} LP failed: {res.message}")
+    return res.x[: m * n].reshape(m, n)
+
+
 def solve_ot_exact(
     cost: np.ndarray, mu: np.ndarray, nu: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -141,46 +175,29 @@ def solve_ot_exact(
     """
     mu = check_distribution(mu, "mu")
     nu = check_distribution(nu, "nu")
-    cost = np.asarray(cost, dtype=float)
+    cost = _float_array(cost, "cost")
     if cost.shape != (len(mu), len(nu)):
         raise ValidationError(
             f"cost has shape {cost.shape}, expected {(len(mu), len(nu))}", field="cost"
         )
     require(np.isfinite(cost), "cost", "must be finite")
-
     support = _support(mu, nu)
-    m, n = len(support.rows), len(support.cols)
-
-    if m == 1:
-        sub_plan = support.nu[None, :].copy()
-    elif n == 1:
-        sub_plan = support.mu[:, None].copy()
-    else:
-        a_eq, b_eq = _marginal_equalities(support.mu, support.nu)
-        res = linprog(
-            support.restrict(cost).ravel(),
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-            method="highs",
-            options=_LP_OPTIONS,
-        )
-        if res.status != 0:
-            raise SolverError(f"transport LP failed: {res.message}")
-        sub_plan = res.x.reshape(m, n)
-
-    plan = support.embed(sub_plan)
-    value = float(np.sum(plan * cost))
-    return plan, value
+    plan = support.embed(_coupling_lp(support, support.restrict(cost).ravel()))
+    return plan, float(np.sum(plan * cost))
 
 
 def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """All vertices of the transportation polytope of (mu, nu).
 
-    Every vertex is the unique coupling supported on some spanning forest of
-    the bipartite support graph, so enumerating supports of size
-    (m + n - 1) and solving the marginal equations finds them all.  Intended
-    for small supports only (the count grows super-exponentially).
+    Every vertex is the unique coupling supported on some spanning tree of
+    the complete bipartite graph on the supported atoms.  The marginal
+    equations less the last one, restricted to m + n - 1 cells, have
+    determinant 0 or +-1 (the incidence matrix is totally unimodular), and
+    +-1 exactly when the cells form a spanning tree; so the cell sets are
+    taken in ``itertools.combinations`` order, in blocks of
+    ``_VERTEX_BLOCK``, the tree systems of a block solved in one batch, and
+    the nonnegative plans kept at their first occurrence.  Intended for
+    small supports only (the count grows super-exponentially).
 
     Returns an array of shape (n_vertices, len(mu), len(nu)).
     """
@@ -188,29 +205,25 @@ def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     nu = check_distribution(nu, "nu")
     support = _support(mu, nu)
     m, n = len(support.rows), len(support.cols)
-
-    a_full, b_eq = _marginal_equalities(support.mu, support.nu)
-    k = m + n - 1
-    seen: dict[bytes, np.ndarray] = {}
-    for cells in itertools.combinations(range(m * n), k):
-        a = a_full[:, cells]
-        # Marginal equations have rank m+n-1; lstsq picks the tree solution
-        # when the support is a spanning tree and a residual betrays cycles.
-        sol, residual, rank, _ = np.linalg.lstsq(a, b_eq, rcond=None)
-        if rank < k:
-            continue
-        if np.max(np.abs(a @ sol - b_eq)) > 1e-10:
-            continue
-        if np.any(sol < -1e-12):
-            continue
-        plan = np.zeros(m * n)
-        for col, cell in enumerate(cells):
-            plan[cell] = max(sol[col], 0.0)
-        plan = plan.reshape(m, n)
-        key = np.round(plan, 10).tobytes()
-        if key not in seen:
-            seen[key] = plan
-    return support.embed(np.reshape(list(seen.values()), (-1, m, n)))
+    a_eq, b_eq = _marginal_equalities(support.mu, support.nu)
+    cell_columns, b = a_eq[:-1].T, b_eq[:-1]
+    cell_sets = itertools.combinations(range(m * n), m + n - 1)
+    vertices: dict[bytes, np.ndarray] = {}
+    for block in iter(lambda: list(itertools.islice(cell_sets, _VERTEX_BLOCK)), []):
+        cells = np.array(block)
+        systems = np.swapaxes(cell_columns[cells], 1, 2)
+        trees = np.abs(np.linalg.det(systems)) > 0.5
+        cells, systems = cells[trees], systems[trees]
+        # right-hand sides as one-column matrices: numpy 1 and 2 read a
+        # stack of those alike
+        rhs = np.broadcast_to(b[:, None], (len(cells), len(b), 1))
+        sol = np.linalg.solve(systems, rhs)[..., 0]
+        feasible = np.all(sol >= -1e-12, axis=1)
+        plans = np.zeros((int(feasible.sum()), m * n))
+        np.put_along_axis(plans, cells[feasible], np.maximum(sol[feasible], 0.0), axis=1)
+        for key, plan in zip(np.round(plans, 10), plans):
+            vertices.setdefault(key.tobytes(), plan)
+    return support.embed(np.reshape(list(vertices.values()), (-1, m, n)))
 
 
 def random_coupling_vertex(
@@ -271,9 +284,10 @@ def total_variation(mu: np.ndarray, nu: np.ndarray) -> float:
 def hausdorff(dist: np.ndarray) -> float:
     """Hausdorff distance from a rectangular cross-distance matrix: each side
     must reach the other within the returned radius."""
-    dist = np.asarray(dist, dtype=float)
+    dist = _float_array(dist, "dist")
     if dist.ndim != 2 or dist.size == 0:
         raise ValidationError("cross-distance matrix must be nonempty", field="dist")
+    require(np.isfinite(dist), "dist", "must be finite")
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
@@ -316,7 +330,7 @@ def kernel_w1(
     m_kernel = check_markov_kernel(m_kernel, "M")
     n_kernel = check_markov_kernel(n_kernel, "N")
     base_mu = check_distribution(base_mu, "base_mu")
-    ground = np.asarray(ground_metric, dtype=float)
+    ground = _float_array(ground_metric, "ground_metric")
     if m_kernel.shape != n_kernel.shape:
         raise ValidationError("M and N must have the same shape", field="N")
     if m_kernel.shape[0] != len(base_mu):
@@ -329,6 +343,7 @@ def kernel_w1(
             f"ground_metric has shape {ground.shape}, expected {(t, t)}",
             field="ground_metric",
         )
+    require(np.isfinite(ground), "ground_metric", "must be finite")
     total = 0.0
     for i in np.flatnonzero(base_mu > 0):
         _, value = solve_ot_exact(ground, m_kernel[i], n_kernel[i])

@@ -12,7 +12,12 @@ import pytest
 from scipy.optimize import OptimizeResult, linprog
 
 import riskspace as rs
-from gen import enumerate_correspondences, random_problem
+from gen import (
+    enumerate_correspondences,
+    random_predictor_graph,
+    random_problem,
+    random_weighted,
+)
 
 
 def _minimax_lp_from_scratch(cost_vectors, mu, nu):
@@ -63,11 +68,39 @@ def test_lp_failure_raises_solver_error(monkeypatch, module, message):
     rng = np.random.default_rng(141)
     p = random_problem(rng, nx=2, ny=2, n_h=2)
     q = random_problem(rng, nx=2, ny=2, n_h=2)
-    monkeypatch.setattr(getattr(rs, module), "linprog", lambda *args, **kwargs:
-                        OptimizeResult(status=2, message="infeasible", x=None))
+
+    # every LP is solved in transport; the distance case fails only the
+    # minimax LPs (those with inequality rows), so the pair-bound OT LPs solve
+    def failing(*args, **kwargs):
+        if module == "distance" and kwargs.get("A_ub") is None:
+            return linprog(*args, **kwargs)
+        return OptimizeResult(status=2, message="infeasible", x=None)
+
+    monkeypatch.setattr(rs.transport, "linprog", failing)
     with pytest.raises(rs.SolverError, match=message):
         rs.risk_distance_exact(p, q)
     assert issubclass(rs.SolverError, RuntimeError)
+
+
+def test_every_lp_is_solved_in_transport(monkeypatch):
+    # distance keeps a linprog binding only for the benchmark tracer to wrap
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was solved through distance.linprog")
+
+    monkeypatch.setattr(rs.distance, "linprog", refuse)
+    rng = np.random.default_rng(142)
+    p = random_problem(rng, nx=2, ny=2, n_h=2)
+    q = random_problem(rng, nx=2, ny=2, n_h=2)
+    assert rs.risk_distance_exact(p, q).status == "exact"
+    assert rs.risk_distance_exact(p, q, cap_pairs=1).status == "upper_bound"
+    rs.lp_risk_distance(random_weighted(rng, n_h=2), random_weighted(rng, n_h=3),
+                        p=2.0)
+    points = rng.random((4, 2))
+    dist = np.abs(points[:, None] - points[None, :]).sum(axis=2)
+    mu = np.full(4, 0.25)
+    rs.bilinear_gw(dist, mu, dist[::-1, ::-1], mu)
+    rs.connected_risk_distance_exact(random_predictor_graph(rng, n_h=2),
+                                     random_predictor_graph(rng, n_h=2))
 
 
 def test_exact_matches_full_correspondence_enumeration():

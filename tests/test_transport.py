@@ -1,5 +1,7 @@
 """Exact transport, 1-D Wasserstein, total variation, Hausdorff, kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,13 +113,52 @@ def test_random_vertex_is_feasible_and_sparse():
         assert np.count_nonzero(vertex) <= m + n - 1
 
 
+def _vertex_marginal_pairs(rng):
+    """Random, zero-mass and equal-mass marginals on small grids; equal
+    masses make several spanning trees give one vertex."""
+    for m, n in [(1, 3), (3, 1), (2, 2), (2, 4), (4, 2), (3, 3)]:
+        yield _random_distribution(rng, m), _random_distribution(rng, n)
+        yield (np.insert(_random_distribution(rng, m), 0, 0.0),
+               np.append(_random_distribution(rng, n), 0.0))
+        yield np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        yield np.insert(np.full(m, 1.0 / m), 1, 0.0), _random_distribution(rng, n)
+
+
 def test_library_vertices_agree_with_oracle():
+    # same vertices in the same order: the order is the start order of the
+    # weighted distance's restarts and breaks its vertex-pair ties
     rng = np.random.default_rng(13)
-    mu = _random_distribution(rng, 3)
-    nu = _random_distribution(rng, 3)
-    lib = {np.round(v, 9).tobytes() for v in rs.coupling_vertices(mu, nu)}
-    oracle = {np.round(v, 9).tobytes() for v in transport_vertices(mu, nu)}
-    assert lib == oracle
+    for mu, nu in _vertex_marginal_pairs(rng):
+        lib = rs.coupling_vertices(mu, nu)
+        oracle = np.array(transport_vertices(mu, nu))
+        assert lib.shape == oracle.shape
+        assert np.max(np.abs(lib - oracle)) <= 1e-12
+
+
+def test_vertices_attain_the_ot_minimum():
+    rng = np.random.default_rng(15)
+    for mu, nu in _vertex_marginal_pairs(rng):
+        for _ in range(3):
+            cost = rng.random((len(mu), len(nu)))
+            by_vertices = min(float(np.sum(v * cost))
+                              for v in rs.coupling_vertices(mu, nu))
+            _, value = rs.solve_ot_exact(cost, mu, nu)
+            assert by_vertices == pytest.approx(value, abs=1e-9)
+
+
+def test_vertex_enumeration_memory_is_blocked():
+    # a 4x4 polytope has 11440 cell sets of size 7; solving them all in one
+    # batch peaks near 8 MB, the blocked enumeration well under 1 MB
+    mu = np.array([0.1, 0.2, 0.3, 0.4])
+    rs.coupling_vertices(mu, mu)
+    tracemalloc.start()
+    try:
+        vertices = rs.coupling_vertices(mu, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(vertices) > 0
+    assert peak < 1_000_000
 
 
 # --------------------------------------------------------------------------
@@ -333,3 +374,36 @@ def test_kernel_w1_bounded_by_worst_row():
 def test_kernel_w1_shape_mismatch():
     with pytest.raises(rs.ValidationError):
         rs.kernel_w1(np.eye(2), np.eye(3), np.array([0.5, 0.5]), np.eye(2))
+
+
+# --------------------------------------------------------------------------
+# Refused numeric inputs name their field
+# --------------------------------------------------------------------------
+
+_HALF = np.array([0.5, 0.5])
+_EYE_KERNEL = np.eye(2)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: rs.solve_ot_exact([["a", "b"], ["c", "d"]], _HALF, _HALF), "cost"),
+    (lambda: rs.solve_ot_exact([[0.0, 1.0], [1.0]], _HALF, _HALF), "cost"),
+    (lambda: rs.hausdorff([["a"]]), "dist"),
+    (lambda: rs.hausdorff([[np.nan, 1.0]]), "dist[0][0]"),
+    (lambda: rs.hausdorff_reduction([["a"]]), "costs"),
+    (lambda: rs.kernel_w1(_EYE_KERNEL, _EYE_KERNEL, _HALF, [["a", "b"], ["c", "d"]]),
+     "ground_metric"),
+    (lambda: rs.kernel_w1(_EYE_KERNEL, _EYE_KERNEL, _HALF, [[0.0, np.nan], [1.0, 0.0]]),
+     "ground_metric[0][1]"),
+    (lambda: LossProfile(values=["a"], masses=[1.0]), "values"),
+    (lambda: LossProfile(values=[[0.0, 1.0]], masses=[[0.5, 0.5]]), "values"),
+    (lambda: LossProfile(values=[0.0, 1.0], masses=[1.0]), "masses"),
+    (lambda: LossProfile(values=[1.0, 0.0], masses=[0.5, 0.5]), "values"),
+    (lambda: LossProfile(values=[0.0, np.nan], masses=[0.5, 0.5]), "values[1]"),
+], ids=["ot-string-cost", "ot-ragged-cost", "hausdorff-string", "hausdorff-nan",
+        "reduction-string", "kernel-string-ground", "kernel-nan-ground",
+        "profile-string-values", "profile-matrix-values", "profile-length",
+        "profile-order", "profile-nan-values"])
+def test_numeric_input_refused_naming_field(call, field):
+    with pytest.raises(rs.ValidationError) as err:
+        call()
+    assert err.value.field == field
