@@ -54,17 +54,8 @@ def _load_json(path: str):
 
 def _load_object(path: str, name: str, *keys: str) -> dict:
     """The JSON object in the ``name`` file ``path``, holding every key of
-    ``keys``.  Anything else is refused naming ``name``, or the first
-    missing key."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{name} file {path} must hold a JSON object",
-                              field=name)
-    for key in keys:
-        if key not in data:
-            raise ValidationError(f"{name} file {path} lacks key {key!r}",
-                                  field=key)
-    return data
+    ``keys`` (see :func:`serialize._json_object`)."""
+    return serialize._json_object(_load_json(path), name, keys, f"{name} file {path}")
 
 
 def _build_parser() -> _Parser:

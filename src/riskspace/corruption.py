@@ -11,7 +11,6 @@ stages yields a ledger of per-stage and cumulative certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Real
 
 import numpy as np
 
@@ -21,6 +20,8 @@ from .problems import (
     FiniteProblem,
     WeightedProblem,
     _float_array,
+    _mask,
+    _real,
     cross_predictor_pseudometric,
 )
 from .transport import (
@@ -44,11 +45,7 @@ def apply_bias_density(
     The certificate is half the eta-expected |1 - f|, i.e. the total
     variation between the original and reweighted laws.
     """
-    f = _float_array(f, "f")
-    if f.shape != problem.eta.shape:
-        raise ValidationError(
-            f"f has shape {f.shape}, expected {problem.eta.shape}", field="f"
-        )
+    f = _float_array(f, "f", problem.eta.shape)
     require(np.isfinite(f) & (f >= 0), "f", "must be a finite nonnegative density")
     total = float(np.sum(f * problem.eta))
     if abs(total - 1.0) > METRIC_TOL:
@@ -68,14 +65,7 @@ def restrict(
 
     The certificate is the mass of the discarded region.
     """
-    a_mask = _float_array(a_mask, "A")
-    if a_mask.shape != problem.eta.shape:
-        raise ValidationError(
-            f"A has shape {a_mask.shape}, expected {problem.eta.shape}", field="A"
-        )
-    # a cast would read 0.5 or NaN as true
-    require((a_mask == 0) | (a_mask == 1), "A", "must be true, false, 0 or 1")
-    a_mask = a_mask.astype(bool)
+    a_mask = _mask(a_mask, "A", problem.eta.shape)
     mass = float(problem.eta[a_mask].sum())
     require(mass > 0, "A", "must have positive mass")
     restricted = replace(problem, eta=np.where(a_mask, problem.eta, 0.0) / mass)
@@ -105,9 +95,10 @@ def _require_shared(p: FiniteProblem, p_prime: FiniteProblem, *parts: str):
 def tv_bound(p: FiniteProblem, p_prime: FiniteProblem, ell_max: float) -> float:
     """Bound a joint-law substitution by loss range times total variation."""
     _require_shared(p, p_prime, "loss", "predictors")
+    ell_max = _real(ell_max, "ell_max")
     require(float(p.loss.max()) <= ell_max < np.inf, "ell_max",
             f"must be finite and at least the largest loss {float(p.loss.max())}")
-    return float(ell_max) * total_variation(p.eta.ravel(), p_prime.eta.ravel())
+    return ell_max * total_variation(p.eta.ravel(), p_prime.eta.ravel())
 
 
 def s_metric(problem: FiniteProblem) -> np.ndarray:
@@ -124,7 +115,9 @@ def s_metric(problem: FiniteProblem) -> np.ndarray:
 def s_metric_weighted(wp: WeightedProblem, p: float) -> np.ndarray:
     """Weighted analog of :func:`s_metric`: the lambda-L^p norm of the
     per-predictor loss gaps."""
-    require(p >= 1, "p", "must be at least 1")
+    p = _real(p, "p")
+    # at p = inf the formula below puts 0 ** 0 = 1 on the diagonal
+    require(1 <= p < np.inf, "p", "must lie in [1, inf)")
     flat = wp.problem.predictor_loss_stack().reshape(wp.problem.n_predictors, -1)
     gaps = np.abs(flat[:, :, None] - flat[:, None, :])
     return np.einsum("h,hij->ij", wp.lam, gaps**p) ** (1.0 / p)
@@ -155,12 +148,7 @@ def no_noise_kernel(problem: FiniteProblem) -> np.ndarray:
 def _label_kernel(problem: FiniteProblem, n_kernel: np.ndarray) -> np.ndarray:
     """``n_kernel`` checked as a label-noise kernel of ``problem``."""
     n_kernel = check_markov_kernel(n_kernel, "kernel")
-    expected = (problem.nx * problem.ny, problem.ny)
-    if n_kernel.shape != expected:
-        raise ValidationError(
-            f"kernel has shape {n_kernel.shape}, expected {expected}", field="kernel"
-        )
-    return n_kernel
+    return _float_array(n_kernel, "kernel", (problem.nx * problem.ny, problem.ny))
 
 
 def apply_label_noise(problem: FiniteProblem, n_kernel: np.ndarray) -> FiniteProblem:
@@ -191,13 +179,9 @@ def noise_bound_metric(
     returning a meaningless number), then charges C times the average
     transport cost from the no-noise kernel to ``n_kernel``.
     """
+    lipschitz_c = _real(lipschitz_c, "lipschitz_c")
     require(0 <= lipschitz_c < np.inf, "lipschitz_c", "must be finite and nonnegative")
-    d_y = _float_array(d_y, "d_y")
-    if d_y.shape != (problem.ny, problem.ny):
-        raise ValidationError(
-            f"d_y has shape {d_y.shape}, expected {(problem.ny, problem.ny)}",
-            field="d_y",
-        )
+    d_y = _float_array(d_y, "d_y", (problem.ny, problem.ny))
     require(np.isfinite(d_y), "d_y", "must be finite")
     gaps = np.abs(problem.loss[:, :, None] - problem.loss[:, None, :])
     allowed = lipschitz_c * d_y[None, :, :]
@@ -211,7 +195,7 @@ def noise_bound_metric(
             field="lipschitz_c",
         )
     n_kernel = _label_kernel(problem, n_kernel)
-    return float(lipschitz_c) * kernel_w1(
+    return lipschitz_c * kernel_w1(
         n_kernel, no_noise_kernel(problem), problem.eta.ravel(), d_y
     )
 
@@ -231,11 +215,7 @@ def apply_general_noise(
     """
     problem = wp.problem
     n = problem.nx * problem.ny
-    n_kernel = check_markov_kernel(n_kernel, "kernel")
-    if n_kernel.shape != (n, n):
-        raise ValidationError(
-            f"kernel has shape {n_kernel.shape}, expected {(n, n)}", field="kernel"
-        )
+    n_kernel = _float_array(check_markov_kernel(n_kernel, "kernel"), "kernel", (n, n))
     new_eta = (problem.eta.ravel() @ n_kernel).reshape(problem.nx, problem.ny)
     noised = replace(wp, problem=replace(problem, eta=new_eta))
     ground = s_metric_weighted(wp, p)
@@ -268,15 +248,6 @@ def predictor_set_bound(
 # --------------------------------------------------------------------------
 # Pipelines
 # --------------------------------------------------------------------------
-
-def _number(params: dict, key: str, default: float) -> float:
-    """A scalar stage parameter; a cast would read JSON true as 1 and raise
-    on a string."""
-    value = params.get(key, default)
-    require(isinstance(value, Real) and not isinstance(value, bool), key,
-            "must be a number")
-    return float(value)
-
 
 @dataclass(frozen=True)
 class StageRecord:
@@ -313,8 +284,8 @@ def run_pipeline(
             elif kind == "label_noise":
                 noised = apply_label_noise(current, params["kernel"])
                 d_y = params.get("d_y", (current.loss > 0).astype(float))
-                lipschitz_c = _number(params, "lipschitz_c", 1.0)
-                bound = noise_bound_metric(current, params["kernel"], d_y, lipschitz_c)
+                bound = noise_bound_metric(current, params["kernel"], d_y,
+                                           params.get("lipschitz_c", 1.0))
                 current = noised
             elif kind == "general_noise":
                 if lam is None:
@@ -325,7 +296,7 @@ def run_pipeline(
                 wp, bound = apply_general_noise(
                     WeightedProblem(problem=current, lam=lam),
                     params["kernel"],
-                    p=_number(params, "p", 1.0),
+                    p=_real(params.get("p", 1.0), "p"),
                 )
                 current = wp.problem
             elif kind == "loss_swap":

@@ -34,7 +34,9 @@ from .problems import (
     _count,
     _float_array,
     _freeze,
+    _mask,
     _mm_space,
+    _real,
     constrained_bayes_risk,
 )
 from .transport import (
@@ -88,17 +90,16 @@ class DistanceResult:
             raise ValidationError(f"unknown status {self.status!r}",
                                   field="status")
         require(self.value >= 0, "value", "must be a nonnegative number")
-        for name in ("witness_coupling", "witness_correspondence",
-                     "witness_predictor_coupling"):
+        for name, convert in (("witness_coupling", _float_array),
+                              ("witness_correspondence", _mask),
+                              ("witness_predictor_coupling", _float_array)):
             arr = getattr(self, name)
             if arr is not None:
-                object.__setattr__(self, name, _freeze(arr))
+                object.__setattr__(self, name, _freeze(convert(arr, name)))
 
 
 def check_correspondence(r: np.ndarray, name: str = "correspondence") -> np.ndarray:
-    r = np.asarray(r, dtype=bool)
-    if r.ndim != 2:
-        raise ValidationError(f"{name} must be a boolean matrix", field=name)
+    r = _mask(r, name, (None, None))
     require(r.any(axis=1), name, "must cover some column")
     if not np.all(r.any(axis=0)):
         (hp,) = np.argwhere(~r.any(axis=0))[0]
@@ -154,13 +155,8 @@ def risk_distortion(
     gamma: np.ndarray,
 ) -> float:
     """Worst expected loss gap over the correspondence, under the coupling."""
-    r = check_correspondence(r)
-    if r.shape != (p.n_predictors, p_prime.n_predictors):
-        raise ValidationError(
-            f"correspondence has shape {r.shape}, expected"
-            f" {(p.n_predictors, p_prime.n_predictors)}",
-            field="correspondence",
-        )
+    shape = (p.n_predictors, p_prime.n_predictors)
+    r = check_correspondence(_mask(r, "correspondence", shape))
     costs = pair_cost_matrix(p, p_prime, gamma)
     return float(costs[r].max())
 
@@ -458,6 +454,7 @@ def lp_risk_distortion(
 ) -> float:
     """L^p average (or supported supremum, for p = inf) of the pair costs
     under a predictor coupling and an observation coupling."""
+    p = _real(p, "p")
     require(p >= 1, "p", "must be at least 1")
     rho = check_coupling(rho, wp.lam, wp_prime.lam, name="rho")
     pair_costs = pair_cost_matrix(wp.problem, wp_prime.problem, gamma)
@@ -510,6 +507,7 @@ def lp_risk_distance(
     singleton predictor sets, else ``upper_bound``.  For p = 1 the objective
     is nonincreasing along iterations.
     """
+    p = _real(p, "p")
     require(1 <= p < np.inf, "p", "must lie in [1, inf)")
     restarts = _count(restarts, "restarts")
     pa, pb = wp.problem, wp_prime.problem
@@ -621,6 +619,7 @@ def geodesic_problem(
     correspondence pairs as product predictors.  Endpoints are at distance
     zero from the originals, and the family is a geodesic.
     """
+    t = _real(t, "t")
     require(0.0 <= t <= 1.0, "t", "must lie in [0, 1]")
     if witness.status != "exact":
         raise ValidationError(
@@ -631,11 +630,7 @@ def geodesic_problem(
     gamma = witness.witness_coupling
     r = check_correspondence(witness.witness_correspondence)
     check_coupling(gamma, p0.eta, p1.eta, name="witness coupling")
-    if r.shape != (p0.n_predictors, p1.n_predictors):
-        raise ValidationError(
-            "witness correspondence shape does not match the predictor sets",
-            field="witness",
-        )
+    _mask(r, "witness", (p0.n_predictors, p1.n_predictors))
 
     x_labels = tuple(
         f"{a}|{b}" for a in p0.x_labels for b in p1.x_labels

@@ -85,8 +85,8 @@ def convergence_experiment(
     Trials are independent; each derives its own sub-seed from
     (seed, n, trial).
     """
-    ns = _index_array(ns, "ns")
-    require(ns.ndim == 1 and ns.size >= 1, "ns", "must list at least one sample size")
+    ns = _index_array(ns, "ns", (None,))
+    require(ns.size >= 1, "ns", "must list at least one sample size")
     trials = _count(trials, "trials", least=1)
     seed = _count(seed, "seed")
     ell_max = float(problem.loss.max())

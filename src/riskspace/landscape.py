@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, require
+from .errors import CapacityError, require
 from .distance import (
     DistanceResult,
     _minimax_coupling_lp,  # noqa: F401  unused; perfbench's tracer wraps this binding
@@ -26,6 +26,8 @@ from .problems import (
     FiniteProblem,
     _count,
     _index_array,
+    _mask,
+    _real,
     all_risks,
     constrained_bayes_risk,
 )
@@ -43,10 +45,9 @@ class PredictorGraph:
     def __post_init__(self):
         n = self.problem.n_predictors
         edges = _index_array(self.edges, "edges")
-        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
-            raise ValidationError("edges must be a list of vertex pairs",
-                                  field="edges")
-        edges = edges.reshape(-1, 2)
+        # no edges at all is a graph too, whatever the empty list's shape
+        edges = _index_array(edges.reshape(-1, 2) if edges.size == 0 else edges,
+                             "edges", (None, 2))
         require((edges >= 0) & (edges < n), "edges", f"must lie in [0, {n})")
         require(edges[:, 0] != edges[:, 1], "edges", "must not be a self-loop")
         norm = {(min(a, b), max(a, b)) for a, b in edges.tolist()}
@@ -125,6 +126,7 @@ def reeb_graph(pg: PredictorGraph, height_tol: float = 0.0) -> ReebGraph:
     whose gap is at most the tolerance (discretized landscapes rarely collide
     exactly).  The minimum node height equals the problem's optimal risk.
     """
+    height_tol = _real(height_tol, "height_tol")
     require(0 <= height_tol < np.inf, "height_tol", "must be finite and nonnegative")
     heights = risk_landscape(pg)
     n = len(heights)
@@ -159,7 +161,8 @@ def is_inverse_connected(
     connected sets (induction along a spanning tree; see
     docs/algorithms.md).
     """
-    r = check_correspondence(r)
+    shape = (left.problem.n_predictors, right.problem.n_predictors)
+    r = check_correspondence(_mask(r, "correspondence", shape))
     pairs = np.argwhere(r).tolist()
     adj_left, adj_right = left.adjacency().tolist(), right.adjacency().tolist()
     adj = [[(h == h2 or adj_left[h][h2]) and (g == g2 or adj_right[g][g2])

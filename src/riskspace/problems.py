@@ -38,27 +38,76 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 _is_bool = np.vectorize(lambda v: isinstance(v, (bool, np.bool_)), otypes=[bool])
 
 
-def _index_array(raw, name: str) -> np.ndarray:
-    """Indices (labels, inputs, predictors, vertices) as an int64 array of
-    the shape ``raw`` has, which the caller checks.
+# The checked conversions below are the one place where outside input
+# becomes an array or a scalar.  Each takes the expected ``shape``, with
+# ``None`` for an axis of any length.  Called again on an array it already
+# converted, a conversion only checks the shape: a caller that checks
+# another input first does so to keep which field a faulty call names.
 
-    A cast would truncate 0.7 to 0 and read ``True`` as 1, so boolean and
-    non-integral entries are refused instead, naming the entry.
-    """
+def _shaped(arr: np.ndarray, name: str, shape) -> np.ndarray:
+    if shape is not None and (
+        arr.ndim != len(shape)
+        or any(e is not None and e != s for s, e in zip(arr.shape, shape))
+    ):
+        expected = str(tuple(shape)).replace("None", "any")
+        raise ValidationError(f"{name} has shape {arr.shape}, expected {expected}",
+                              field=name)
+    return arr
+
+
+def _numeric(raw, name: str) -> np.ndarray:
     try:
         arr = np.asarray(raw)
     except ValueError:
         raise ValidationError(
-            f"{name} must be a rectangular array of indices", field=name
+            f"{name} must be a rectangular numeric array", field=name
         ) from None
     if arr.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} must hold integer indices", field=name)
-    # scanned entry by entry: numpy turns [0, True] into int64 without a trace
-    ok = ~_is_bool(np.asarray(raw, dtype=object))
+        raise ValidationError(f"{name} must hold numbers", field=name)
+    return arr
+
+
+def _index_array(raw, name: str, shape=None) -> np.ndarray:
+    """Indices (labels, inputs, predictors, vertices) as an int64 array.
+
+    A cast would truncate 0.7 to 0 and read ``True`` as 1, so boolean and
+    non-integral entries are refused instead, naming the entry.
+    """
+    arr = _numeric(raw, name)
+    if isinstance(raw, np.ndarray):  # its dtype shows whether it holds booleans
+        ok = np.full(arr.shape, arr.dtype.kind != "b")
+    else:  # scanned entry by entry: numpy turns [0, True] into int64 without a trace
+        ok = ~_is_bool(np.asarray(raw, dtype=object))
     if arr.dtype.kind == "f":
         ok &= np.isfinite(arr) & (arr == np.trunc(arr))
     require(ok, name, "must be an integer index")
-    return arr.astype(np.int64, copy=False)
+    return _shaped(arr.astype(np.int64, copy=False), name, shape)
+
+
+def _float_array(raw, name: str, shape=None) -> np.ndarray:
+    """Numbers (masses, losses, densities, costs) as a float array; a ragged
+    or non-numeric ``raw`` is refused where a cast would raise or parse
+    strings."""
+    return _shaped(_numeric(raw, name).astype(float, copy=False), name, shape)
+
+
+def _mask(raw, name: str, shape=None) -> np.ndarray:
+    """A 0/1 relation (a region, a correspondence) as a boolean array.  A
+    cast would read 0.5, NaN or a string as true, so only booleans, 0 and 1
+    are accepted."""
+    arr = _shaped(_numeric(raw, name), name, shape)
+    if arr.dtype != bool:
+        require((arr == 0) | (arr == 1), name, "must be true, false, 0 or 1")
+    return arr.astype(bool, copy=False)
+
+
+def _real(value, name: str) -> float:
+    """A real scalar parameter (exponent, tolerance, loss bound) as a float,
+    for the caller's range check.  A comparison would raise a bare TypeError
+    on a string and a cast reads ``True`` as 1, so both are refused here."""
+    require(isinstance(value, Real) and not isinstance(value, bool), name,
+            "must be a real number")
+    return float(value)
 
 
 def _count(value, name: str, least: int = 0) -> int:
@@ -71,26 +120,11 @@ def _count(value, name: str, least: int = 0) -> int:
     return int(value)
 
 
-def _float_array(raw, name: str) -> np.ndarray:
-    """Numbers (masses, losses, densities, costs) as a float array of the
-    shape ``raw`` has, which the caller checks; a ragged or non-numeric
-    ``raw`` is refused where a cast would raise or parse strings."""
-    try:
-        arr = np.asarray(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{name} must be a rectangular numeric array", field=name
-        ) from None
-    if arr.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} must hold numbers", field=name)
-    return arr.astype(float, copy=False)
-
-
-def _check_mass(a, name: str) -> np.ndarray:
+def _check_mass(a, name: str, shape=None) -> np.ndarray:
     """``a`` as a float probability mass: finite nonnegative entries summing
     to 1 within ``PROB_TOL``.  The one check of joint laws, predictor
     weightings, loss profiles and transport marginals."""
-    a = _float_array(a, name)
+    a = _float_array(a, name, shape)
     require(np.isfinite(a) & (a >= 0), name, "must be a finite nonnegative mass")
     total = float(a.sum())
     if abs(total - 1.0) > PROB_TOL:
@@ -152,28 +186,13 @@ class FiniteProblem:
             raise ValidationError("x_labels contain duplicates", field="x_labels")
         if len(set(self.y_labels)) != ny:
             raise ValidationError("y_labels contain duplicates", field="y_labels")
-        if self.eta.shape != (nx, ny):
-            raise ValidationError(
-                f"eta has shape {self.eta.shape}, expected {(nx, ny)}", field="eta"
-            )
-        _check_mass(self.eta, "eta")
-        if self.loss.shape != (ny, ny):
-            raise ValidationError(
-                f"loss has shape {self.loss.shape}, expected {(ny, ny)}", field="loss"
-            )
-        require(np.isfinite(self.loss) & (self.loss >= 0), "loss",
+        _check_mass(self.eta, "eta", (nx, ny))
+        loss = _float_array(self.loss, "loss", (ny, ny))
+        require(np.isfinite(loss) & (loss >= 0), "loss",
                 "must be finite and nonnegative")
-        if self.predictors.ndim != 2 or self.predictors.shape[0] < 1:
-            raise ValidationError(
-                "predictors must be a nonempty list of index vectors",
-                field="predictors",
-            )
-        if self.predictors.shape[1] != nx:
-            raise ValidationError(
-                f"predictors have length {self.predictors.shape[1]}, expected {nx}",
-                field="predictors",
-            )
-        require((self.predictors >= 0) & (self.predictors < ny), "predictors",
+        predictors = _index_array(self.predictors, "predictors", (None, nx))
+        require(len(predictors) > 0, "predictors", "must list at least one predictor")
+        require((predictors >= 0) & (predictors < ny), "predictors",
                 f"must lie in [0, {ny})")
         # Finite risk is automatic for finite matrices; assert anyway.
         assert np.all(np.isfinite(self.loss[self.predictors]))
@@ -201,10 +220,7 @@ class FiniteProblem:
         return self.loss[self.predictors, :]
 
     def _check_h(self, h_index: int) -> int:
-        h = _index_array(h_index, "h_index")
-        if h.ndim != 0:
-            raise ValidationError("h_index must be one predictor index",
-                                  field="h_index")
+        h = _index_array(h_index, "h_index", ())
         require((h >= 0) & (h < self.n_predictors), "h_index",
                 f"must lie in [0, {self.n_predictors})")
         return int(h)
@@ -229,14 +245,8 @@ class WeightedProblem:
     lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _freeze(_float_array(self.lam, "lambda")))
-        if self.lam.shape != (self.problem.n_predictors,):
-            raise ValidationError(
-                f"lambda has length {self.lam.shape}, expected"
-                f" ({self.problem.n_predictors},)",
-                field="lambda",
-            )
-        _check_mass(self.lam, "lambda")
+        lam = _check_mass(self.lam, "lambda", (self.problem.n_predictors,))
+        object.__setattr__(self, "lam", _freeze(lam))
 
     def __eq__(self, other):
         if not isinstance(other, WeightedProblem):
@@ -254,11 +264,8 @@ class LossProfile:
     def __post_init__(self):
         values = _float_array(self.values, "values")
         masses = _check_mass(self.masses, "masses")
-        if values.ndim != 1:
-            raise ValidationError("profile values must be a vector", field="values")
-        if masses.shape != values.shape:
-            raise ValidationError("profile masses must match the values",
-                                  field="masses")
+        values = _float_array(values, "values", (None,))
+        masses = _float_array(masses, "masses", values.shape)
         require(np.isfinite(values), "values", "must be finite")
         if not np.all(np.diff(values) > 0):
             raise ValidationError("profile values must be strictly increasing",
@@ -291,15 +298,14 @@ class Partition:
         if not isinstance(self.blocks, Iterable):
             raise ValidationError("blocks must be a list of index lists",
                                   field="blocks")
+        ny = _count(self.ny, "ny")
         blocks = []
         seen: set[int] = set()
         for bi, raw in enumerate(self.blocks):
-            block = _index_array(raw, f"blocks[{bi}]")
-            if block.ndim != 1 or block.size == 0:
-                raise ValidationError(f"blocks[{bi}] must be a nonempty list",
-                                      field=f"blocks[{bi}]")
-            require((block >= 0) & (block < self.ny), f"blocks[{bi}]",
-                    f"must lie in [0, {self.ny})")
+            block = _index_array(raw, f"blocks[{bi}]", (None,))
+            require(block.size > 0, f"blocks[{bi}]", "must be nonempty")
+            require((block >= 0) & (block < ny), f"blocks[{bi}]",
+                    f"must lie in [0, {ny})")
             blocks.append(tuple(block.tolist()))
             for i in blocks[-1]:
                 if i in seen:
@@ -309,8 +315,8 @@ class Partition:
                     )
                 seen.add(i)
         object.__setattr__(self, "blocks", tuple(blocks))
-        if len(seen) != self.ny:
-            missing = sorted(set(range(self.ny)) - seen)
+        if len(seen) != ny:
+            missing = sorted(set(range(ny)) - seen)
             raise ValidationError(
                 f"blocks do not cover indices {missing}", field="blocks"
             )
@@ -416,12 +422,13 @@ def cross_predictor_pseudometric(
 
 def one_point_problem(c: float) -> FiniteProblem:
     """The problem with a single point, constant loss ``c``, and one predictor."""
+    c = _real(c, "c")
     require(0 <= c < np.inf, "c", "must be a finite nonnegative loss")
     return FiniteProblem(
         x_labels=("*",),
         y_labels=("*",),
         eta=np.array([[1.0]]),
-        loss=np.array([[float(c)]]),
+        loss=np.array([[c]]),
         predictors=np.array([[0]]),
     )
 
@@ -433,15 +440,9 @@ def _mm_space(points, dist, mu, dist_name: str = "dist",
     The number of points is the length of ``mu``; ``points=None`` labels
     the points by their indices."""
     labels = None if points is None else _label_tuple(points, "points")
-    mu = _float_array(mu, mu_name)
-    if mu.ndim != 1:
-        raise ValidationError(f"{mu_name} must be a vector", field=mu_name)
+    mu = _float_array(mu, mu_name, (None,))
     n = len(mu)
-    dist = _float_array(dist, dist_name)
-    if dist.shape != (n, n):
-        raise ValidationError(
-            f"{dist_name} has shape {dist.shape}, expected {(n, n)}", field=dist_name
-        )
+    dist = _float_array(dist, dist_name, (n, n))
     _check_metric_matrix(dist, field=dist_name)
     _check_mass(mu, mu_name)
     if labels is None:
@@ -595,6 +596,7 @@ def verify_simulation(
     rich joint law must equal the base law, and matched predictors must incur
     identical losses at every rich observation of positive mass.
     """
+    tol = _real(tol, "tol")
     require(0 <= tol < np.inf, "tol", "must be finite and nonnegative")
     maps = []
     for name, raw, length, bound in (
@@ -603,9 +605,7 @@ def verify_simulation(
         ("fwd", fwd, p.n_predictors, p_rich.n_predictors),
         ("bwd", bwd, p_rich.n_predictors, p.n_predictors),
     ):
-        m = _index_array(raw, name)
-        if m.shape != (length,):
-            raise ValidationError(f"{name} must have length {length}", field=name)
+        m = _index_array(raw, name, (length,))
         require((m >= 0) & (m < bound), name, f"must lie in [0, {bound})")
         maps.append(m)
     f1, f2, fwd, bwd = maps

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import stat
 import tempfile
 from typing import Any
 
@@ -44,23 +45,25 @@ def weighted_problem_to_dict(wp: WeightedProblem) -> dict[str, Any]:
     return problem_to_dict(wp.problem, lam=wp.lam)
 
 
-def _require(data: dict, key: str) -> Any:
-    if key not in data:
-        raise ValidationError(f"problem JSON lacks key {key!r}", field=key)
-    return data[key]
+def _json_object(data, name: str, keys, source: str) -> dict:
+    """``data`` as a JSON object holding every key of ``keys``: the one check
+    of problem and side files.  Anything else is refused naming ``name``, or
+    the first missing key; messages call the object ``source``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{source} must be a JSON object", field=name)
+    for key in keys:
+        if key not in data:
+            raise ValidationError(f"{source} lacks key {key!r}", field=key)
+    return data
+
+
+_PROBLEM_KEYS = ("x_labels", "y_labels", "eta", "loss", "predictors")
 
 
 def problem_from_dict(data: dict[str, Any]) -> tuple[FiniteProblem, np.ndarray | None]:
     """Parse the problem schema; returns (problem, lambda-or-None)."""
-    if not isinstance(data, dict):
-        raise ValidationError("problem JSON must be an object", field="")
-    problem = FiniteProblem(
-        x_labels=_require(data, "x_labels"),
-        y_labels=_require(data, "y_labels"),
-        eta=_require(data, "eta"),
-        loss=_require(data, "loss"),
-        predictors=_require(data, "predictors"),
-    )
+    data = _json_object(data, "problem", _PROBLEM_KEYS, "problem JSON")
+    problem = FiniteProblem(**{key: data[key] for key in _PROBLEM_KEYS})
     lam = None
     if data.get("lambda") is not None:
         lam = WeightedProblem(problem=problem, lam=data["lambda"]).lam
@@ -152,12 +155,22 @@ def dump_json(data: Any) -> str:
 
 
 def atomic_write(path: str, text: str):
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.  The file
+    gets the mode a plain ``open(path, "w")`` gives it: an existing file
+    keeps its mode, a new one gets 0o666 less the umask (the temp file alone
+    would leave 0o600)."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

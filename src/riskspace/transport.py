@@ -26,6 +26,7 @@ from .problems import (
     WeightedProblem,
     _check_mass,
     _float_array,
+    _real,
     loss_profile_distribution,
     loss_profile_set,
 )
@@ -42,10 +43,7 @@ _VERTEX_BLOCK = 256  # cell sets per batched tree solve; bounds peak memory
 
 
 def check_distribution(vec: np.ndarray, name: str = "distribution") -> np.ndarray:
-    vec = _float_array(vec, name)
-    if vec.ndim != 1:
-        raise ValidationError(f"{name} must be a vector", field=name)
-    return _check_mass(vec, name)
+    return _check_mass(vec, name, (None,))
 
 
 def check_coupling(
@@ -54,12 +52,7 @@ def check_coupling(
     """``gamma`` as a float coupling of ``mu`` and ``nu``, of shape
     ``mu.shape + nu.shape`` (a coupling of two joint laws has shape
     (nx, ny, nx', ny')); entries and marginals are checked to METRIC_TOL."""
-    gamma = _float_array(gamma, name)
-    if gamma.shape != mu.shape + nu.shape:
-        raise ValidationError(
-            f"{name} has shape {gamma.shape}, expected {mu.shape + nu.shape}",
-            field=name,
-        )
+    gamma = _float_array(gamma, name, mu.shape + nu.shape)
     require(np.isfinite(gamma) & (gamma >= -METRIC_TOL), name,
             "must be a finite nonnegative mass")
     flat = gamma.reshape(mu.size, nu.size)
@@ -73,9 +66,7 @@ def check_coupling(
 
 
 def check_markov_kernel(kernel: np.ndarray, name: str = "kernel") -> np.ndarray:
-    kernel = _float_array(kernel, name)
-    if kernel.ndim != 2:
-        raise ValidationError(f"{name} must be a matrix", field=name)
+    kernel = _float_array(kernel, name, (None, None))
     require(np.isfinite(kernel) & (kernel >= 0), name,
             "must be a finite nonnegative mass")
     require(np.abs(kernel.sum(axis=1) - 1.0) <= PROB_TOL, name,
@@ -175,11 +166,7 @@ def solve_ot_exact(
     """
     mu = check_distribution(mu, "mu")
     nu = check_distribution(nu, "nu")
-    cost = _float_array(cost, "cost")
-    if cost.shape != (len(mu), len(nu)):
-        raise ValidationError(
-            f"cost has shape {cost.shape}, expected {(len(mu), len(nu))}", field="cost"
-        )
+    cost = _float_array(cost, "cost", (len(mu), len(nu)))
     require(np.isfinite(cost), "cost", "must be finite")
     support = _support(mu, nu)
     plan = support.embed(_coupling_lp(support, support.restrict(cost).ravel()))
@@ -284,9 +271,8 @@ def total_variation(mu: np.ndarray, nu: np.ndarray) -> float:
 def hausdorff(dist: np.ndarray) -> float:
     """Hausdorff distance from a rectangular cross-distance matrix: each side
     must reach the other within the returned radius."""
-    dist = _float_array(dist, "dist")
-    if dist.ndim != 2 or dist.size == 0:
-        raise ValidationError("cross-distance matrix must be nonempty", field="dist")
+    dist = _float_array(dist, "dist", (None, None))
+    require(dist.size > 0, "dist", "must be a nonempty cross-distance matrix")
     require(np.isfinite(dist), "dist", "must be finite")
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
@@ -307,7 +293,9 @@ def wasserstein_profile_distributions(
 ) -> float:
     """Outer p-Wasserstein distance between the two weighted profile
     distributions, with ground distance 1-Wasserstein between profiles."""
-    require(p >= 1, "p", "must be at least 1")
+    p = _real(p, "p")
+    # at p = inf the formula below gives 0 ** 0 = 1 for equal distributions
+    require(1 <= p < np.inf, "p", "must lie in [1, inf)")
     atoms_a = loss_profile_distribution(wp)
     atoms_b = loss_profile_distribution(wp_prime)
     cost = np.array(
@@ -333,16 +321,9 @@ def kernel_w1(
     ground = _float_array(ground_metric, "ground_metric")
     if m_kernel.shape != n_kernel.shape:
         raise ValidationError("M and N must have the same shape", field="N")
-    if m_kernel.shape[0] != len(base_mu):
-        raise ValidationError(
-            "base_mu must weight the kernels' source states", field="base_mu"
-        )
+    base_mu = _float_array(base_mu, "base_mu", (len(m_kernel),))
     t = m_kernel.shape[1]
-    if ground.shape != (t, t):
-        raise ValidationError(
-            f"ground_metric has shape {ground.shape}, expected {(t, t)}",
-            field="ground_metric",
-        )
+    ground = _float_array(ground, "ground_metric", (t, t))
     require(np.isfinite(ground), "ground_metric", "must be finite")
     total = 0.0
     for i in np.flatnonzero(base_mu > 0):

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -63,6 +65,29 @@ def test_problem_json_missing_key_names_field():
     with pytest.raises(rs.ValidationError) as err:
         serialize.problem_from_dict({"x_labels": ["x"]})
     assert err.value.field == "y_labels"
+
+
+@pytest.mark.parametrize("data", [[], 5, "x", None])
+def test_cli_non_object_problem_names_problem(capsys, paths, data):
+    _, write = paths
+    path = write("p.json", data)
+    assert _validation_field(capsys, ["distance", path, path]) == "problem"
+
+
+def test_cli_out_file_gets_the_usual_mode(capsys, paths):
+    tmp_path, write = paths
+    path = _problem_file(write, "p.json", identity_support_problem())
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("")
+    old.chmod(0o604)
+    umask = os.umask(0o022)
+    try:
+        for out in (new, old):
+            assert _run(capsys, ["distance", path, path, "--out", str(out)])[0] == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
 
 
 def test_problem_json_ragged_array_names_field():
@@ -658,6 +683,19 @@ _MUTATED_BASE = serialize.weighted_problem_to_dict(rs.WeightedProblem(
 ))
 
 
+def _mutated_run_field(argv, context):
+    """The field a CLI run on mutated files names; the run must exit 1 with a
+    validation error.  Uses no ``capsys``: hypothesis runs many examples in
+    one test call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([str(arg) for arg in argv])
+    assert code == 1, context
+    error = json.loads(err.getvalue())
+    assert error["error"] == "validation", (context, error)
+    return error["field"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cli_mutated_json_never_tracebacks(tmp_path_factory, data):
@@ -671,13 +709,61 @@ def test_cli_mutated_json_never_tracebacks(tmp_path_factory, data):
     mutated[key] = entries.tolist()
     path = tmp_path_factory.mktemp("mutated") / "p.json"
     path.write_text(json.dumps(mutated))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main([command, str(path), str(path)])
-    assert code == 1
-    error = json.loads(err.getvalue())
-    assert error["error"] == "validation"
-    assert error["field"].startswith(key), (key, value, index, error)
+    field = _mutated_run_field([command, path, path], (key, value, index))
+    assert field.startswith(key), (key, value, index, field)
+
+
+# Side files valid for _THREE with lambda _THREE_W.  Each value below is
+# invalid at every leaf of every file: as an index, a mass, a loss, a 0/1
+# entry, a stage kind, or a scalar parameter.
+_THREE_W = [0.25, 0.25, 0.5]
+_SIDE_FILES = {
+    "pipeline": ("corrupt", [
+        {"kind": "bias_density", "f": np.ones((2, 3)).tolist()},
+        {"kind": "restrict", "A": [[1, 1, 1], [1, 1, 0]]},
+        {"kind": "label_noise", "kernel": np.tile(np.eye(3), (2, 1)).tolist(),
+         "d_y": (1.0 - np.eye(3)).tolist(), "lipschitz_c": 1.0},
+        {"kind": "general_noise", "kernel": np.eye(6).tolist(), "p": 2.0},
+        {"kind": "loss_swap", "loss": (2.0 - 2.0 * np.eye(3)).tolist()},
+        {"kind": "predictor_swap", "predictors": [[0, 1], [1, 2]]},
+    ]),
+    "edges": ("reeb", {"edges": [[0, 1], [1, 2]]}),
+    "partition": ("coarsen", {"blocks": [[0, 1], [2]]}),
+    "maps": ("verify", _MAPS),
+}
+_SIDE_MUTATIONS = [float("nan"), float("inf"), -1, "x", None]
+
+
+def _leaf_paths(data, path=()):
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        return [leaf for key, value in items
+                for leaf in _leaf_paths(value, path + (key,))]
+    return [path]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_mutated_side_file_never_tracebacks(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(_SIDE_FILES)))
+    command, base = _SIDE_FILES[kind]
+    mutated = json.loads(json.dumps(base))
+    *parents, leaf = data.draw(st.sampled_from(_leaf_paths(mutated)))
+    value = data.draw(st.sampled_from(_SIDE_MUTATIONS))
+    container = mutated
+    for key in parents:
+        container = container[key]
+    container[leaf] = value
+    tmp = tmp_path_factory.mktemp("side")
+    problem = tmp / "p.json"
+    problem.write_text(json.dumps(serialize.problem_to_dict(_THREE, lam=_THREE_W)))
+    side = tmp / "side.json"
+    side.write_text(json.dumps(mutated))
+    argv = {"corrupt": ["corrupt", problem, side],
+            "reeb": ["reeb", problem, "--edges", side],
+            "coarsen": ["coarsen", problem, side],
+            "verify": ["verify", problem, problem, side]}[command]
+    assert _mutated_run_field(argv, (kind, parents, leaf, value))
 
 
 @pytest.mark.parametrize("case", ["out-missing-dir", "out-is-dir", "input-is-dir",

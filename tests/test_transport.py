@@ -382,6 +382,70 @@ def test_kernel_w1_shape_mismatch():
 
 _HALF = np.array([0.5, 0.5])
 _EYE_KERNEL = np.eye(2)
+_P2 = rs.FiniteProblem(("x0", "x1"), ("a", "b"), np.full((2, 2), 0.25),
+                       1.0 - np.eye(2), [[0, 1], [1, 0]])
+_W2 = rs.WeightedProblem(_P2, _HALF)
+_GAMMA = np.full((2, 2, 2, 2), 1 / 16)
+_GRAPH = rs.PredictorGraph(_P2, [[0, 1]])
+
+
+def _witness(correspondence):
+    return rs.DistanceResult(0.0, "exact", _GAMMA, correspondence)
+
+
+# scalar parameters: each is refused given a string, a boolean or NaN
+_SCALAR_CALLS = {
+    "lp-distance-p": ("p", lambda v: rs.lp_risk_distance(_W2, _W2, p=v)),
+    "lp-distortion-p": ("p", lambda v: rs.lp_risk_distortion(
+        _W2, _W2, np.diag(_HALF), _GAMMA, v)),
+    "profile-distribution-p": ("p", lambda v: rs.wasserstein_profile_distributions(
+        _W2, _W2, v)),
+    "s-metric-p": ("p", lambda v: rs.s_metric_weighted(_W2, v)),
+    "general-noise-p": ("p", lambda v: rs.apply_general_noise(_W2, np.eye(4), v)),
+    "geodesic-t": ("t", lambda v: rs.geodesic_problem(
+        _P2, _P2, _witness(np.eye(2, dtype=bool)), v)),
+    "tv-ell-max": ("ell_max", lambda v: rs.tv_bound(_P2, _P2, v)),
+    "noise-lipschitz-c": ("lipschitz_c", lambda v: rs.noise_bound_metric(
+        _P2, rs.no_noise_kernel(_P2), 1.0 - np.eye(2), v)),
+    "reeb-height-tol": ("height_tol", lambda v: rs.reeb_graph(_GRAPH, v)),
+    "verify-tol": ("tol", lambda v: rs.verify_simulation(
+        _P2, _P2, [0, 1], [0, 1], [0, 1], [0, 1], tol=v)),
+    "one-point-c": ("c", rs.one_point_problem),
+}
+_SCALAR_VALUES = {"string": "x", "bool": True, "nan": np.nan}
+# correspondences: strings, a scalar, NaN and ragged rows are not 0/1 relations
+_CORRESPONDENCES = {
+    "string": ([["a", ""], ["b", "c"]], ""),
+    "half": (0.5, ""),
+    "nan": ([[np.nan, 1.0], [1.0, 1.0]], "[0][0]"),
+    "ragged": ([[1, 0], [1]], ""),
+}
+_CORRESPONDENCE_CALLS = {
+    "risk-distortion": ("correspondence",
+                        lambda r: rs.risk_distortion(_P2, _P2, r, _GAMMA)),
+    "inverse-connected": ("correspondence",
+                          lambda r: rs.is_inverse_connected(r, _GRAPH, _GRAPH)),
+    "geodesic": ("witness_correspondence",
+                 lambda r: rs.geodesic_problem(_P2, _P2, _witness(r), 0.5)),
+}
+_MORE_REFUSALS = {
+    f"{call}-{kind}": (lambda f=f, v=v: f(v), field)
+    for call, (field, f) in _SCALAR_CALLS.items()
+    for kind, v in _SCALAR_VALUES.items()
+} | {
+    f"{call}-{kind}": (lambda f=f, r=r: f(r), field + suffix)
+    for call, (field, f) in _CORRESPONDENCE_CALLS.items()
+    for kind, (r, suffix) in _CORRESPONDENCES.items()
+} | {
+    "partition-string-ny": (lambda: rs.Partition([[0], [1]], ny="2"), "ny"),
+    "partition-bool-ny": (lambda: rs.Partition([[0]], ny=True), "ny"),
+    "general-noise-inf-p": (lambda: rs.apply_general_noise(
+        _W2, np.eye(4), np.inf), "p"),
+    "profile-distribution-inf-p": (lambda: rs.wasserstein_profile_distributions(
+        _W2, _W2, np.inf), "p"),
+    "inverse-connected-shape": (lambda: rs.is_inverse_connected(
+        np.ones((3, 3), dtype=bool), _GRAPH, _GRAPH), "correspondence"),
+}
 
 
 @pytest.mark.parametrize("call, field", [
@@ -399,10 +463,11 @@ _EYE_KERNEL = np.eye(2)
     (lambda: LossProfile(values=[0.0, 1.0], masses=[1.0]), "masses"),
     (lambda: LossProfile(values=[1.0, 0.0], masses=[0.5, 0.5]), "values"),
     (lambda: LossProfile(values=[0.0, np.nan], masses=[0.5, 0.5]), "values[1]"),
+    *_MORE_REFUSALS.values(),
 ], ids=["ot-string-cost", "ot-ragged-cost", "hausdorff-string", "hausdorff-nan",
         "reduction-string", "kernel-string-ground", "kernel-nan-ground",
         "profile-string-values", "profile-matrix-values", "profile-length",
-        "profile-order", "profile-nan-values"])
+        "profile-order", "profile-nan-values", *_MORE_REFUSALS])
 def test_numeric_input_refused_naming_field(call, field):
     with pytest.raises(rs.ValidationError) as err:
         call()
