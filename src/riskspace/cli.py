@@ -332,19 +332,15 @@ def _cmd_geodesic(args) -> dict:
 
 
 def _cmd_profile(args) -> dict:
+    def profiles(problem):
+        return [{"values": prof.values.tolist(), "masses": prof.masses.tolist()}
+                for prof in loss_profile_set(problem)]
+
     pa, lam_a = serialize.load_problem(args.problem_a)
-    out: dict = {
-        "profiles_a": [
-            {"values": prof.values.tolist(), "masses": prof.masses.tolist()}
-            for prof in loss_profile_set(pa)
-        ]
-    }
+    out: dict = {"profiles_a": profiles(pa)}
     if args.problem_b:
         pb, lam_b = serialize.load_problem(args.problem_b)
-        out["profiles_b"] = [
-            {"values": prof.values.tolist(), "masses": prof.masses.tolist()}
-            for prof in loss_profile_set(pb)
-        ]
+        out["profiles_b"] = profiles(pb)
         out["hausdorff_w1"] = hausdorff_loss_profiles(pa, pb)
         if lam_a is not None and lam_b is not None:
             out["wasserstein_profile_distribution"] = (

@@ -37,6 +37,7 @@ from .problems import (
     _mask,
     _mm_space,
     _real,
+    _rng,
     constrained_bayes_risk,
 )
 from .transport import (
@@ -89,7 +90,8 @@ class DistanceResult:
         if self.status not in ("exact", "upper_bound"):
             raise ValidationError(f"unknown status {self.status!r}",
                                   field="status")
-        require(self.value >= 0, "value", "must be a nonnegative number")
+        require(_real(self.value, "value") >= 0, "value",
+                "must be a nonnegative number")
         for name, convert in (("witness_coupling", _float_array),
                               ("witness_correspondence", _mask),
                               ("witness_predictor_coupling", _float_array)):
@@ -168,7 +170,8 @@ def hausdorff_reduction(costs: np.ndarray) -> tuple[float, np.ndarray]:
     Hausdorff value of the matrix; the maximal witness keeps every pair whose
     cost does not exceed that value.
     """
-    costs = _float_array(costs, "costs")
+    costs = _float_array(costs, "costs", (None, None))
+    require(costs.size > 0, "costs", "must be a nonempty pair-cost matrix")
     require(np.isfinite(costs), "costs", "must be finite")
     value = hausdorff(costs)
     witness = costs <= value + 1e-12
@@ -371,7 +374,7 @@ def _alternating_upper_bound(
     costs = _pair_costs(p, p_prime)
     mu, nu = p.eta.ravel(), p_prime.eta.ravel()
     pattern_lp = _solved_once(lambda r: _minimax_coupling_lp(costs[r], mu, nu))
-    rng = np.random.default_rng(_FALLBACK_SEED)
+    rng = _rng(_FALLBACK_SEED)
     inits = [np.outer(mu, nu)]
     inits += [random_coupling_vertex(mu, nu, rng) for _ in range(_FALLBACK_RESTARTS)]
 
@@ -514,7 +517,7 @@ def lp_risk_distance(
     support = _support(pa.eta.ravel(), pb.eta.ravel())
     mu, nu = support.mu, support.nu
     m, n = len(mu), len(nu)
-    rng = np.random.default_rng(_count(seed, "seed"))
+    rng = _rng(_count(seed, "seed"))
 
     n_h, n_hp = pa.n_predictors, pb.n_predictors
     flat_pairwise = _pair_costs(pa, pb, support)

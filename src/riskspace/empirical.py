@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityError, require
 from . import distance as _distance
 from .corruption import tv_bound
-from .problems import FiniteProblem, _count, _index_array
+from .problems import FiniteProblem, _count, _index_array, _rng
 
 PRNG_ID = "numpy-PCG64"
 
@@ -42,10 +42,6 @@ class ExperimentReport:
     prng: str = PRNG_ID
 
 
-def _sub_seed(seed: int, n: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, n, trial]))
-
-
 def _resample(
     problem: FiniteProblem, n: int, rng: np.random.Generator
 ) -> FiniteProblem:
@@ -66,8 +62,7 @@ def sample_empirical(problem: FiniteProblem, n: int, seed: int) -> FiniteProblem
 
     Identical seeds give bit-identical samples.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([_count(seed, "seed")]))
-    return _resample(problem, n, rng)
+    return _resample(problem, n, _rng(_count(seed, "seed")))
 
 
 def convergence_experiment(
@@ -93,7 +88,7 @@ def convergence_experiment(
     rows = []
     for n in ns.tolist():
         for trial in range(trials):
-            empirical = _resample(problem, n, _sub_seed(seed, n, trial))
+            empirical = _resample(problem, n, _rng(seed, n, trial))
             bound = tv_bound(problem, empirical, ell_max)
             try:
                 exact = _distance.risk_distance_exact(
@@ -133,7 +128,7 @@ def rademacher_mc(
     """
     m = _count(m, "m", least=1)
     num_samples = _count(num_samples, "num_samples", least=1)
-    rng = np.random.default_rng(np.random.SeedSequence([_count(seed, "seed")]))
+    rng = _rng(_count(seed, "seed"))
     flat_losses = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
     flat_eta = problem.eta.ravel()
     draws = rng.choice(len(flat_eta), size=(num_samples, m), p=flat_eta)

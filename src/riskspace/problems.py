@@ -120,6 +120,13 @@ def _count(value, name: str, least: int = 0) -> int:
     return int(value)
 
 
+def _rng(*keys: int) -> np.random.Generator:
+    """The PCG64 stream seeded by the integer ``keys``: the one place a
+    generator is made.  One key ``s`` gives the same stream as
+    ``default_rng`` seeded with ``s``."""
+    return np.random.default_rng(np.random.SeedSequence(list(keys)))
+
+
 def _check_mass(a, name: str, shape=None) -> np.ndarray:
     """``a`` as a float probability mass: finite nonnegative entries summing
     to 1 within ``PROB_TOL``.  The one check of joint laws, predictor
@@ -381,14 +388,10 @@ def loss_profile_distribution(
     Predictors with identical profiles are merged, summing their weights.
     Profiles with zero total weight are dropped.
     """
-    atoms: dict[LossProfile, float] = {}
-    order: list[LossProfile] = []
+    atoms: dict[LossProfile, float] = {}  # in first-seen order
     for k, profile in enumerate(loss_profile_set(wp.problem)):
-        if profile not in atoms:
-            atoms[profile] = 0.0
-            order.append(profile)
-        atoms[profile] += float(wp.lam[k])
-    return [(p, atoms[p]) for p in order if atoms[p] > 0.0]
+        atoms[profile] = atoms.get(profile, 0.0) + float(wp.lam[k])
+    return [(p, w) for p, w in atoms.items() if w > 0.0]
 
 
 def predictor_pseudometric(problem: FiniteProblem) -> np.ndarray:
@@ -519,6 +522,15 @@ def _coarse_predictors(
     return coarse[keep[order]], np.argsort(order)[inverse]
 
 
+def _block_loss_ranges(loss: np.ndarray, q: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and the smallest loss over each ordered block pair of
+    ``q``, as two (nb, nb) arrays."""
+    subs = [[loss[np.ix_(block_i, block_j)] for block_j in q.blocks]
+            for block_i in q.blocks]
+    return (np.array([[sub.max() for sub in row] for row in subs]),
+            np.array([[sub.min() for sub in row] for row in subs]))
+
+
 def coarsen(problem: FiniteProblem, q: Partition) -> FiniteProblem:
     """Collapse the response space to the blocks of ``q``.
 
@@ -531,10 +543,7 @@ def coarsen(problem: FiniteProblem, q: Partition) -> FiniteProblem:
     eta_q = np.zeros((problem.nx, nb))
     for bi, block in enumerate(q.blocks):
         eta_q[:, bi] = problem.eta[:, list(block)].sum(axis=1)
-    loss_q = np.empty((nb, nb))
-    for bi, block_i in enumerate(q.blocks):
-        for bj, block_j in enumerate(q.blocks):
-            loss_q[bi, bj] = problem.loss[np.ix_(list(block_i), list(block_j))].max()
+    loss_q, _ = _block_loss_ranges(problem.loss, q)
     labels = tuple(
         "{" + ",".join(problem.y_labels[i] for i in block) + "}" for block in q.blocks
     )
@@ -563,12 +572,8 @@ def coarsening_bound(problem: FiniteProblem, q: Partition) -> float:
     two blocks; the bound is the largest (max - min) gap found.
     """
     _coarse_predictors(problem, q)  # refuses a partition of another label count
-    worst = 0.0
-    for block_i in q.blocks:
-        for block_j in q.blocks:
-            sub = problem.loss[np.ix_(list(block_i), list(block_j))]
-            worst = max(worst, float(sub.max() - sub.min()))
-    return worst
+    high, low = _block_loss_ranges(problem.loss, q)
+    return float(np.max(high - low))
 
 
 def singleton_partition(ny: int) -> Partition:
@@ -595,6 +600,10 @@ def verify_simulation(
     matches its losses, and ``bwd[h']`` conversely.  The pushforward of the
     rich joint law must equal the base law, and matched predictors must incur
     identical losses at every rich observation of positive mass.
+
+    A failed check names its first violation: the pushforward, else the first
+    mismatched map entry (every ``fwd[h]`` before every ``bwd[h']``) with its
+    two predictors and their two losses.
     """
     tol = _real(tol, "tol")
     require(0 <= tol < np.inf, "tol", "must be finite and nonnegative")
@@ -622,29 +631,19 @@ def verify_simulation(
         )
 
     support = p_rich.eta > 0
-    base_tables = p.predictor_loss_stack()  # (nH, nx, ny)
-    pulled = base_tables[:, f1[:, None], f2[None, :]]  # (nH, nx', ny')
+    # base losses pulled back to the rich grid, (nH, nx', ny')
+    pulled = p.predictor_loss_stack()[:, f1[:, None], f2[None, :]]
     rich_tables = p_rich.predictor_loss_stack()
-    for h in range(p.n_predictors):
-        diff = np.abs(rich_tables[fwd[h]] - pulled[h])
-        bad = diff > tol
-        if np.any(bad & support):
-            i, j = np.argwhere(bad & support)[0]
+    matched = [(f"fwd[{h}]", h, g) for h, g in enumerate(fwd.tolist())]
+    matched += [(f"bwd[{g}]", h, g) for g, h in enumerate(bwd.tolist())]
+    for entry, h, g in matched:
+        bad = (np.abs(rich_tables[g] - pulled[h]) > tol) & support
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
             return SimulationCheck(
                 False,
-                f"predictor {h} (matched to rich predictor {fwd[h]}) incurs"
-                f" loss {float(pulled[h][i, j])!r} but the rich problem pays"
-                f" {float(rich_tables[fwd[h]][i, j])!r} at supported point [{i}][{j}]",
-            )
-    for hp in range(p_rich.n_predictors):
-        diff = np.abs(rich_tables[hp] - pulled[bwd[hp]])
-        bad = diff > tol
-        if np.any(bad & support):
-            i, j = np.argwhere(bad & support)[0]
-            return SimulationCheck(
-                False,
-                f"rich predictor {hp} (matched to predictor {bwd[hp]}) pays"
-                f" {float(rich_tables[hp][i, j])!r} but the base problem pays"
-                f" {float(pulled[bwd[hp]][i, j])!r} at supported point [{i}][{j}]",
+                f"{entry} matches predictor {h} to rich predictor {g}, but they"
+                f" pay {float(pulled[h][i, j])!r} and"
+                f" {float(rich_tables[g][i, j])!r} at supported point [{i}][{j}]",
             )
     return SimulationCheck(True, None)

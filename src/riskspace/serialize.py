@@ -104,14 +104,22 @@ def reeb_to_dict(reeb: ReebGraph) -> dict[str, Any]:
     }
 
 
-def reeb_to_csv(reeb: ReebGraph) -> str:
-    """Plot-ready CSV of (node_id, height, degree)."""
+def _csv_text(header: list[str], rows) -> str:
+    """A header row and then ``rows`` as CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["node_id", "height", "degree"])
-    for i, ((height, _), degree) in enumerate(zip(reeb.nodes, reeb.degrees())):
-        writer.writerow([i, repr(height), int(degree)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def reeb_to_csv(reeb: ReebGraph) -> str:
+    """Plot-ready CSV of (node_id, height, degree)."""
+    return _csv_text(
+        ["node_id", "height", "degree"],
+        ([i, repr(height), int(degree)]
+         for i, ((height, _), degree) in enumerate(zip(reeb.nodes, reeb.degrees()))),
+    )
 
 
 def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
@@ -133,12 +141,9 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
 
 
 def report_to_csv(report: ExperimentReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "trial", "seed", "prng", "tv_bound", "exact_distance",
-                     "bound_used"])
-    for row in report.rows:
-        writer.writerow([
+    return _csv_text(
+        ["n", "trial", "seed", "prng", "tv_bound", "exact_distance", "bound_used"],
+        ([
             row.n,
             row.trial,
             row.seed,
@@ -146,8 +151,8 @@ def report_to_csv(report: ExperimentReport) -> str:
             repr(row.tv_bound),
             "" if row.exact_distance is None else repr(row.exact_distance),
             row.bound_used,
-        ])
-    return buf.getvalue()
+        ] for row in report.rows),
+    )
 
 
 def dump_json(data: Any) -> str:

@@ -277,15 +277,18 @@ def hausdorff(dist: np.ndarray) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
+def _w1_matrix(profiles_a, profiles_b, p: float = 1.0) -> np.ndarray:
+    """1-Wasserstein distances on the line between two profile lists, each
+    raised to ``p`` as a Python float: numpy's vectorised power can differ
+    in the last bit, and x ** 1.0 is x."""
+    return np.array([[w1_real_line(a, b) ** p for b in profiles_b]
+                     for a in profiles_a])
+
+
 def hausdorff_loss_profiles(p: FiniteProblem, p_prime: FiniteProblem) -> float:
     """Hausdorff distance between the two loss-profile sets, with profiles
     compared by 1-Wasserstein distance on the line."""
-    profiles_a = loss_profile_set(p)
-    profiles_b = loss_profile_set(p_prime)
-    cross = np.array(
-        [[w1_real_line(pa, pb) for pb in profiles_b] for pa in profiles_a]
-    )
-    return hausdorff(cross)
+    return hausdorff(_w1_matrix(loss_profile_set(p), loss_profile_set(p_prime)))
 
 
 def wasserstein_profile_distributions(
@@ -296,13 +299,10 @@ def wasserstein_profile_distributions(
     p = _real(p, "p")
     # at p = inf the formula below gives 0 ** 0 = 1 for equal distributions
     require(1 <= p < np.inf, "p", "must lie in [1, inf)")
-    atoms_a = loss_profile_distribution(wp)
-    atoms_b = loss_profile_distribution(wp_prime)
-    cost = np.array(
-        [[w1_real_line(pa, pb) ** p for pb, _ in atoms_b] for pa, _ in atoms_a]
-    )
-    mass_a = np.array([w for _, w in atoms_a])
-    mass_b = np.array([w for _, w in atoms_b])
+    profiles_a, mass_a = zip(*loss_profile_distribution(wp))
+    profiles_b, mass_b = zip(*loss_profile_distribution(wp_prime))
+    mass_a, mass_b = np.array(mass_a), np.array(mass_b)
+    cost = _w1_matrix(profiles_a, profiles_b, p)
     _, value = solve_ot_exact(cost, mass_a / mass_a.sum(), mass_b / mass_b.sum())
     return float(max(value, 0.0) ** (1.0 / p))
 

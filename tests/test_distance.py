@@ -91,6 +91,23 @@ def test_pair_cost_matrix_zero_losses():
     assert np.all(costs == 0.0)
 
 
+def test_pair_transport_minimum_is_profile_w1():
+    # the cost |l_h - l'_h'| factors through the two loss maps, so its
+    # transport minimum is the W1 distance of the two loss profiles
+    rng = np.random.default_rng(34)
+    for trial in range(16):
+        support = None if trial % 2 else int(rng.integers(1, 4))
+        p = random_problem(rng, eta_support=support)
+        q = random_problem(rng, eta_support=support)
+        for h in range(p.n_predictors):
+            for hp in range(q.n_predictors):
+                cost = np.abs(p.predictor_loss(h).ravel()[:, None]
+                              - q.predictor_loss(hp).ravel()[None, :])
+                _, value = rs.solve_ot_exact(cost, p.eta.ravel(), q.eta.ravel())
+                w1 = rs.w1_real_line(rs.loss_profile(p, h), rs.loss_profile(q, hp))
+                assert abs(value - w1) <= 1e-12
+
+
 # --------------------------------------------------------------------------
 # hausdorff_reduction
 # --------------------------------------------------------------------------

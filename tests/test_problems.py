@@ -516,6 +516,20 @@ def test_perturbed_pushforward_fails():
     assert "np.float64" not in check.violation
 
 
+@pytest.mark.parametrize("key, index, entry", [
+    ("fwd", 1, "fwd[1]"),
+    ("bwd", 4, "bwd[4]"),
+])
+def test_mismatched_map_entry_fails_naming_it(key, index, entry):
+    rich, base, merge, fwd, bwd = _extra_label_pair()
+    maps = {"fwd": fwd.copy(), "bwd": bwd.copy()}
+    maps[key][index] = maps[key][0]  # a predictor whose losses differ
+    check = rs.verify_simulation(rich, base, f1=np.array([0, 1]), f2=merge, **maps)
+    assert not check.ok
+    assert check.violation.startswith(entry + " ")
+    assert "np.float64" not in check.violation
+
+
 @pytest.mark.parametrize("key, value, field", [
     ("f1", [0.9, 1], "f1[0]"),
     ("f2", [0, True], "f2[1]"),

@@ -445,6 +445,10 @@ _MORE_REFUSALS = {
         _W2, _W2, np.inf), "p"),
     "inverse-connected-shape": (lambda: rs.is_inverse_connected(
         np.ones((3, 3), dtype=bool), _GRAPH, _GRAPH), "correspondence"),
+    "reduction-vector": (lambda: rs.hausdorff_reduction([1.0, 2.0]), "costs"),
+    "reduction-empty": (lambda: rs.hausdorff_reduction(np.zeros((0, 0))), "costs"),
+    "result-string-value": (lambda: rs.DistanceResult("x", "exact"), "value"),
+    "result-bool-value": (lambda: rs.DistanceResult(True, "exact"), "value"),
 }
 
 
