@@ -29,6 +29,7 @@ from .corruption import (
 )
 from .errors import CapacityError, ValidationError, require
 from .problems import (
+    METRIC_TOL,
     FiniteProblem,
     WeightedProblem,
     _count,
@@ -55,9 +56,11 @@ from .transport import (
 DEFAULT_CAP_PAIRS = 12
 DEFAULT_CAP_SUPPORT = 256
 
-# Predictor-coupling polytopes with support product at most this are searched
-# from every vertex; for a bilinear objective that makes the alternating
-# scheme provably optimal, not just a heuristic.
+# Coupling polytopes with support product at most this have their vertices
+# listed: a transport step over one is a vertex argmin, and a predictor
+# polytope that small is searched from every vertex, which for a bilinear
+# objective makes the alternating scheme provably optimal, not just a
+# heuristic.
 _EXHAUSTIVE_VERTEX_LIMIT = 9
 
 # Alternating descents stop after _MAX_ITER rounds or once a round gains less
@@ -466,17 +469,52 @@ def lp_risk_distortion(
     return float(np.sum(rho * pair_costs**p) ** (1.0 / p))
 
 
+def _transport_step(a: np.ndarray, b: np.ndarray):
+    """One exact transport half-step over couplings of (a, b), for one
+    alternating call: (step, vertices), where ``step`` maps a cost matrix to
+    an optimal plan and ``vertices`` is the polytope's vertex array, or None
+    when the support product exceeds ``_EXHAUSTIVE_VERTEX_LIMIT``.
+
+    Large polytopes always take the memoized LP.  On a small one the step
+    is the argmin of <cost, v> over the vertices, listed once: an LP optimum
+    over a polytope is a vertex, so that is the LP's answer.  When another
+    vertex costs within METRIC_TOL of the least, the step is the memoized
+    LP instead, so HiGHS picks among tied vertices (see docs/algorithms.md).
+    Callers only read the plans a step hands out.
+    """
+    lp = _solved_once(lambda cost: solve_ot_exact(cost, a, b)[0])
+    if np.count_nonzero(a) * np.count_nonzero(b) > _EXHAUSTIVE_VERTEX_LIMIT:
+        return lp, None
+    vertices = coupling_vertices(a, b)
+    flat = vertices.reshape(len(vertices), -1)
+
+    def step(cost: np.ndarray) -> np.ndarray:
+        values = flat @ cost.ravel()
+        k = int(np.argmin(values))
+        if np.count_nonzero(values <= values[k] + METRIC_TOL) > 1:
+            return lp(cost)
+        return vertices[k]
+
+    return step, vertices
+
+
 def _rho_inits(
-    lam: np.ndarray, lam_prime: np.ndarray, restarts: int, rng: np.random.Generator
+    lam: np.ndarray,
+    lam_prime: np.ndarray,
+    vertices: np.ndarray | None,
+    restarts: int,
+    rng: np.random.Generator,
 ) -> list[np.ndarray]:
+    """Starting predictor couplings: every listed vertex, else ``restarts``
+    seeded random ones, after the independent (and maybe the diagonal)
+    coupling."""
     inits = [np.outer(lam, lam_prime)]
     if lam.shape == lam_prime.shape and np.array_equal(lam, lam_prime):
         # the diagonal coupling is a vertex; it is the natural start for
         # self-comparisons and is rarely hit by random sampling
         inits.append(np.diag(lam))
-    support = int(np.count_nonzero(lam)) * int(np.count_nonzero(lam_prime))
-    if support <= _EXHAUSTIVE_VERTEX_LIMIT:
-        inits.extend(coupling_vertices(lam, lam_prime))
+    if vertices is not None:
+        inits.extend(vertices)
     else:
         inits.extend(
             random_coupling_vertex(lam, lam_prime, rng) for _ in range(restarts)
@@ -499,12 +537,17 @@ def lp_risk_distance(
     by exact transport (for p = 1 this is the exact half-step; for p > 1 the
     transported cost is a surrogate and the true objective is re-evaluated);
     with the observation coupling fixed, the predictor coupling step is exact
-    for every p.  Restarts cover the independent coupling, the diagonal
-    coupling when the two weightings coincide, and polytope vertices: all of
-    them when the predictor supports are small (which makes the p = 1 result
-    provably optimal), a seeded random sample otherwise; at p = 1 with both
-    polytopes that small, every vertex pair instead, with no LP.  Only the
-    supported observation cells enter the steps.
+    for every p.  A step over a polytope with at most
+    ``_EXHAUSTIVE_VERTEX_LIMIT`` supported cells is the least-cost vertex,
+    with no LP, unless two vertices tie within METRIC_TOL; then, and on
+    larger polytopes, it solves the transport LP.  Restarts cover the
+    independent coupling, the diagonal coupling when the two weightings
+    coincide, and polytope vertices: all of them when the predictor supports
+    are small (which makes the p = 1 result provably optimal), a seeded
+    random sample otherwise; at p = 1 with both polytopes that small, every
+    vertex pair instead, with no LP.  Only the supported observation cells
+    enter the steps.  ``trace``, a list when given, receives the objective
+    after every round.
 
     The result is labeled ``exact`` only in the trivially tight case of
     singleton predictor sets, else ``upper_bound``.  For p = 1 the objective
@@ -513,6 +556,8 @@ def lp_risk_distance(
     p = _real(p, "p")
     require(1 <= p < np.inf, "p", "must lie in [1, inf)")
     restarts = _count(restarts, "restarts")
+    require(trace is None or isinstance(trace, list), "trace",
+            "must be None or a list")
     pa, pb = wp.problem, wp_prime.problem
     support = _support(pa.eta.ravel(), pb.eta.ravel())
     mu, nu = support.mu, support.nu
@@ -527,31 +572,28 @@ def lp_risk_distance(
         pair = flat_pairwise @ gamma_flat
         return float(np.sum(rho * pair**p) ** (1.0 / p))
 
-    gamma_step = _solved_once(lambda c: solve_ot_exact(c, mu, nu))
-    rho_step = _solved_once(lambda c: solve_ot_exact(c, wp.lam, wp_prime.lam))
+    gamma_step, gammas = _transport_step(mu, nu)
+    rho_step, rhos = _transport_step(wp.lam, wp_prime.lam)
 
     best = (np.inf, None, None)
     inits = []
-    rho_support = np.count_nonzero(wp.lam) * np.count_nonzero(wp_prime.lam)
-    if p == 1.0 and max(rho_support, m * n) <= _EXHAUSTIVE_VERTEX_LIMIT:
-        rhos = coupling_vertices(wp.lam, wp_prime.lam)
-        gammas = coupling_vertices(mu, nu).reshape(-1, m * n)
+    if p == 1.0 and gammas is not None and rhos is not None:
+        gammas = gammas.reshape(-1, m * n)
         values = np.einsum("vij,ijk,wk->vw", rhos, flat_pairwise, gammas)
         v, w = np.unravel_index(np.argmin(values), values.shape)
         best = (values[v, w], gammas[w], rhos[v])
         if trace is not None:
             trace.append(float(values[v, w]))
     else:
-        inits = _rho_inits(wp.lam, wp_prime.lam, restarts, rng)
+        inits = _rho_inits(wp.lam, wp_prime.lam, rhos, restarts, rng)
     for rho in inits:
         gamma_flat = np.outer(mu, nu).ravel()
         current = np.inf
         for _ in range(_MAX_ITER):
             gamma_cost = np.tensordot(rho, pow_pairwise, axes=2)
-            gamma, _ = gamma_step(gamma_cost.reshape(m, n))
-            gamma_flat = gamma.ravel()
+            gamma_flat = gamma_step(gamma_cost.reshape(m, n)).ravel()
             pair = flat_pairwise @ gamma_flat
-            rho, _ = rho_step(pair**p)
+            rho = rho_step(pair**p)
             value = objective(rho, gamma_flat)
             if trace is not None:
                 trace.append(value)

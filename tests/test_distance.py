@@ -756,6 +756,124 @@ def test_alternating_solvers_match_unmemoized(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# Transport steps: the least-cost vertex of a small polytope
+# --------------------------------------------------------------------------
+
+def _marginal(rng, size, dead=()):
+    mass = rng.random(size) + 0.05
+    mass[list(dead)] = 0.0
+    return mass / mass.sum()
+
+
+def test_transport_step_costs_the_lp_optimum():
+    # integer costs make tied vertices common, so both the vertex argmin and
+    # the LP it defers to are checked
+    rng = np.random.default_rng(70)
+    for size_a, size_b, dead_a, dead_b in ((1, 4, (), ()), (2, 3, (), ()),
+                                           (3, 3, (), ()), (4, 3, (1,), ()),
+                                           (3, 5, (0,), (1, 3)), (2, 4, (), (2,))):
+        a = _marginal(rng, size_a, dead_a)
+        b = _marginal(rng, size_b, dead_b)
+        step, vertices = rs.distance._transport_step(a, b)
+        assert vertices is not None
+        for trial in range(20):
+            cost = (rng.integers(0, 3, (size_a, size_b)).astype(float)
+                    if trial % 2 else rng.random((size_a, size_b)))
+            plan = rs.transport.check_coupling(step(cost), a, b)
+            _, value = rs.solve_ot_exact(cost, a, b)
+            assert abs(np.sum(plan * cost) - value) <= 1e-12
+
+
+def _solves_rho_lp(solved, wa, wb) -> bool:
+    """Whether one of the recorded LPs has the two weightings as marginals."""
+    marginals = np.concatenate([wa.lam, wb.lam]).tobytes()
+    return any(b_eq == marginals for *_, b_eq in solved)
+
+
+def test_tied_predictor_vertices_take_the_lp(monkeypatch):
+    # two copies of one predictor pay the same against every partner, so all
+    # rho vertices cost the same and the rho step is HiGHS's choice
+    rng = np.random.default_rng(71)
+    base = random_problem(rng, nx=3, ny=3, n_h=1)
+    twins = rs.FiniteProblem(base.x_labels, base.y_labels, base.eta, base.loss,
+                             np.repeat(base.predictors, 2, axis=0))
+    wa = rs.WeightedProblem(twins, np.array([0.5, 0.5]))
+    wb = random_weighted(rng, nx=3, ny=3, n_h=3)
+    _, solved = _recorded_lps(monkeypatch, lambda: rs.lp_risk_distance(wa, wb))
+    assert _solves_rho_lp(solved, wa, wb)
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0])
+def test_generic_predictor_steps_solve_no_lp(monkeypatch, order):
+    rng = np.random.default_rng(72)
+    wa = random_weighted(rng, nx=3, ny=3, n_h=3)
+    wb = random_weighted(rng, nx=3, ny=3, n_h=3)
+    _, solved = _recorded_lps(
+        monkeypatch, lambda: rs.lp_risk_distance(wa, wb, p=order))
+    assert solved  # the gamma steps, over 81 cells, are still LPs
+    assert not _solves_rho_lp(solved, wa, wb)
+
+
+def _frozen_trajectory_cases():
+    """Seeded weighted pairs, each with an order, whose alternating descent
+    takes vertex-argmin steps: a predictor polytope with at most nine
+    supported cells (some through zero weights) at p = 1 and 2, then an
+    observation polytope with at most nine at p = 2."""
+    rng = np.random.default_rng(69)
+
+    def weighted(n_h, zeros=0, **kwargs):
+        wp = random_weighted(rng, n_h=n_h, **kwargs)
+        lam = wp.lam.copy()
+        lam[rng.choice(n_h, size=zeros, replace=False)] = 0.0
+        return rs.WeightedProblem(wp.problem, lam / lam.sum())
+
+    for n_h, zeros_a, n_hp, zeros_b in ((3, 0, 3, 0), (2, 0, 3, 0), (4, 1, 3, 0),
+                                        (3, 1, 5, 2), (4, 2, 4, 1), (3, 0, 4, 1)):
+        wa = weighted(n_h, zeros_a, nx=3, ny=3)
+        wb = weighted(n_hp, zeros_b, nx=int(rng.integers(2, 4)), ny=3)
+        for order in (1.0, 2.0):
+            yield wa, wb, order
+    for (nx, ny, support), n_h, n_hp, zeros_b in (
+            ((1, 3, None), 3, 4, 0), ((2, 3, 3), 4, 4, 0),
+            ((3, 3, 3), 2, 3, 1), ((2, 2, 3), 3, 3, 0)):
+        wa = weighted(n_h, nx=nx, ny=ny, eta_support=support)
+        wb = weighted(n_hp, zeros_b, nx=nx, ny=ny, eta_support=support)
+        yield wa, wb, 2.0
+
+
+# (value, len(trace)) of each case above, from the solver that took every
+# transport step by LP
+_FROZEN_TRAJECTORIES = [
+    (0.5661248373549022, 47),
+    (0.5729150662495749, 40),
+    (0.5994639827848971, 16),
+    (0.6469074377797025, 17),
+    (0.613109832281207, 24),
+    (0.6190170162321658, 23),
+    (0.6834936218887332, 13),
+    (0.7130016569143852, 13),
+    (0.4107072445507607, 11),
+    (0.4151989645627413, 11),
+    (0.5114602354114188, 43),
+    (0.5184391416503031, 40),
+    (0.4493684313038245, 18),
+    (0.341861278554816, 18),
+    (0.9022322256333289, 6),
+    (0.6121749336421132, 38),
+]
+
+
+def test_vertex_steps_keep_frozen_trajectories():
+    cases = list(_frozen_trajectory_cases())
+    assert len(cases) == len(_FROZEN_TRAJECTORIES)
+    for (wa, wb, order), (value, steps) in zip(cases, _FROZEN_TRAJECTORIES):
+        trace: list[float] = []
+        result = rs.lp_risk_distance(wa, wb, p=order, trace=trace)
+        assert len(trace) == steps
+        assert abs(result.value - value) <= 1e-12
+
+
+# --------------------------------------------------------------------------
 # Geodesics
 # --------------------------------------------------------------------------
 

@@ -449,6 +449,10 @@ _MORE_REFUSALS = {
     "reduction-empty": (lambda: rs.hausdorff_reduction(np.zeros((0, 0))), "costs"),
     "result-string-value": (lambda: rs.DistanceResult("x", "exact"), "value"),
     "result-bool-value": (lambda: rs.DistanceResult(True, "exact"), "value"),
+} | {
+    f"lp-distance-{kind}-trace": (
+        lambda v=v: rs.lp_risk_distance(_W2, _W2, trace=v), "trace")
+    for kind, v in (("tuple", ()), ("string", "x"), ("int", 5))
 }
 
 
