@@ -43,8 +43,11 @@ from .problems import (
 )
 from .transport import (
     _coupling_lp,
+    _reduced_costs,
     _Support,
     _support,
+    _tree_simplex,
+    _tree_system,
     check_coupling,
     coupling_vertices,
     hausdorff,
@@ -469,33 +472,64 @@ def lp_risk_distortion(
     return float(np.sum(rho * pair_costs**p) ** (1.0 / p))
 
 
-def _transport_step(a: np.ndarray, b: np.ndarray):
+def _transport_step(a: np.ndarray, b: np.ndarray, downstream: np.ndarray):
     """One exact transport half-step over couplings of (a, b), for one
     alternating call: (step, vertices), where ``step`` maps a cost matrix to
     an optimal plan and ``vertices`` is the polytope's vertex array, or None
     when the support product exceeds ``_EXHAUSTIVE_VERTEX_LIMIT``.
+    ``downstream`` (k, len(a), len(b)) maps a plan to what the rest of the
+    descent reads of it: row r of the image is <downstream[r], plan>.
 
-    Large polytopes always take the memoized LP.  On a small one the step
-    is the argmin of <cost, v> over the vertices, listed once: an LP optimum
-    over a polytope is a vertex, so that is the LP's answer.  When another
-    vertex costs within METRIC_TOL of the least, the step is the memoized
-    LP instead, so HiGHS picks among tied vertices (see docs/algorithms.md).
+    On a small polytope the step is the argmin of <cost, v> over the
+    vertices, listed once: an LP optimum over a polytope is a vertex, so
+    that is the LP's answer.  When another vertex costs within METRIC_TOL of
+    the least, the step is the memoized LP instead, so HiGHS picks among
+    tied vertices.  A large polytope takes the tree simplex
+    (``transport._tree_simplex``), started from the basis, among those this
+    step has reached, whose plan costs least under the new cost.  Nonbasic
+    cells of reduced cost at most METRIC_TOL are tied; when the tree cycle
+    of some tied cell moves the image under ``downstream`` by more than
+    METRIC_TOL, the tied optima can send the descent different ways and the
+    step is the memoized LP.  Otherwise every optimal plan has the simplex
+    plan's image (see docs/algorithms.md), and the step takes that plan.
     Callers only read the plans a step hands out.
     """
     lp = _solved_once(lambda cost: solve_ot_exact(cost, a, b)[0])
-    if np.count_nonzero(a) * np.count_nonzero(b) > _EXHAUSTIVE_VERTEX_LIMIT:
-        return lp, None
-    vertices = coupling_vertices(a, b)
-    flat = vertices.reshape(len(vertices), -1)
+    support = _support(a, b)
+    if len(support.mu) * len(support.nu) <= _EXHAUSTIVE_VERTEX_LIMIT:
+        vertices = coupling_vertices(a, b)
+        flat = vertices.reshape(len(vertices), -1)
 
-    def step(cost: np.ndarray) -> np.ndarray:
-        values = flat @ cost.ravel()
-        k = int(np.argmin(values))
-        if np.count_nonzero(values <= values[k] + METRIC_TOL) > 1:
-            return lp(cost)
-        return vertices[k]
+        def step(cost: np.ndarray) -> np.ndarray:
+            values = flat @ cost.ravel()
+            k = int(np.argmin(values))
+            if np.count_nonzero(values <= values[k] + METRIC_TOL) > 1:
+                return lp(cost)
+            return vertices[k]
 
-    return step, vertices
+        return step, vertices
+
+    system, _ = _tree_system(support)
+    image = support.restrict(downstream).reshape(len(downstream), -1)
+    held: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def simplex_step(cost: np.ndarray) -> np.ndarray:
+        block = support.restrict(cost)
+        starts = list(held.values())
+        start = None
+        if starts:
+            plans = np.array([plan.ravel() for plan, _ in starts])
+            start = starts[int(np.argmin(plans @ block.ravel()))]
+        plan, basis, reduced = _tree_simplex(block, support, start)
+        held.setdefault(np.sort(basis).tobytes(), (plan, basis))
+        tied = np.setdiff1d(np.flatnonzero(reduced.ravel() <= METRIC_TOL), basis)
+        if len(tied):
+            moves = _reduced_costs(system, basis, image)[:, tied]
+            if np.any(np.abs(moves) > METRIC_TOL):
+                return lp(cost)
+        return support.embed(plan)
+
+    return _solved_once(simplex_step), None
 
 
 def _rho_inits(
@@ -539,8 +573,13 @@ def lp_risk_distance(
     with the observation coupling fixed, the predictor coupling step is exact
     for every p.  A step over a polytope with at most
     ``_EXHAUSTIVE_VERTEX_LIMIT`` supported cells is the least-cost vertex,
-    with no LP, unless two vertices tie within METRIC_TOL; then, and on
-    larger polytopes, it solves the transport LP.  Restarts cover the
+    with no LP, unless two vertices tie within METRIC_TOL; a step over a
+    larger one is a warm-started tree simplex, with no LP, unless tied
+    optima would move what the rest of the descent reads of the plan (the
+    pair costs, for the observation coupling; the next observation cost,
+    for the predictor coupling).  On a tie the step solves the transport
+    LP, so values and ``trace`` lengths are those of an LP per step (see
+    :func:`_transport_step`).  Restarts cover the
     independent coupling, the diagonal coupling when the two weightings
     coincide, and polytope vertices: all of them when the predictor supports
     are small (which makes the p = 1 result provably optimal), a seeded
@@ -572,8 +611,12 @@ def lp_risk_distance(
         pair = flat_pairwise @ gamma_flat
         return float(np.sum(rho * pair**p) ** (1.0 / p))
 
-    gamma_step, gammas = _transport_step(mu, nu)
-    rho_step, rhos = _transport_step(wp.lam, wp_prime.lam)
+    # each step's downstream: the pair costs read the gamma plan, and the
+    # next gamma cost reads the rho plan
+    gamma_step, gammas = _transport_step(
+        mu, nu, flat_pairwise.reshape(n_h * n_hp, m, n))
+    rho_step, rhos = _transport_step(
+        wp.lam, wp_prime.lam, np.moveaxis(pow_pairwise, -1, 0))
 
     best = (np.inf, None, None)
     inits = []
@@ -637,7 +680,9 @@ def bilinear_gw(
     integral.  The objective is bilinear, so its minimum is attained at a
     vertex pair; when the support product is at most
     ``_EXHAUSTIVE_VERTEX_LIMIT`` every vertex pair is evaluated and the
-    value is exact, otherwise it is an upper bound.
+    value is exact, otherwise it is an upper bound from the alternating
+    descent, whose steps over larger polytopes are tree-simplex solves
+    that reach the transport LP only on a tie.
     """
     return lp_risk_distance(
         _mm_space(None, dist_a, mu_a, "dist_a", "mu_a"),

@@ -192,8 +192,8 @@ def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     nu = check_distribution(nu, "nu")
     support = _support(mu, nu)
     m, n = len(support.rows), len(support.cols)
-    a_eq, b_eq = _marginal_equalities(support.mu, support.nu)
-    cell_columns, b = a_eq[:-1].T, b_eq[:-1]
+    system, b = _tree_system(support)
+    cell_columns = system.T
     cell_sets = itertools.combinations(range(m * n), m + n - 1)
     vertices: dict[bytes, np.ndarray] = {}
     for block in iter(lambda: list(itertools.islice(cell_sets, _VERTEX_BLOCK)), []):
@@ -221,23 +221,124 @@ def random_coupling_vertex(
     mu = check_distribution(mu, "mu")
     nu = check_distribution(nu, "nu")
     support = _support(mu, nu)
-    m, n = len(support.rows), len(support.cols)
-    rperm = rng.permutation(m)
-    cperm = rng.permutation(n)
-    remaining_mu = support.mu[rperm]
-    remaining_nu = support.nu[cperm]
-    plan = np.zeros((m, n))
+    rperm = rng.permutation(len(support.rows))
+    cperm = rng.permutation(len(support.cols))
+    rows, cols, masses = _northwest_corner(support.mu[rperm], support.nu[cperm])
+    plan = np.zeros((len(rperm), len(cperm)))
+    plan[rperm[rows], cperm[cols]] = masses
+    return support.embed(plan)
+
+
+def _northwest_corner(
+    mu: np.ndarray, nu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The northwest-corner walk over couplings of two positive marginals:
+    the rows, columns and masses of the m + n - 1 cells it visits.
+
+    From each cell the walk moves down when the row has no more mass left
+    than the column, else right, and along the last row or column once it
+    reaches it.  The cells are a staircase from (0, 0) to (m - 1, n - 1), so
+    they form a spanning tree of the complete bipartite graph, and the
+    masses are that tree's plan; equal partial sums put a zero mass on the
+    cell after the tie.
+    """
+    m, n = len(mu), len(nu)
+    remaining_mu, remaining_nu = mu.copy(), nu.copy()
+    rows = np.zeros(m + n - 1, dtype=int)
+    cols = np.zeros(m + n - 1, dtype=int)
+    masses = np.zeros(m + n - 1)
     i = j = 0
-    while i < m and j < n:
+    for k in range(m + n - 1):
         move = min(remaining_mu[i], remaining_nu[j])
-        plan[rperm[i], cperm[j]] = move
+        rows[k], cols[k], masses[k] = i, j, move
         remaining_mu[i] -= move
         remaining_nu[j] -= move
-        if remaining_mu[i] <= remaining_nu[j]:
+        if j == n - 1 or (i < m - 1 and remaining_mu[i] <= remaining_nu[j]):
             i += 1
         else:
             j += 1
-    return support.embed(plan)
+    return rows, cols, masses
+
+
+def _tree_system(support: _Support) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal equations of ``support`` less the last, over its cells
+    flattened row-major.  The dropped equation follows from the others, and
+    the columns of a set of m + n - 1 cells form a square matrix of
+    determinant +-1 exactly when the cells are a spanning tree (see
+    :func:`coupling_vertices`)."""
+    a_eq, b_eq = _marginal_equalities(support.mu, support.nu)
+    return a_eq[:-1], b_eq[:-1]
+
+
+def _reduced_costs(
+    system: np.ndarray, basis: np.ndarray, costs: np.ndarray
+) -> np.ndarray:
+    """The reduced cost of every cell under each row of ``costs`` (one flat
+    cost, or a stack of them), for the spanning tree ``basis`` of the tree
+    ``system``: the cell's cost less its row and column potentials, i.e. the
+    change in cost per unit of mass sent around the cycle the cell closes in
+    the tree.  Basic cells get zero."""
+    potentials = np.linalg.solve(system[:, basis].T, costs[..., basis].T)
+    reduced = costs - (system.T @ potentials).T
+    reduced[..., basis] = 0.0
+    return reduced
+
+
+def _tree_simplex(
+    cost: np.ndarray,
+    support: _Support,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize <cost, x> over the couplings of ``support`` by the
+    transportation simplex: (plan, basis, reduced).
+
+    ``cost`` and ``plan`` are supported (rows, cols) blocks.  A basis is a
+    spanning tree of m + n - 1 cells, flat row-major indices; the plan is
+    the tree's unique coupling, kept as it pivots.  ``start`` is a (plan,
+    basis) pair this function returned for the same marginals; without it
+    the walk starts at the northwest corner.
+
+    Each pivot prices the cells with one solve for the potentials
+    (:func:`_reduced_costs`) and enters the cell of least reduced cost below
+    -METRIC_TOL (Dantzig's rule).  One solve gives the entering cell's
+    cycle, whose entries are integers because the tree system is totally
+    unimodular, so the ratio test compares masses with no tolerance; the
+    leaving cell is the first of the least-mass cells the cycle drains.
+    When that pivot would move no mass (equal partial sums of the
+    marginals), the first cell below -METRIC_TOL enters instead (Bland's
+    rule), which cannot cycle.  So the walk ends, with no pivot cap, at a
+    plan whose cells all have reduced cost at least -METRIC_TOL:
+    ``reduced``, zero on the basis.  No coupling costs less than the plan
+    by more than the largest such negative part, at most METRIC_TOL.
+    """
+    system, _ = _tree_system(support)
+    n = len(support.nu)
+    c = cost.ravel()
+    if start is None:
+        rows, cols, x = _northwest_corner(support.mu, support.nu)
+        basis = rows * n + cols
+    else:
+        plan, basis = start
+        basis = basis.copy()
+        x = plan.ravel()[basis]
+    while True:
+        reduced = _reduced_costs(system, basis, c)
+        entering = np.flatnonzero(reduced < -METRIC_TOL)
+        if not len(entering):
+            break
+        for cell in (entering[np.argmin(reduced[entering])], entering[0]):
+            cycle = np.rint(np.linalg.solve(system[:, basis], system[:, cell]))
+            drained = np.flatnonzero(cycle > 0)
+            theta = x[drained].min()
+            if theta > 0:
+                break
+        ties = drained[x[drained] == theta]
+        leaving = ties[np.argmin(basis[ties])]
+        x = x - theta * cycle
+        x[leaving], basis[leaving] = theta, cell
+    plan = np.zeros(c.size)
+    plan[basis] = x
+    return plan.reshape(cost.shape), basis, reduced.reshape(cost.shape)
 
 
 # --------------------------------------------------------------------------

@@ -766,16 +766,21 @@ def _marginal(rng, size, dead=()):
 
 
 def test_transport_step_costs_the_lp_optimum():
-    # integer costs make tied vertices common, so both the vertex argmin and
-    # the LP it defers to are checked
+    # integer costs make tied optima common, so both the vertex argmin or
+    # tree simplex and the LP they defer to are checked; the plan itself is
+    # read downstream, so a large step takes the LP on every tie
     rng = np.random.default_rng(70)
     for size_a, size_b, dead_a, dead_b in ((1, 4, (), ()), (2, 3, (), ()),
                                            (3, 3, (), ()), (4, 3, (1,), ()),
-                                           (3, 5, (0,), (1, 3)), (2, 4, (), (2,))):
+                                           (3, 5, (0,), (1, 3)), (2, 4, (), (2,)),
+                                           (4, 3, (), ()), (5, 4, (0,), ()),
+                                           (1, 12, (), (3,)), (6, 6, (2, 4), (5,))):
         a = _marginal(rng, size_a, dead_a)
         b = _marginal(rng, size_b, dead_b)
-        step, vertices = rs.distance._transport_step(a, b)
-        assert vertices is not None
+        plan_reads = np.eye(size_a * size_b).reshape(-1, size_a, size_b)
+        step, vertices = rs.distance._transport_step(a, b, plan_reads)
+        small = (size_a - len(dead_a)) * (size_b - len(dead_b)) <= 9
+        assert (vertices is not None) == small
         for trial in range(20):
             cost = (rng.integers(0, 3, (size_a, size_b)).astype(float)
                     if trial % 2 else rng.random((size_a, size_b)))
@@ -784,10 +789,14 @@ def test_transport_step_costs_the_lp_optimum():
             assert abs(np.sum(plan * cost) - value) <= 1e-12
 
 
-def _solves_rho_lp(solved, wa, wb) -> bool:
-    """Whether one of the recorded LPs has the two weightings as marginals."""
-    marginals = np.concatenate([wa.lam, wb.lam]).tobytes()
-    return any(b_eq == marginals for *_, b_eq in solved)
+def _lps_over(solved, a, b) -> int:
+    """How many of the recorded LPs couple the positive atoms of a and b."""
+    marginals = np.concatenate([a[a > 0], b[b > 0]]).tobytes()
+    return sum(b_eq == marginals for *_, b_eq in solved)
+
+
+def _etas(wa, wb):
+    return wa.problem.eta.ravel(), wb.problem.eta.ravel()
 
 
 def test_tied_predictor_vertices_take_the_lp(monkeypatch):
@@ -800,18 +809,118 @@ def test_tied_predictor_vertices_take_the_lp(monkeypatch):
     wa = rs.WeightedProblem(twins, np.array([0.5, 0.5]))
     wb = random_weighted(rng, nx=3, ny=3, n_h=3)
     _, solved = _recorded_lps(monkeypatch, lambda: rs.lp_risk_distance(wa, wb))
-    assert _solves_rho_lp(solved, wa, wb)
+    assert _lps_over(solved, wa.lam, wb.lam)
+
+
+def _simplex_steps(monkeypatch, call):
+    """Outcome of ``call`` and the (marginals, plan, basis, reduced) of every
+    tree simplex it ran."""
+    steps = []
+
+    def recording(cost, support, start=None):
+        out = rs.transport._tree_simplex(cost, support, start)
+        steps.append((np.concatenate([support.mu, support.nu]).tobytes(), *out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rs.distance, "_tree_simplex", recording)
+        return call(), steps
+
+
+def _by_lp_steps(monkeypatch, wa, wb, order):
+    """(value, trace) of ``lp_risk_distance`` with every large transport step
+    solved by LP, as before the tree simplex."""
+    step_of = rs.distance._transport_step
+
+    def lp_step(a, b, downstream):
+        step, vertices = step_of(a, b, downstream)
+        if vertices is None:
+            step = lambda cost: rs.solve_ot_exact(cost, a, b)[0]  # noqa: E731
+        return step, vertices
+
+    trace: list[float] = []
+    with monkeypatch.context() as patch:
+        patch.setattr(rs.distance, "_transport_step", lp_step)
+        value = rs.lp_risk_distance(wa, wb, p=order, trace=trace).value
+    return value, trace
+
+
+def _matches_lp_steps(monkeypatch, wa, wb, order):
+    trace: list[float] = []
+    value = rs.lp_risk_distance(wa, wb, p=order, trace=trace).value
+    lp_value, lp_trace = _by_lp_steps(monkeypatch, wa, wb, order)
+    return len(trace) == len(lp_trace) and abs(value - lp_value) <= 1e-12
+
+
+def _zeroed_weighted(rng, n_h, zeros=0, **kwargs):
+    """A random weighted problem with ``zeros`` of its weights set to 0."""
+    wp = random_weighted(rng, n_h=n_h, **kwargs)
+    lam = wp.lam.copy()
+    lam[rng.choice(n_h, size=zeros, replace=False)] = 0.0
+    return rs.WeightedProblem(wp.problem, lam / lam.sum())
 
 
 @pytest.mark.parametrize("order", [1.0, 2.0])
 def test_generic_predictor_steps_solve_no_lp(monkeypatch, order):
+    # no rho step of these seeded pairs ties (predictors that agree on some
+    # points tie steps often, at p = 1 above all; the tie tests cover that):
+    # no LP over the predictor weightings, whether the rho polytope is small
+    # (3 x 3) or large (4 x 4 through a zero weight), and the gamma steps,
+    # over 81 cells, solve fewer LPs than there are distinct gamma steps
     rng = np.random.default_rng(72)
+    pairs = [(random_weighted(rng, nx=3, ny=3, n_h=3),
+              random_weighted(rng, nx=3, ny=3, n_h=3))]
+    rng = np.random.default_rng(79)
+    pairs.append((_zeroed_weighted(rng, 5, 1, nx=3, ny=3),
+                  _zeroed_weighted(rng, 4, 0, nx=3, ny=3)))
+    for wa, wb in pairs:
+        call = lambda: rs.lp_risk_distance(wa, wb, p=order)  # noqa: E731
+        (_, steps), solved = _recorded_lps(
+            monkeypatch, lambda: _simplex_steps(monkeypatch, call))
+        mu, nu = _etas(wa, wb)
+        gamma_steps = [s for s in steps if s[0] == np.concatenate([mu, nu]).tobytes()]
+        assert not _lps_over(solved, wa.lam, wb.lam)
+        assert _lps_over(solved, mu, nu) < len(gamma_steps)
+    assert len(steps) > len(gamma_steps)  # the second pair's rho steps are large
+
+
+def test_harmless_gamma_tie_solves_no_lp(monkeypatch):
+    # x0 and x1 get the same label from every predictor, so their cells pay
+    # equal losses: the gamma optimum is not unique, but moving mass between
+    # those cells moves no pair cost
+    rng = np.random.default_rng(73)
     wa = random_weighted(rng, nx=3, ny=3, n_h=3)
+    predictors = wa.problem.predictors.copy()
+    predictors[:, 1] = predictors[:, 0]
+    wa = rs.WeightedProblem(replace(wa.problem, predictors=predictors), wa.lam)
     wb = random_weighted(rng, nx=3, ny=3, n_h=3)
-    _, solved = _recorded_lps(
-        monkeypatch, lambda: rs.lp_risk_distance(wa, wb, p=order))
-    assert solved  # the gamma steps, over 81 cells, are still LPs
-    assert not _solves_rho_lp(solved, wa, wb)
+    call = lambda: rs.lp_risk_distance(wa, wb)  # noqa: E731
+    (_, steps), solved = _recorded_lps(
+        monkeypatch, lambda: _simplex_steps(monkeypatch, call))
+    mu, nu = _etas(wa, wb)
+    tied = [np.count_nonzero(reduced <= rs.problems.METRIC_TOL) > len(basis)
+            for marginals, _, basis, reduced in steps
+            if marginals == np.concatenate([mu, nu]).tobytes()]
+    assert any(tied)
+    assert not _lps_over(solved, mu, nu)
+    assert _matches_lp_steps(monkeypatch, wa, wb, 1.0)
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0])
+def test_harmful_gamma_tie_takes_the_lp(monkeypatch, order):
+    # losses in {0, 1, 2} tie gamma plans that move some pair cost, so the
+    # step is HiGHS's choice and the descent is the one of an LP per step
+    rng = np.random.default_rng(75)
+
+    def integer_losses(wp):
+        loss = rng.integers(0, 3, wp.problem.loss.shape).astype(float)
+        return rs.WeightedProblem(replace(wp.problem, loss=loss), wp.lam)
+
+    wa = integer_losses(random_weighted(rng, nx=3, ny=3, n_h=3))
+    wb = integer_losses(random_weighted(rng, nx=3, ny=3, n_h=3))
+    _, solved = _recorded_lps(monkeypatch, lambda: rs.lp_risk_distance(wa, wb, p=order))
+    assert _lps_over(solved, *_etas(wa, wb))
+    assert _matches_lp_steps(monkeypatch, wa, wb, order)
 
 
 def _frozen_trajectory_cases():
@@ -822,10 +931,7 @@ def _frozen_trajectory_cases():
     rng = np.random.default_rng(69)
 
     def weighted(n_h, zeros=0, **kwargs):
-        wp = random_weighted(rng, n_h=n_h, **kwargs)
-        lam = wp.lam.copy()
-        lam[rng.choice(n_h, size=zeros, replace=False)] = 0.0
-        return rs.WeightedProblem(wp.problem, lam / lam.sum())
+        return _zeroed_weighted(rng, n_h, zeros, **kwargs)
 
     for n_h, zeros_a, n_hp, zeros_b in ((3, 0, 3, 0), (2, 0, 3, 0), (4, 1, 3, 0),
                                         (3, 1, 5, 2), (4, 2, 4, 1), (3, 0, 4, 1)):
@@ -867,6 +973,54 @@ def test_vertex_steps_keep_frozen_trajectories():
     cases = list(_frozen_trajectory_cases())
     assert len(cases) == len(_FROZEN_TRAJECTORIES)
     for (wa, wb, order), (value, steps) in zip(cases, _FROZEN_TRAJECTORIES):
+        trace: list[float] = []
+        result = rs.lp_risk_distance(wa, wb, p=order, trace=trace)
+        assert len(trace) == steps
+        assert abs(result.value - value) <= 1e-12
+
+
+def _large_step_cases():
+    """Seeded pairs, each with an order, whose alternating descent takes
+    tree-simplex steps: 3x3 grids (an 81-cell observation polytope) with
+    predictor polytopes of 9 to 16 supported cells, some through zero
+    weights, at p = 1 and 2; then the weighted encodings of two pairs of
+    metric spaces of 4 to 6 points, as ``bilinear_gw`` takes them."""
+    rng = np.random.default_rng(73)
+    for n_h, zeros_a, n_hp, zeros_b in ((3, 0, 3, 0), (4, 0, 3, 0), (4, 1, 4, 0),
+                                        (5, 2, 4, 1), (5, 1, 4, 0)):
+        wa = _zeroed_weighted(rng, n_h, zeros_a, nx=3, ny=3)
+        wb = _zeroed_weighted(rng, n_hp, zeros_b, nx=3, ny=3)
+        for order in (1.0, 2.0):
+            yield wa, wb, order
+    for na, nb in ((4, 5), (6, 5)):
+        (da, mua), (db, mub) = _space(rng, na), _space(rng, nb)
+        yield (rs.encode_mm_space_weighted([f"a{i}" for i in range(na)], da, mua),
+               rs.encode_mm_space_weighted([f"b{i}" for i in range(nb)], db, mub),
+               1.0)
+
+
+# (value, len(trace)) of each case above, from the solver that took every
+# large transport step by LP
+_FROZEN_LARGE_STEP_TRAJECTORIES = [
+    (0.38215238950270425, 50),
+    (0.40973309282099646, 51),
+    (0.41130728753472734, 23),
+    (0.4160024705342561, 22),
+    (0.4108749154432504, 27),
+    (0.4518306114497147, 25),
+    (0.4743836645020591, 43),
+    (0.4845206968254502, 40),
+    (0.3722244881560985, 31),
+    (0.3713993306479338, 29),
+    (0.3949871855358318, 25),
+    (0.35105734441872927, 23),
+]
+
+
+def test_large_steps_keep_frozen_trajectories():
+    cases = list(_large_step_cases())
+    assert len(cases) == len(_FROZEN_LARGE_STEP_TRAJECTORIES)
+    for (wa, wb, order), (value, steps) in zip(cases, _FROZEN_LARGE_STEP_TRAJECTORIES):
         trace: list[float] = []
         result = rs.lp_risk_distance(wa, wb, p=order, trace=trace)
         assert len(trace) == steps

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import riskspace as rs
-from riskspace.problems import LossProfile
+from riskspace.problems import METRIC_TOL, LossProfile
 from riskspace.transport import check_coupling
 from gen import (
     enumerate_correspondences,
@@ -111,6 +113,129 @@ def test_random_vertex_is_feasible_and_sparse():
         check_coupling(vertex, mu, nu)
         # basic feasible solutions have at most m + n - 1 nonzero cells
         assert np.count_nonzero(vertex) <= m + n - 1
+
+
+def _random_vertex_before_the_shared_walk(mu, nu, rng):
+    """``random_coupling_vertex`` as written before it shared the
+    northwest-corner walk: its output must stay the same, byte for byte."""
+    rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+    m, n = len(rows), len(cols)
+    rperm = rng.permutation(m)
+    cperm = rng.permutation(n)
+    remaining_mu = mu[rows][rperm]
+    remaining_nu = nu[cols][cperm]
+    plan = np.zeros((m, n))
+    i = j = 0
+    while i < m and j < n:
+        move = min(remaining_mu[i], remaining_nu[j])
+        plan[rperm[i], cperm[j]] = move
+        remaining_mu[i] -= move
+        remaining_nu[j] -= move
+        if remaining_mu[i] <= remaining_nu[j]:
+            i += 1
+        else:
+            j += 1
+    full = np.zeros((len(mu), len(nu)))
+    full[np.ix_(rows, cols)] = plan
+    return full
+
+
+def _seeded_marginal_pairs(rng, count):
+    """Marginals of 1-6 atoms: real masses, or integer weights 0-3 (equal
+    partial sums), with a zero-mass atom in every third pair."""
+    for k in range(count):
+        pair = []
+        for _ in range(2):
+            size = int(rng.integers(1, 7))
+            mass = rng.random(size) if k % 2 else rng.integers(0, 4, size).astype(float)
+            if k % 3 == 0:
+                mass[rng.integers(size)] = 0.0
+            if mass.sum() == 0:
+                mass[0] = 1.0
+            pair.append(mass / mass.sum())
+        yield pair
+
+
+def test_northwest_walk_spans_and_keeps_random_vertices():
+    from riskspace.transport import _northwest_corner, _support, _tree_system
+    from riskspace.transport import random_coupling_vertex
+
+    rng = np.random.default_rng(26)
+    degenerate = 0
+    for k, (mu, nu) in enumerate(_seeded_marginal_pairs(rng, 200)):
+        support = _support(mu, nu)
+        rows, cols, masses = _northwest_corner(support.mu, support.nu)
+        system, _ = _tree_system(support)
+        cells = rows * len(support.nu) + cols
+        assert len(cells) == len(support.mu) + len(support.nu) - 1
+        # a spanning tree: its system is square with determinant +-1
+        assert abs(abs(np.linalg.det(system[:, cells])) - 1.0) < 1e-9
+        plan = np.zeros((len(support.mu), len(support.nu)))
+        plan[rows, cols] = masses
+        check_coupling(plan, support.mu, support.nu)
+        degenerate += np.any(masses == 0)
+        vertex = random_coupling_vertex(mu, nu, np.random.default_rng(k))
+        reference = _random_vertex_before_the_shared_walk(mu, nu, np.random.default_rng(k))
+        assert vertex.tobytes() == reference.tobytes()
+    assert degenerate  # equal partial sums came up
+
+
+@st.composite
+def _ot_instances(draw):
+    """Two marginals of 2-6 atoms (uniform, so that every basis can be
+    degenerate, or integer weights 0-3 with zero-mass and equal-mass atoms,
+    or real weights) and two real or {0, 1, 2} costs.  A real weight is 0 or
+    at least 0.01: HiGHS's 1e-10 feasibility tolerance lets the LP oracle
+    drop an atom of mass near 1e-12, which moves its value by as much."""
+
+    def marginal():
+        size = draw(st.integers(2, 6))
+        kind = draw(st.sampled_from(["uniform", "integer", "real"]))
+        if kind == "uniform":
+            weights = np.ones(size)
+        elif kind == "integer":
+            weights = draw(arrays(np.int64, size, elements=st.integers(0, 3))
+                           .filter(lambda w: w.sum() > 0)).astype(float)
+        else:
+            weights = draw(arrays(float, size,
+                                  elements=st.just(0.0) | st.floats(0.01, 1))
+                           .filter(lambda w: w.sum() > 0))
+        return weights / weights.sum()
+
+    def cost(shape):
+        if draw(st.booleans()):
+            return draw(arrays(np.int64, shape, elements=st.integers(0, 2))).astype(float)
+        return draw(arrays(float, shape, elements=st.floats(0, 2)))
+
+    mu, nu = marginal(), marginal()
+    return mu, nu, cost((len(mu), len(nu))), cost((len(mu), len(nu)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ot_instances())
+def test_tree_simplex_solves_transport_exactly(instance):
+    # a cold start on the first cost, then a warm start from its basis
+    from riskspace.transport import _support, _tree_simplex
+
+    mu, nu, *costs = instance
+    support = _support(mu, nu)
+    start = None
+    for cost in costs:
+        plan, basis, reduced = _tree_simplex(support.restrict(cost), support, start)
+        start = (plan, basis)
+        plan = check_coupling(support.embed(plan), mu, nu)
+        # marginals kept to rounding, so no plan can cost much less
+        assert np.max(np.abs(plan.sum(axis=1) - mu)) <= 1e-12
+        assert np.max(np.abs(plan.sum(axis=0) - nu)) <= 1e-12
+        # and none much less than HiGHS's, which stops within its own 1e-10
+        # tolerances: a cell left at reduced cost r in [-METRIC_TOL, 0)
+        # could save at most |r| per unit of mass, and there is one unit
+        lp_plan, value = rs.solve_ot_exact(cost, mu, nu)
+        slack = max(0.0, -reduced.min())
+        assert np.sum(plan * cost) <= value + 1e-12 + slack
+        tied = np.setdiff1d(np.flatnonzero(reduced <= METRIC_TOL), basis)
+        if not len(tied):
+            assert np.max(np.abs(plan - lp_plan)) <= 1e-9
 
 
 def _vertex_marginal_pairs(rng):
