@@ -47,120 +47,104 @@ def _load_weighted(path: str) -> WeightedProblem:
     return WeightedProblem(problem=problem, lam=lam)
 
 
-def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _load_object(path: str, name: str, *keys: str) -> dict:
     """The JSON object in the ``name`` file ``path``, holding every key of
     ``keys`` (see :func:`serialize._json_object`)."""
-    return serialize._json_object(_load_json(path), name, keys, f"{name} file {path}")
+    return serialize._json_object(serialize._read_json(path), name, keys,
+                                  f"{name} file {path}")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="riskspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, *paths: str, **described: str):
+        """The subcommand ``name``: its input files ``paths``, then those of
+        ``described`` with their help, then the common flags."""
         p = sub.add_parser(name, help=help_text)
+        for path in paths:
+            p.add_argument(path)
+        for path, path_help in described.items():
+            p.add_argument(path, help=path_help)
         p.add_argument("--out", help="write output here (atomic)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
-    p = add("distance", "exact distance between two problems")
-    p.add_argument("problem_a")
-    p.add_argument("problem_b")
-    p.add_argument("--cap-pairs", type=int, default=distance.DEFAULT_CAP_PAIRS)
-    p.add_argument("--cap-support", type=int, default=distance.DEFAULT_CAP_SUPPORT)
+    def caps(p: argparse.ArgumentParser):
+        p.add_argument("--cap-pairs", type=int, default=distance.DEFAULT_CAP_PAIRS)
+        p.add_argument("--cap-support", type=int, default=distance.DEFAULT_CAP_SUPPORT)
+
+    p = add("distance", "exact distance between two problems", "problem_a", "problem_b")
+    caps(p)
     p.add_argument("--no-heuristic", action="store_true",
                    help="fail (exit 2) instead of falling back beyond the caps")
     p.add_argument("--witnesses", action="store_true",
                    help="include witness coupling/correspondence in the output")
 
-    p = add("distance-lp", "weighted distance by alternating minimization")
-    p.add_argument("problem_a")
-    p.add_argument("problem_b")
+    p = add("distance-lp", "weighted distance by alternating minimization",
+            "problem_a", "problem_b")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witnesses", action="store_true")
 
-    p = add("bound", "closed-form stability bound for shared-structure pairs")
-    p.add_argument("problem_a")
-    p.add_argument("problem_b")
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=("loss-swap", "eta-w1", "eta-tv", "predictor-swap", "lower"),
-    )
+    p = add("bound", "closed-form stability bound for shared-structure pairs",
+            "problem_a", "problem_b")
+    p.add_argument("--mode", required=True, choices=(
+        "loss-swap", "eta-w1", "eta-tv", "predictor-swap", "lower"))
     p.add_argument("--ell-max", type=float, help="loss cap for --mode eta-tv")
 
-    p = add("corrupt", "run a corruption pipeline and emit its bound ledger")
-    p.add_argument("problem")
-    p.add_argument("pipeline")
+    p = add("corrupt", "run a corruption pipeline and emit its bound ledger",
+            "problem", "pipeline")
     p.add_argument("--exact", action="store_true",
                    help="also compute the exact endpoint distance when it fits")
-    p.add_argument("--cap-pairs", type=int, default=distance.DEFAULT_CAP_PAIRS)
-    p.add_argument("--cap-support", type=int, default=distance.DEFAULT_CAP_SUPPORT)
+    caps(p)
 
-    p = add("coarsen", "coarsen the response space by a partition")
-    p.add_argument("problem")
-    p.add_argument("partition", help="JSON file: {\"blocks\": [[...], ...]}")
+    add("coarsen", "coarsen the response space by a partition", "problem",
+        partition="JSON file: {\"blocks\": [[...], ...]}")
 
-    p = add("sample", "draw a seeded empirical problem")
-    p.add_argument("problem")
+    p = add("sample", "draw a seeded empirical problem", "problem")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("convergence", "empirical-problem convergence experiment")
-    p.add_argument("problem")
+    p = add("convergence", "empirical-problem convergence experiment", "problem")
     p.add_argument("--ns", default="10,100,1000",
                    help="comma-separated sample sizes")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap-pairs", type=int, default=distance.DEFAULT_CAP_PAIRS)
-    p.add_argument("--cap-support", type=int, default=distance.DEFAULT_CAP_SUPPORT)
+    caps(p)
 
-    p = add("rademacher", "Rademacher complexity (Monte Carlo or exact)")
-    p.add_argument("problem")
+    p = add("rademacher", "Rademacher complexity (Monte Carlo or exact)", "problem")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("reeb", "Reeb graph of a risk landscape")
-    p.add_argument("problem")
+    p = add("reeb", "Reeb graph of a risk landscape", "problem")
     p.add_argument("--edges", required=True,
                    help="JSON file: {\"edges\": [[i, j], ...]}")
     p.add_argument("--tol", type=float, default=0.0,
                    help="height-merge tolerance for level grouping")
 
-    p = add("connected-distance", "distance over inverse-connected alignments")
-    p.add_argument("problem_a")
-    p.add_argument("problem_b")
+    p = add("connected-distance", "distance over inverse-connected alignments",
+            "problem_a", "problem_b")
     p.add_argument("--edges-a", required=True)
     p.add_argument("--edges-b", required=True)
     p.add_argument("--cap-pairs", type=int, default=landscape.CONNECTED_CAP_PAIRS)
     p.add_argument("--witnesses", action="store_true")
 
-    p = add("geodesic", "interpolate between two problems at parameter t")
-    p.add_argument("problem_a")
-    p.add_argument("problem_b")
+    p = add("geodesic", "interpolate between two problems at parameter t",
+            "problem_a", "problem_b")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--cap-pairs", type=int, default=distance.DEFAULT_CAP_PAIRS)
-    p.add_argument("--cap-support", type=int, default=distance.DEFAULT_CAP_SUPPORT)
+    caps(p)
 
-    p = add("profile", "loss profiles, and profile-set comparisons")
-    p.add_argument("problem_a")
+    p = add("profile", "loss profiles, and profile-set comparisons", "problem_a")
     p.add_argument("problem_b", nargs="?")
     p.add_argument("--p", type=float, default=1.0,
                    help="order for the weighted profile-distribution distance")
 
-    p = add("verify", "check a simulation witness between two problems")
-    p.add_argument("rich")
-    p.add_argument("base")
-    p.add_argument("maps", help="JSON file with f1, f2, fwd, bwd index maps")
+    p = add("verify", "check a simulation witness between two problems",
+            "rich", "base", maps="JSON file with f1, f2, fwd, bwd index maps")
     p.add_argument("--tol", type=float, default=1e-12)
 
     return parser
@@ -185,38 +169,40 @@ def _cmd_distance(args) -> dict:
 def _cmd_distance_lp(args) -> dict:
     wa = _load_weighted(args.problem_a)
     wb = _load_weighted(args.problem_b)
-    result = distance.lp_risk_distance(
-        wa, wb, p=args.p, restarts=args.restarts, seed=args.seed
-    )
+    result = distance.lp_risk_distance(wa, wb, p=args.p, restarts=args.restarts,
+                                       seed=args.seed)
     out = serialize.distance_result_to_dict(result,
                                             include_witnesses=args.witnesses)
     out.update({"p": args.p, "seed": args.seed, "prng": empirical.PRNG_ID})
     return out
 
 
+# ``bound`` modes that are modes of ``distance.risk_distance_upper_shared``
+_SHARED_MODES = {
+    "loss-swap": "shared_eta_H",
+    "eta-w1": "shared_all_but_eta",
+    "predictor-swap": "shared_all_but_H",
+}
+
+
 def _cmd_bound(args) -> dict:
     pa, _ = serialize.load_problem(args.problem_a)
     pb, _ = serialize.load_problem(args.problem_b)
-    if args.mode == "loss-swap":
-        value = distance.risk_distance_upper_shared(pa, pb, "shared_eta_H")
-    elif args.mode == "eta-w1":
-        value = distance.risk_distance_upper_shared(pa, pb, "shared_all_but_eta")
+    kind = "upper_bound"
+    if args.mode in _SHARED_MODES:
+        value = distance.risk_distance_upper_shared(pa, pb, _SHARED_MODES[args.mode])
     elif args.mode == "eta-tv":
         if args.ell_max is None:
-            raise ValidationError("--ell-max is required for eta-tv",
-                                  field="ell_max")
+            raise ValidationError("--ell-max is required for eta-tv", field="ell_max")
         value = corruption.tv_bound(pa, pb, args.ell_max)
-    elif args.mode == "predictor-swap":
-        value = distance.risk_distance_upper_shared(pa, pb, "shared_all_but_H")
     else:
-        value = distance.risk_distance_lower(pa, pb)
-    kind = "lower_bound" if args.mode == "lower" else "upper_bound"
+        value, kind = distance.risk_distance_lower(pa, pb), "lower_bound"
     return {"mode": args.mode, "value": value, "kind": kind}
 
 
 def _cmd_corrupt(args) -> dict:
     problem, lam = serialize.load_problem(args.problem)
-    stages = _load_json(args.pipeline)
+    stages = serialize._read_json(args.pipeline)
     if not isinstance(stages, list):
         raise ValidationError("pipeline JSON must be a list of stage objects",
                               field="pipeline")
@@ -385,7 +371,6 @@ _CSV_COMMANDS = {"convergence", "reeb"}
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    field = "path"  # what an OSError or undecodable file blames: an input, then --out
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -398,7 +383,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         result = _COMMANDS[args.command](args)
         text = result if isinstance(result, str) else serialize.dump_json(result)
-        field = "out"
         if args.out:
             serialize.atomic_write(args.out, text)
         else:
@@ -418,19 +402,11 @@ def main(argv: list[str] | None = None) -> int:
         }))
         return 2
     except SolverError as exc:
-        sys.stderr.write(serialize.dump_json({
-            "error": "solver", "message": str(exc),
-        }))
+        sys.stderr.write(serialize.dump_json({"error": "solver", "message": str(exc)}))
         return 3
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:  # inputs are read by serialize._read_json, so only --out
         sys.stderr.write(serialize.dump_json({
-            "error": "validation", "message": str(exc), "field": field,
-        }))
-        return 1
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(serialize.dump_json({
-            "error": "validation", "message": f"invalid JSON: {exc}",
-            "field": "path",
+            "error": "validation", "message": str(exc), "field": "out",
         }))
         return 1
     return 0

@@ -82,11 +82,13 @@ def convergence_experiment(
     """
     ns = _index_array(ns, "ns", (None,))
     require(ns.size >= 1, "ns", "must list at least one sample size")
+    # every size is checked before any stream is seeded with it
+    ns = [_count(n, "n", least=1) for n in ns.tolist()]
     trials = _count(trials, "trials", least=1)
     seed = _count(seed, "seed")
     ell_max = float(problem.loss.max())
     rows = []
-    for n in ns.tolist():
+    for n in ns:
         for trial in range(trials):
             empirical = _resample(problem, n, _rng(seed, n, trial))
             bound = tv_bound(problem, empirical, ell_max)

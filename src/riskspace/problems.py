@@ -70,16 +70,19 @@ def _numeric(raw, name: str) -> np.ndarray:
 def _index_array(raw, name: str, shape=None) -> np.ndarray:
     """Indices (labels, inputs, predictors, vertices) as an int64 array.
 
-    A cast would truncate 0.7 to 0 and read ``True`` as 1, so boolean and
-    non-integral entries are refused instead, naming the entry.
+    A cast would truncate 0.7 to 0, read ``True`` as 1 and wrap 2**63, so
+    boolean, non-integral and out-of-range entries are refused instead,
+    naming the entry.
     """
     arr = _numeric(raw, name)
     if isinstance(raw, np.ndarray):  # its dtype shows whether it holds booleans
         ok = np.full(arr.shape, arr.dtype.kind != "b")
     else:  # scanned entry by entry: numpy turns [0, True] into int64 without a trace
         ok = ~_is_bool(np.asarray(raw, dtype=object))
-    if arr.dtype.kind == "f":
-        ok &= np.isfinite(arr) & (arr == np.trunc(arr))
+    if arr.dtype.kind == "f":  # NaN and the infinities fail the range test
+        ok &= (arr == np.trunc(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)
+    elif arr.dtype.kind == "u":
+        ok &= arr < 2**63
     require(ok, name, "must be an integer index")
     return _shaped(arr.astype(np.int64, copy=False), name, shape)
 

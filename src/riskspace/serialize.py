@@ -10,6 +10,7 @@ in-memory problem bit for bit.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -41,8 +42,17 @@ def problem_to_dict(
     return out
 
 
-def weighted_problem_to_dict(wp: WeightedProblem) -> dict[str, Any]:
-    return problem_to_dict(wp.problem, lam=wp.lam)
+def _read_json(path: str):
+    """The JSON value in the file ``path``: the one reader of problem and
+    side files.  A file that cannot be read, is not UTF-8 or is not JSON is
+    refused naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(str(exc), field="path") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON: {exc}", field="path") from None
 
 
 def _json_object(data, name: str, keys, source: str) -> dict:
@@ -71,8 +81,7 @@ def problem_from_dict(data: dict[str, Any]) -> tuple[FiniteProblem, np.ndarray |
 
 
 def load_problem(path: str) -> tuple[FiniteProblem, np.ndarray | None]:
-    with open(path, encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh))
+    return problem_from_dict(_read_json(path))
 
 
 def distance_result_to_dict(
@@ -126,32 +135,16 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
     return {
         "seed": report.seed,
         "prng": report.prng,
-        "rows": [
-            {
-                "n": row.n,
-                "trial": row.trial,
-                "seed": row.seed,
-                "tv_bound": row.tv_bound,
-                "exact_distance": row.exact_distance,
-                "bound_used": row.bound_used,
-            }
-            for row in report.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in report.rows],
     }
 
 
 def report_to_csv(report: ExperimentReport) -> str:
     return _csv_text(
         ["n", "trial", "seed", "prng", "tv_bound", "exact_distance", "bound_used"],
-        ([
-            row.n,
-            row.trial,
-            row.seed,
-            report.prng,
-            repr(row.tv_bound),
-            "" if row.exact_distance is None else repr(row.exact_distance),
-            row.bound_used,
-        ] for row in report.rows),
+        ([row.n, row.trial, row.seed, report.prng, repr(row.tv_bound),
+          "" if row.exact_distance is None else repr(row.exact_distance),
+          row.bound_used] for row in report.rows),
     )
 
 

@@ -183,8 +183,9 @@ def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     +-1 exactly when the cells form a spanning tree; so the cell sets are
     taken in ``itertools.combinations`` order, in blocks of
     ``_VERTEX_BLOCK``, the tree systems of a block solved in one batch, and
-    the nonnegative plans kept at their first occurrence.  Intended for
-    small supports only (the count grows super-exponentially).
+    each nonnegative plan kept at the first occurrence of its support (the
+    cells above ``PROB_TOL``): a vertex is the only coupling on its support.
+    Intended for small supports only (the count grows super-exponentially).
 
     Returns an array of shape (n_vertices, len(mu), len(nu)).
     """
@@ -208,7 +209,7 @@ def coupling_vertices(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
         feasible = np.all(sol >= -1e-12, axis=1)
         plans = np.zeros((int(feasible.sum()), m * n))
         np.put_along_axis(plans, cells[feasible], np.maximum(sol[feasible], 0.0), axis=1)
-        for key, plan in zip(np.round(plans, 10), plans):
+        for key, plan in zip(plans > PROB_TOL, plans):
             vertices.setdefault(key.tobytes(), plan)
     return support.embed(np.reshape(list(vertices.values()), (-1, m, n)))
 

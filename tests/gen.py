@@ -282,8 +282,8 @@ def transport_vertices(mu: np.ndarray, nu: np.ndarray) -> list[np.ndarray]:
             continue
         full = np.zeros((len(mu), len(nu)))
         full[np.ix_(rows, cols)] = plan
-        key = np.round(full, 9).tobytes()
-        vertices.setdefault(key, full)
+        # a vertex is the only coupling on its support, however small its masses
+        vertices.setdefault((full > 1e-12).tobytes(), full)
     return list(vertices.values())
 
 

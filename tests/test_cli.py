@@ -1,9 +1,11 @@
 """CLI subcommands, JSON schemas, exit codes, atomic output."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import pathlib
 import stat
 
 import numpy as np
@@ -67,6 +69,17 @@ def test_problem_json_missing_key_names_field():
     assert err.value.field == "y_labels"
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"{\"eta\": ["],
+                         ids=["missing", "not-utf8", "not-json"])
+def test_load_problem_refuses_unreadable_files_naming_path(tmp_path, content):
+    path = tmp_path / "p.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(rs.ValidationError) as err:
+        serialize.load_problem(str(path))
+    assert err.value.field == "path"
+
+
 @pytest.mark.parametrize("data", [[], 5, "x", None])
 def test_cli_non_object_problem_names_problem(capsys, paths, data):
     _, write = paths
@@ -114,6 +127,16 @@ def test_distance_result_serialization():
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
+
+def test_parser_dispatch_and_readme_list_the_same_commands():
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    documented = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("riskspace ")]
+    assert list(subparsers.choices) == list(cli._COMMANDS) == documented
+
 
 def test_cli_distance_example_pair(capsys, paths):
     _, write = paths
@@ -536,6 +559,8 @@ def test_cli_corrupt_rejects_bad_stage_parameters(capsys, paths, stage, field):
     (["--ns", "1.5"], "ns[0]"),
     (["--ns", ""], "ns"),
     (["--ns", "5,"], "ns"),
+    (["--ns", "10,-3"], "n"),
+    (["--ns", "9223372036854775808"], "ns[0]"),
 ])
 def test_cli_convergence_rejects_bad_sizes(capsys, paths, flags, field):
     _, write = paths
@@ -676,11 +701,11 @@ _MUTATIONS = {
     "lambda": [float("nan"), float("inf"), -1.0, 0.5, True],
     "predictors": [float("nan"), float("inf"), -1, 0.5, True],
 }
-_MUTATED_BASE = serialize.weighted_problem_to_dict(rs.WeightedProblem(
+_MUTATED_BASE = serialize.problem_to_dict(
     rs.FiniteProblem(("x0", "x1"), ("a", "b"), [[0.1, 0.2], [0.3, 0.4]],
                      [[0.0, 1.5], [2.0, 0.0]], [[0, 1], [1, 0], [1, 1]]),
-    [0.125, 0.25, 0.625],
-))
+    lam=[0.125, 0.25, 0.625],
+)
 
 
 def _mutated_run_field(argv, context):

@@ -227,6 +227,21 @@ def test_triangle_inequality_small_sample():
         assert d_ac <= d_ab + d_bc + 1e-8
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_distance_is_a_pseudometric(seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_problem(rng, max_nx=2, max_h=2) for _ in range(3))
+    assert rs.risk_distance_exact(a, a).value <= 1e-9
+    d_ab = rs.risk_distance_exact(a, b).value
+    assert d_ab == rs.risk_distance_exact(b, a).value
+    d_bc = rs.risk_distance_exact(b, c).value
+    d_ac = rs.risk_distance_exact(a, c).value
+    assert d_ac <= d_ab + d_bc + 1e-9
+    assert d_ab <= d_ac + d_bc + 1e-9
+    assert d_bc <= d_ab + d_ac + 1e-9
+
+
 def test_witnesses_achieve_reported_value():
     rng = np.random.default_rng(42)
     for _ in range(8):
@@ -787,6 +802,17 @@ def test_transport_step_costs_the_lp_optimum():
             plan = rs.transport.check_coupling(step(cost), a, b)
             _, value = rs.solve_ot_exact(cost, a, b)
             assert abs(np.sum(plan * cost) - value) <= 1e-12
+
+
+def test_transport_step_tells_apart_vertices_a_tiny_mass_apart():
+    # the plan that moves 1e-11 through the cell of cost 1e3 costs 1e-8, ten
+    # times METRIC_TOL, so no tie sends the step to the LP
+    a, b = np.array([1 - 1e-11, 1e-11]), np.array([0.5, 0.5])
+    cost = np.array([[0.0, 0.0], [1e3, 0.0]])
+    step, vertices = rs.distance._transport_step(a, b, np.eye(4).reshape(-1, 2, 2))
+    assert len(vertices) == 2
+    _, value = rs.solve_ot_exact(cost, a, b)
+    assert abs(np.sum(step(cost) * cost) - value) <= 1e-12
 
 
 def _lps_over(solved, a, b) -> int:

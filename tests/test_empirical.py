@@ -146,6 +146,8 @@ def test_counts_take_numpy_integers(name):
     ([5, 2.5], "ns[1]"),
     ([True], "ns[0]"),
     (["5"], "ns"),
+    ([10, -3], "n"),
+    ([2**63], "ns[0]"),
 ])
 def test_convergence_refuses_bad_sizes(ns, field):
     with pytest.raises(rs.ValidationError) as err:

@@ -68,6 +68,8 @@ def test_predictor_range_checked():
     ([[0, True]], "predictors[0][1]"),
     (np.array([[True, False]]), "predictors[0][0]"),
     ([[0.0, np.nan]], "predictors[0][1]"),
+    ([[0, 2**63]], "predictors[0][1]"),
+    ([[1e30, 0]], "predictors[0][0]"),
 ])
 def test_non_integer_predictors_rejected_not_cast(predictors, field):
     with pytest.raises(rs.ValidationError) as err:

@@ -260,6 +260,15 @@ def test_library_vertices_agree_with_oracle():
         assert np.max(np.abs(lib - oracle)) <= 1e-12
 
 
+def test_vertices_differing_by_a_tiny_mass_are_distinct():
+    # the two vertices move a mass of 1e-11 between the cells of row 1
+    mu, nu = np.array([1 - 1e-11, 1e-11]), np.array([0.5, 0.5])
+    lib = rs.coupling_vertices(mu, nu)
+    oracle = np.array(transport_vertices(mu, nu))
+    assert lib.shape == oracle.shape == (2, 2, 2)
+    assert np.max(np.abs(lib - oracle)) <= 1e-12
+
+
 def test_vertices_attain_the_ot_minimum():
     rng = np.random.default_rng(15)
     for mu, nu in _vertex_marginal_pairs(rng):
