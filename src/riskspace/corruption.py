@@ -42,8 +42,8 @@ def apply_bias_density(
 ) -> tuple[FiniteProblem, float]:
     """Reweight the joint law by a density ``f`` and certify the move.
 
-    The certificate is half the eta-expected |1 - f|, i.e. the total
-    variation between the original and reweighted laws.
+    The certificate is :func:`tv_bound` at the largest loss: that loss times
+    half the eta-expected |1 - f|, the total variation of the reweighting.
     """
     f = _float_array(f, "f", problem.eta.shape)
     require(np.isfinite(f) & (f >= 0), "f", "must be a finite nonnegative density")
@@ -52,10 +52,8 @@ def apply_bias_density(
         raise ValidationError(
             f"f integrates to {total!r} against eta, expected 1", field="f"
         )
-    new_eta = f * problem.eta
-    biased = replace(problem, eta=new_eta / new_eta.sum())
-    bound = 0.5 * float(np.sum(np.abs(1.0 - f) * problem.eta))
-    return biased, bound
+    biased = replace(problem, eta=f * problem.eta / total)
+    return biased, tv_bound(problem, biased, float(problem.loss.max()))
 
 
 def restrict(
@@ -63,13 +61,13 @@ def restrict(
 ) -> tuple[FiniteProblem, float]:
     """Condition the joint law on a region of the observation space.
 
-    The certificate is the mass of the discarded region.
+    The certificate is the largest loss times the discarded mass (:func:`tv_bound`).
     """
     a_mask = _mask(a_mask, "A", problem.eta.shape)
     mass = float(problem.eta[a_mask].sum())
     require(mass > 0, "A", "must have positive mass")
     restricted = replace(problem, eta=np.where(a_mask, problem.eta, 0.0) / mass)
-    return restricted, max(1.0 - mass, 0.0)
+    return restricted, tv_bound(problem, restricted, float(problem.loss.max()))
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .problems import (
 )
 from .transport import (
     _coupling_lp,
-    _reduced_costs,
     _Support,
     _support,
     _tree_simplex,
@@ -487,11 +486,12 @@ def _transport_step(a: np.ndarray, b: np.ndarray, downstream: np.ndarray):
     tied vertices.  A large polytope takes the tree simplex
     (``transport._tree_simplex``), started from the basis, among those this
     step has reached, whose plan costs least under the new cost.  Nonbasic
-    cells of reduced cost at most METRIC_TOL are tied; when the tree cycle
-    of some tied cell moves the image under ``downstream`` by more than
-    METRIC_TOL, the tied optima can send the descent different ways and the
-    step is the memoized LP.  Otherwise every optimal plan has the simplex
-    plan's image (see docs/algorithms.md), and the step takes that plan.
+    cells of reduced cost at most METRIC_TOL are tied; the simplex's basis
+    inverse prices the image under ``downstream`` like a cost, and when the
+    tree cycle of some tied cell moves it by more than METRIC_TOL, the tied
+    optima can send the descent different ways and the step is the memoized
+    LP.  Otherwise every optimal plan has the simplex plan's image (see
+    docs/algorithms.md), and the step takes that plan.
     Callers only read the plans a step hands out.
     """
     lp = _solved_once(lambda cost: solve_ot_exact(cost, a, b)[0])
@@ -520,13 +520,13 @@ def _transport_step(a: np.ndarray, b: np.ndarray, downstream: np.ndarray):
         if starts:
             plans = np.array([plan.ravel() for plan, _ in starts])
             start = starts[int(np.argmin(plans @ block.ravel()))]
-        plan, basis, reduced = _tree_simplex(block, support, start)
+        plan, basis, reduced, inverse = _tree_simplex(block, support, start)
         held.setdefault(np.sort(basis).tobytes(), (plan, basis))
-        tied = np.setdiff1d(np.flatnonzero(reduced.ravel() <= METRIC_TOL), basis)
-        if len(tied):
-            moves = _reduced_costs(system, basis, image)[:, tied]
-            if np.any(np.abs(moves) > METRIC_TOL):
-                return lp(cost)
+        tied = reduced.ravel() <= METRIC_TOL
+        tied[basis] = False
+        moves = image[:, tied] - image[:, basis] @ inverse @ system[:, tied]
+        if np.any(np.abs(moves) > METRIC_TOL):
+            return lp(cost)
         return support.embed(plan)
 
     return _solved_once(simplex_step), None
@@ -722,12 +722,8 @@ def geodesic_problem(
     check_coupling(gamma, p0.eta, p1.eta, name="witness coupling")
     _mask(r, "witness", (p0.n_predictors, p1.n_predictors))
 
-    x_labels = tuple(
-        f"{a}|{b}" for a in p0.x_labels for b in p1.x_labels
-    )
-    y_labels = tuple(
-        f"{a}|{b}" for a in p0.y_labels for b in p1.y_labels
-    )
+    x_labels = tuple(f"{a}|{b}" for a in p0.x_labels for b in p1.x_labels)
+    y_labels = tuple(f"{a}|{b}" for a in p0.y_labels for b in p1.y_labels)
     eta_t = np.transpose(gamma, (0, 2, 1, 3)).reshape(
         p0.nx * p1.nx, p0.ny * p1.ny
     )
@@ -735,13 +731,9 @@ def geodesic_problem(
     loss_t = (1.0 - t) * np.kron(p0.loss, ones0) + t * np.kron(
         np.ones((p0.ny, p0.ny)), p1.loss
     )
-    rows = []
-    for h0, h1 in np.argwhere(r):
-        pred0 = p0.predictors[h0]
-        pred1 = p1.predictors[h1]
-        product = (pred0[:, None] * p1.ny + pred1[None, :]).ravel()
-        rows.append(product)
-    predictors = np.unique(np.array(rows, dtype=np.int64), axis=0)
+    h0, h1 = np.nonzero(r)
+    rows = p0.predictors[h0][:, :, None] * p1.ny + p1.predictors[h1][:, None, :]
+    predictors = np.unique(rows.reshape(len(h0), -1), axis=0)
     return FiniteProblem(
         x_labels=x_labels,
         y_labels=y_labels,

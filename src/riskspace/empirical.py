@@ -22,6 +22,7 @@ from .problems import FiniteProblem, _count, _index_array, _rng
 PRNG_ID = "numpy-PCG64"
 
 RADEMACHER_CAPACITY = 10**6
+SAMPLE_CAPACITY = 10**7  # draws: a float64 uniform and an int64 index each, 160 MB
 _RADEMACHER_BLOCK = 1024  # multisets per vectorised step; larger blocks raise peak RSS
 
 
@@ -42,6 +43,15 @@ class ExperimentReport:
     prng: str = PRNG_ID
 
 
+def _sample_size(n) -> int:
+    """``n`` as a sample size of 1 to ``SAMPLE_CAPACITY`` draws."""
+    n = _count(n, "n", least=1)
+    if n > SAMPLE_CAPACITY:
+        raise CapacityError(f"a sample needs n <= {SAMPLE_CAPACITY}, got {n}",
+                            cap="sample", actual=n)
+    return n
+
+
 def _resample(
     problem: FiniteProblem, n: int, rng: np.random.Generator
 ) -> FiniteProblem:
@@ -50,7 +60,7 @@ def _resample(
     Only the joint law changes: it becomes the average of the n observed
     point masses.
     """
-    n = _count(n, "n", least=1)
+    n = _sample_size(n)
     flat = problem.eta.ravel()
     draws = rng.choice(len(flat), size=n, p=flat)
     counts = np.bincount(draws, minlength=len(flat)).astype(float)
@@ -83,7 +93,7 @@ def convergence_experiment(
     ns = _index_array(ns, "ns", (None,))
     require(ns.size >= 1, "ns", "must list at least one sample size")
     # every size is checked before any stream is seeded with it
-    ns = [_count(n, "n", least=1) for n in ns.tolist()]
+    ns = [_sample_size(n) for n in ns.tolist()]
     trials = _count(trials, "trials", least=1)
     seed = _count(seed, "seed")
     ell_max = float(problem.loss.max())

@@ -11,6 +11,7 @@ penalty for *predicting* label ``i`` when the *true* label is ``j``.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping, Set as AbstractSet
 from dataclasses import dataclass, replace
 from numbers import Real
@@ -62,7 +63,10 @@ def _numeric(raw, name: str) -> np.ndarray:
         raise ValidationError(
             f"{name} must be a rectangular numeric array", field=name
         ) from None
-    if arr.dtype.kind not in "biuf":
+    # numpy holds integers beyond 64 bits as Python ints in an object array
+    ints = arr.dtype.kind == "O" and all(
+        isinstance(v, int) and abs(v) <= sys.float_info.max for v in arr.flat)
+    if arr.dtype.kind not in "biuf" and not ints:
         raise ValidationError(f"{name} must hold numbers", field=name)
     return arr
 
@@ -81,8 +85,8 @@ def _index_array(raw, name: str, shape=None) -> np.ndarray:
         ok = ~_is_bool(np.asarray(raw, dtype=object))
     if arr.dtype.kind == "f":  # NaN and the infinities fail the range test
         ok &= (arr == np.trunc(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)
-    elif arr.dtype.kind == "u":
-        ok &= arr < 2**63
+    elif arr.dtype.kind in "uO":  # integers held unsigned or as objects may pass int64
+        ok &= (arr >= -(2**63)) & (arr < 2**63)
     require(ok, name, "must be an integer index")
     return _shaped(arr.astype(np.int64, copy=False), name, shape)
 

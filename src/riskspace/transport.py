@@ -271,27 +271,13 @@ def _tree_system(support: _Support) -> tuple[np.ndarray, np.ndarray]:
     return a_eq[:-1], b_eq[:-1]
 
 
-def _reduced_costs(
-    system: np.ndarray, basis: np.ndarray, costs: np.ndarray
-) -> np.ndarray:
-    """The reduced cost of every cell under each row of ``costs`` (one flat
-    cost, or a stack of them), for the spanning tree ``basis`` of the tree
-    ``system``: the cell's cost less its row and column potentials, i.e. the
-    change in cost per unit of mass sent around the cycle the cell closes in
-    the tree.  Basic cells get zero."""
-    potentials = np.linalg.solve(system[:, basis].T, costs[..., basis].T)
-    reduced = costs - (system.T @ potentials).T
-    reduced[..., basis] = 0.0
-    return reduced
-
-
 def _tree_simplex(
     cost: np.ndarray,
     support: _Support,
     start: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize <cost, x> over the couplings of ``support`` by the
-    transportation simplex: (plan, basis, reduced).
+    transportation simplex: (plan, basis, reduced, inverse).
 
     ``cost`` and ``plan`` are supported (rows, cols) blocks.  A basis is a
     spanning tree of m + n - 1 cells, flat row-major indices; the plan is
@@ -299,36 +285,40 @@ def _tree_simplex(
     basis) pair this function returned for the same marginals; without it
     the walk starts at the northwest corner.
 
-    Each pivot prices the cells with one solve for the potentials
-    (:func:`_reduced_costs`) and enters the cell of least reduced cost below
-    -METRIC_TOL (Dantzig's rule).  One solve gives the entering cell's
-    cycle, whose entries are integers because the tree system is totally
-    unimodular, so the ratio test compares masses with no tolerance; the
-    leaving cell is the first of the least-mass cells the cycle drains.
-    When that pivot would move no mass (equal partial sums of the
-    marginals), the first cell below -METRIC_TOL enters instead (Bland's
+    The tree system is totally unimodular, so its basis inverse has entries
+    -1, 0 and 1: it is inverted and rounded once, then carried.  A pivot
+    prices the cells with it (``c - c[basis] @ inverse @ system``), enters
+    the cell of least reduced cost below -METRIC_TOL (Dantzig's rule) and
+    takes its cycle ``inverse @ system[:, cell]``, of integer entries, so
+    the ratio test compares masses with no tolerance; the leaving cell is
+    the first of the least-mass cells the cycle drains.  Its cycle entry is
+    1, so the rank-one update of the inverse adds and subtracts integer rows
+    and stays exact.  When a pivot would move no mass (equal partial sums of
+    the marginals), the first cell below -METRIC_TOL enters instead (Bland's
     rule), which cannot cycle.  So the walk ends, with no pivot cap, at a
     plan whose cells all have reduced cost at least -METRIC_TOL:
-    ``reduced``, zero on the basis.  No coupling costs less than the plan
-    by more than the largest such negative part, at most METRIC_TOL.
+    ``reduced``, zero on the basis, with ``inverse`` its basis inverse.  No
+    coupling costs less than the plan by more than the largest such
+    negative part, at most METRIC_TOL.
     """
     system, _ = _tree_system(support)
-    n = len(support.nu)
     c = cost.ravel()
     if start is None:
         rows, cols, x = _northwest_corner(support.mu, support.nu)
-        basis = rows * n + cols
+        basis = rows * len(support.nu) + cols
     else:
         plan, basis = start
         basis = basis.copy()
         x = plan.ravel()[basis]
+    inverse = np.rint(np.linalg.inv(system[:, basis]))
     while True:
-        reduced = _reduced_costs(system, basis, c)
+        reduced = c - (c[basis] @ inverse) @ system
+        reduced[basis] = 0.0
         entering = np.flatnonzero(reduced < -METRIC_TOL)
         if not len(entering):
             break
         for cell in (entering[np.argmin(reduced[entering])], entering[0]):
-            cycle = np.rint(np.linalg.solve(system[:, basis], system[:, cell]))
+            cycle = inverse @ system[:, cell]
             drained = np.flatnonzero(cycle > 0)
             theta = x[drained].min()
             if theta > 0:
@@ -337,9 +327,12 @@ def _tree_simplex(
         leaving = ties[np.argmin(basis[ties])]
         x = x - theta * cycle
         x[leaving], basis[leaving] = theta, cell
+        pivot = inverse[leaving].copy()
+        inverse -= np.outer(cycle, pivot)
+        inverse[leaving] = pivot
     plan = np.zeros(c.size)
     plan[basis] = x
-    return plan.reshape(cost.shape), basis, reduced.reshape(cost.shape)
+    return plan.reshape(cost.shape), basis, reduced.reshape(cost.shape), inverse
 
 
 # --------------------------------------------------------------------------

@@ -561,11 +561,27 @@ def test_cli_corrupt_rejects_bad_stage_parameters(capsys, paths, stage, field):
     (["--ns", "5,"], "ns"),
     (["--ns", "10,-3"], "n"),
     (["--ns", "9223372036854775808"], "ns[0]"),
+    (["--ns", "18446744073709551616"], "ns[0]"),
 ])
 def test_cli_convergence_rejects_bad_sizes(capsys, paths, flags, field):
     _, write = paths
     path = _problem_file(write, "p.json", identity_support_problem())
     assert _validation_field(capsys, ["convergence", path, *flags]) == field
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sample", ["--n", "9223372036854775808"]),
+    ("sample", ["--n", str(rs.empirical.SAMPLE_CAPACITY + 1)]),
+    ("convergence", ["--ns", "5,4611686018427387904"]),
+])
+def test_cli_sample_sizes_over_capacity_exit_2(capsys, paths, command, flags):
+    _, write = paths
+    path = _problem_file(write, "p.json", identity_support_problem())
+    code, out, err = _run(capsys, [command, path, *flags])
+    assert (code, out) == (2, "")
+    data = json.loads(err)
+    assert data["error"] == "capacity" and data["cap"] == "sample"
+    assert data["actual"] == int(flags[1].split(",")[-1])
 
 
 # Three labels and three predictors, so every index-taking command has room

@@ -1,8 +1,11 @@
 """Corruption transforms, their certificates, and pipeline composition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import riskspace as rs
 from gen import identity_support_problem, random_problem, random_weighted, shared_pairs
@@ -90,6 +93,17 @@ def test_restrict_bound_dominates_exact():
             mask[np.unravel_index(np.argmax(p.eta), p.eta.shape)] = True
         restricted, bound = rs.restrict(p, mask)
         assert rs.risk_distance_exact(p, restricted).value <= bound + 1e-9
+
+
+def test_bias_and_restrict_certify_losses_above_one():
+    # a loss of 4 moves each risk by 4 times the total variation, so the
+    # total variation alone (0.5) would undercut the exact distance
+    p = rs.FiniteProblem(("x",), ("y0", "y1"), np.array([[0.5, 0.5]]),
+                         np.array([[0.0, 4.0], [4.0, 0.0]]), [[0]])
+    for moved, bound in (rs.restrict(p, [[True, False]]),
+                         rs.apply_bias_density(p, [[2.0, 0.0]])):
+        assert rs.risk_distance_exact(p, moved).value == pytest.approx(2.0, abs=1e-9)
+        assert bound == pytest.approx(2.0, abs=1e-12)
 
 
 def test_restrict_zero_mass_rejected():
@@ -503,3 +517,63 @@ def test_pipeline_general_noise_needs_weights():
         lam=np.full(4, 0.25),
     )
     assert records[0].bound == 0.0
+
+
+# --------------------------------------------------------------------------
+# Every certificate against the exact distance
+# --------------------------------------------------------------------------
+
+@st.composite
+def _certified_moves(draw):
+    """A problem of at most a 2x3 grid, 3 predictors and losses up to 5,
+    and each corruption or substitution of it with its certificate, as
+    (name, moved problem, bound) triples."""
+    nx, ny = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+
+    def weights(shape, under=1.0):
+        """Integer weights 0-4 of positive total under ``under``."""
+        return draw(arrays(np.int64, shape, elements=st.integers(0, 4))
+                    .filter(lambda w: np.sum(w * under) > 0)).astype(float)
+
+    def eta():
+        w = weights((nx, ny))
+        return w / w.sum()
+
+    def loss():
+        return draw(arrays(float, (ny, ny), elements=st.floats(0, 5)))
+
+    def predictors():
+        return draw(arrays(np.int64, (draw(st.integers(1, 3)), nx),
+                           elements=st.integers(0, ny - 1)))
+
+    p = rs.FiniteProblem(tuple(f"x{i}" for i in range(nx)),
+                         tuple(f"y{j}" for j in range(ny)), eta(), loss(), predictors())
+    density = weights((nx, ny), under=p.eta)
+    mask = weights((nx, ny), under=p.eta) > 0
+    kernel = np.array([weights(ny) for _ in range(nx * ny)])
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    # the largest loss gap between two labels: the loss is 1-Lipschitz in it
+    d_y = np.abs(p.loss[:, :, None] - p.loss[:, None, :]).max(axis=0)
+    block_of = np.array(draw(st.lists(st.integers(0, ny - 1), min_size=ny, max_size=ny)))
+    q = rs.Partition([np.flatnonzero(block_of == k) for k in np.unique(block_of)], ny)
+    new_loss, new_eta = replace(p, loss=loss()), replace(p, eta=eta())
+    return p, [
+        ("bias", *rs.apply_bias_density(p, density / np.sum(density * p.eta))),
+        ("restrict", *rs.restrict(p, mask)),
+        ("predictor_set", *rs.predictor_set_bound(p, predictors())),
+        ("loss_swap", new_loss,
+         rs.risk_distance_upper_shared(p, new_loss, "shared_eta_H")),
+        ("label_noise", rs.apply_label_noise(p, kernel),
+         rs.noise_bound_metric(p, kernel, d_y, 1.0)),
+        ("w1_eta", new_eta, rs.w1_eta_bound(p, new_eta)),
+        ("tv", new_eta, rs.tv_bound(p, new_eta, float(p.loss.max()))),
+        ("coarsening", rs.coarsen(p, q), rs.coarsening_bound(p, q)),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_certified_moves())
+def test_every_certificate_dominates_exact(moves):
+    p, certified = moves
+    for name, moved, bound in certified:
+        assert rs.risk_distance_exact(p, moved).value <= bound + 1e-9, name

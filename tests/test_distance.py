@@ -839,8 +839,8 @@ def test_tied_predictor_vertices_take_the_lp(monkeypatch):
 
 
 def _simplex_steps(monkeypatch, call):
-    """Outcome of ``call`` and the (marginals, plan, basis, reduced) of every
-    tree simplex it ran."""
+    """Outcome of ``call`` and the (marginals, plan, basis, reduced, inverse)
+    of every tree simplex it ran."""
     steps = []
 
     def recording(cost, support, start=None):
@@ -925,7 +925,7 @@ def test_harmless_gamma_tie_solves_no_lp(monkeypatch):
         monkeypatch, lambda: _simplex_steps(monkeypatch, call))
     mu, nu = _etas(wa, wb)
     tied = [np.count_nonzero(reduced <= rs.problems.METRIC_TOL) > len(basis)
-            for marginals, _, basis, reduced in steps
+            for marginals, _, basis, reduced, _ in steps
             if marginals == np.concatenate([mu, nu]).tobytes()]
     assert any(tied)
     assert not _lps_over(solved, mu, nu)

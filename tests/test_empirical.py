@@ -148,11 +148,26 @@ def test_counts_take_numpy_integers(name):
     (["5"], "ns"),
     ([10, -3], "n"),
     ([2**63], "ns[0]"),
+    ([5, 2**64], "ns[1]"),
 ])
 def test_convergence_refuses_bad_sizes(ns, field):
     with pytest.raises(rs.ValidationError) as err:
         rs.convergence_experiment(_four_atom_problem(), ns, trials=1, seed=0)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, n: rs.sample_empirical(p, n, 0),
+    lambda p, n: rs.convergence_experiment(p, [5, n], trials=1, seed=0),
+])
+@pytest.mark.parametrize("n", [rs.empirical.SAMPLE_CAPACITY + 1, 2**62, 2**63 - 1])
+def test_sample_sizes_over_capacity_refused_before_drawing(monkeypatch, call, n):
+    # a convergence experiment refuses every size before it resamples any
+    drawn = []
+    monkeypatch.setattr(rs.empirical, "tv_bound", lambda *args: drawn.append(args))
+    with pytest.raises(rs.CapacityError) as err:
+        call(_four_atom_problem(), n)
+    assert (err.value.cap, err.value.actual, drawn) == ("sample", n, [])
 
 
 def test_convergence_degenerate_law_all_zero():

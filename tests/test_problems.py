@@ -70,6 +70,7 @@ def test_predictor_range_checked():
     ([[0.0, np.nan]], "predictors[0][1]"),
     ([[0, 2**63]], "predictors[0][1]"),
     ([[1e30, 0]], "predictors[0][0]"),
+    ([[0, 2**64]], "predictors[0][1]"),
 ])
 def test_non_integer_predictors_rejected_not_cast(predictors, field):
     with pytest.raises(rs.ValidationError) as err:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import riskspace as rs
@@ -211,18 +211,30 @@ def _ot_instances(draw):
     return mu, nu, cost((len(mu), len(nu))), cost((len(mu), len(nu)))
 
 
+# uniform 3 x 3 marginals: the northwest corner puts zero mass on two
+# cells, and Dantzig's first entering cell drains one of them, so the walk
+# takes Bland's rule
+_BLAND_COST = np.array([[0.0, 1.0, 1.0], [2.0, 1.0, 2.0], [1.0, 2.0, 2.0]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_ot_instances())
+@example((np.full(3, 1 / 3), np.full(3, 1 / 3), _BLAND_COST, _BLAND_COST.T))
 def test_tree_simplex_solves_transport_exactly(instance):
     # a cold start on the first cost, then a warm start from its basis
-    from riskspace.transport import _support, _tree_simplex
+    from riskspace.transport import _support, _tree_simplex, _tree_system
 
     mu, nu, *costs = instance
     support = _support(mu, nu)
+    system, _ = _tree_system(support)
     start = None
     for cost in costs:
-        plan, basis, reduced = _tree_simplex(support.restrict(cost), support, start)
+        plan, basis, reduced, inverse = _tree_simplex(support.restrict(cost), support,
+                                                      start)
         start = (plan, basis)
+        # the carried basis inverse is still exact after every pivot
+        assert np.array_equal(inverse, np.rint(inverse))
+        assert np.array_equal(inverse @ system[:, basis], np.eye(len(basis)))
         plan = check_coupling(support.embed(plan), mu, nu)
         # marginals kept to rounding, so no plan can cost much less
         assert np.max(np.abs(plan.sum(axis=1) - mu)) <= 1e-12
