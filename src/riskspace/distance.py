@@ -225,7 +225,8 @@ def _canonical_key(p: FiniteProblem) -> tuple:
 
 def _assignment_unions(n_h: int, n_hp: int) -> np.ndarray:
     """Distinct unions of a row assignment H -> H' and a column assignment
-    H' -> H, as a boolean (k, n_h, n_hp) stack of pair sets."""
+    H' -> H, as a boolean (k, n_h, n_hp) stack of pair sets, ordered by
+    their row-major pair lists."""
     a = np.indices((n_hp,) * n_h).reshape(n_h, -1).T
     b = np.indices((n_h,) * n_hp).reshape(n_hp, -1).T
     rows = a[:, :, None] == np.arange(n_hp)
@@ -235,7 +236,12 @@ def _assignment_unions(n_h: int, n_hp: int) -> np.ndarray:
     packed = np.packbits(unions, axis=1)
     _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
                          return_index=True)
-    return unions[first].reshape(-1, n_h, n_hp)
+    unions = unions[first]
+    # pair lists padded with -1, so a list sorts before its extensions
+    n = n_h * n_hp
+    pairs = np.sort(np.where(unions, np.arange(n), n), axis=1)
+    pairs[pairs == n] = -1
+    return unions[np.lexsort(pairs.T[::-1])].reshape(-1, n_h, n_hp)
 
 
 def _pattern_sweep(
@@ -251,9 +257,10 @@ def _pattern_sweep(
     a boolean (k, |H|, |H'|) stack of pair sets.  A set's LP value is at
     least its score, the largest transport minimum ``m[h, h']`` of its pairs
     (docs/algorithms.md, Step 2), so the sets are solved in increasing score
-    order, ties broken by their row-major pair lists, and the sweep stops at
-    the first score that cannot improve on the best value.  ``admissible``
-    filters the sets as they are reached.
+    order, ties in the order ``candidates`` lists them, and the sweep stops
+    at the first score that cannot improve on the best value.  ``admissible``
+    filters the sets as they are reached; a set it accepts is solved at
+    once, before the next set is offered to it.
 
     Returns (value, flat coupling, pair set) of the best set, or
     (inf, None, None) when no set is admissible.
@@ -263,13 +270,9 @@ def _pattern_sweep(
         for row in costs
     ])
     flat = candidates.reshape(len(candidates), -1)
-    n = flat.shape[1]
     scores = np.where(flat, lower.ravel(), -np.inf).max(axis=1)
-    # pair lists padded with -1, so a list sorts before its extensions
-    pairs = np.sort(np.where(flat, np.arange(n), n), axis=1)
-    pairs[pairs == n] = -1
     best: tuple[float, np.ndarray | None, np.ndarray | None] = (np.inf, None, None)
-    for i in np.lexsort((*pairs.T[::-1], scores)):
+    for i in np.argsort(scores, kind="stable"):
         if scores[i] >= best[0] - 1e-12:
             break
         r = candidates[i]

@@ -136,10 +136,15 @@ def rademacher_mc(
 
     Each sample draws m observations from the joint law and m signs, and
     takes the best sign-weighted average loss over the predictor list.
-    Returns (mean, standard error).
+    Returns (mean, standard error).  The num_samples * m draws are capped at
+    ``SAMPLE_CAPACITY``, checked before anything is drawn.
     """
     m = _count(m, "m", least=1)
     num_samples = _count(num_samples, "num_samples", least=1)
+    if num_samples * m > SAMPLE_CAPACITY:
+        raise CapacityError(
+            f"Monte Carlo needs num_samples * m <= {SAMPLE_CAPACITY}, got"
+            f" {num_samples * m}", cap="sample", actual=num_samples * m)
     rng = _rng(_count(seed, "seed"))
     flat_losses = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
     flat_eta = problem.eta.ravel()

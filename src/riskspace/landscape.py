@@ -185,11 +185,14 @@ def connected_risk_distance_exact(
 
     Every correspondence on H x H' is a candidate for the exact solver's
     score-sorted sweep: candidates are taken in increasing order of their
-    per-pair transport lower bound, checked for inverse connectivity only
-    when reached, and solved by the exact minimax coupling LP, until no
-    remaining bound can beat the best value.  Dominates the unrestricted
-    distance.  If no correspondence is inverse-connected the distance is
-    infinite.
+    per-pair transport lower bound, fewer pairs first among equal bounds,
+    and solved by the exact minimax coupling LP until no remaining bound can
+    beat the best value.  A candidate reached is skipped when it contains a
+    correspondence already solved, since its LP has every constraint of that
+    one's, and is otherwise checked for inverse connectivity; so only
+    minimal inverse-connected correspondences are solved.  Dominates the
+    unrestricted distance.  If no correspondence is inverse-connected the
+    distance is infinite.
     """
     cap_pairs = _count(cap_pairs, "cap_pairs")
     p, q = pg.problem, pg_prime.problem
@@ -204,10 +207,21 @@ def connected_risk_distance_exact(
     relations = np.arange(1, 1 << n_pairs)[:, None] >> np.arange(n_pairs) & 1
     relations = relations.astype(bool).reshape(-1, p.n_predictors, q.n_predictors)
     covering = relations.any(axis=2).all(axis=1) & relations.any(axis=1).all(axis=1)
+    relations = relations[covering]
+    # fewer pairs first, so among equal scores every subset precedes its supersets
+    relations = relations[np.argsort(relations.sum(axis=(1, 2)), kind="stable")]
+    solved = []  # the sweep solves each relation it admits at once
+
+    def admissible(rel: np.ndarray) -> bool:
+        if any((s <= rel).all() for s in solved):
+            return False  # its LP holds every constraint of s's: no lower value
+        if not is_inverse_connected(rel, pg, pg_prime):
+            return False
+        solved.append(rel)
+        return True
+
     value, gamma_flat, r = _pattern_sweep(
-        _pair_costs(p, q), p.eta.ravel(), q.eta.ravel(), relations[covering],
-        admissible=lambda rel: is_inverse_connected(rel, pg, pg_prime),
-    )
+        _pair_costs(p, q), p.eta.ravel(), q.eta.ravel(), relations, admissible)
     if gamma_flat is None:
         return DistanceResult(value=np.inf, status="exact")
     return DistanceResult(

@@ -63,10 +63,12 @@ def _numeric(raw, name: str) -> np.ndarray:
         raise ValidationError(
             f"{name} must be a rectangular numeric array", field=name
         ) from None
-    # numpy holds integers beyond 64 bits as Python ints in an object array
-    ints = arr.dtype.kind == "O" and all(
-        isinstance(v, int) and abs(v) <= sys.float_info.max for v in arr.flat)
-    if arr.dtype.kind not in "biuf" and not ints:
+    # numpy holds integers beyond 64 bits as Python ints in an object array,
+    # along with any floats beside them
+    reals = arr.dtype.kind == "O" and all(
+        isinstance(v, float) or isinstance(v, int) and abs(v) <= sys.float_info.max
+        for v in arr.flat)
+    if arr.dtype.kind not in "biuf" and not reals:
         raise ValidationError(f"{name} must hold numbers", field=name)
     return arr
 
@@ -85,8 +87,11 @@ def _index_array(raw, name: str, shape=None) -> np.ndarray:
         ok = ~_is_bool(np.asarray(raw, dtype=object))
     if arr.dtype.kind == "f":  # NaN and the infinities fail the range test
         ok &= (arr == np.trunc(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)
-    elif arr.dtype.kind in "uO":  # integers held unsigned or as objects may pass int64
-        ok &= (arr >= -(2**63)) & (arr < 2**63)
+    elif arr.dtype.kind == "u":  # integers held unsigned may pass int64
+        ok &= arr < 2**63
+    elif arr.dtype.kind == "O":  # Python ints and floats; Python compares NaN unwarned
+        ok &= np.array([v % 1 == 0 and -(2**63) <= v < 2**63 for v in arr.flat],
+                       dtype=bool).reshape(arr.shape)
     require(ok, name, "must be an integer index")
     return _shaped(arr.astype(np.int64, copy=False), name, shape)
 

@@ -573,6 +573,8 @@ def test_cli_convergence_rejects_bad_sizes(capsys, paths, flags, field):
     ("sample", ["--n", "9223372036854775808"]),
     ("sample", ["--n", str(rs.empirical.SAMPLE_CAPACITY + 1)]),
     ("convergence", ["--ns", "5,4611686018427387904"]),
+    ("rademacher", ["--samples", "4611686018427387904"]),
+    ("rademacher", ["--m", str(rs.empirical.SAMPLE_CAPACITY + 1), "--samples", "1"]),
 ])
 def test_cli_sample_sizes_over_capacity_exit_2(capsys, paths, command, flags):
     _, write = paths

@@ -256,7 +256,7 @@ def test_witnesses_achieve_reported_value():
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)])
 def test_assignment_unions_match_loop_oracle(shape):
     unions = rs.distance._assignment_unions(*shape)
-    got = sorted(tuple(map(tuple, np.argwhere(r).tolist())) for r in unions)
+    got = [tuple(map(tuple, np.argwhere(r).tolist())) for r in unions]
     assert got == assignment_unions_oracle(*shape)
 
 
@@ -277,6 +277,38 @@ def test_sweep_breaks_score_ties_by_sorted_pair_list(monkeypatch):
     expected = [costs[tuple(zip(*union))] for union in assignment_unions_oracle(2, 3)]
     assert len(solved) == len(expected) == 24
     assert all(np.array_equal(a, b) for a, b in zip(solved, expected))
+
+
+def test_sweep_solves_tied_sets_in_the_given_order_each_when_admitted(monkeypatch):
+    # zero transport bounds tie every score, so the candidate order alone
+    # fixes the solve order; every admitted set is solved before the next
+    # one is offered
+    rng = np.random.default_rng(45)
+    p = random_problem(rng, nx=2, ny=2, n_h=2)
+    q = random_problem(rng, nx=2, ny=2, n_h=3)
+    costs = rs.distance._pair_costs(p, q)
+    events = []
+    solve = rs.distance._minimax_coupling_lp
+    monkeypatch.setattr(rs.distance, "solve_ot_exact", lambda c, mu, nu: (None, 0.0))
+    monkeypatch.setattr(rs.distance, "_minimax_coupling_lp",
+                        lambda c, mu, nu: events.append("solve") or solve(c, mu, nu))
+
+    def offered(candidates):
+        events.clear()
+        order = []
+
+        def admit(r):
+            order.append(r.tobytes())
+            events.append("admit")
+            return True
+
+        rs.distance._pattern_sweep(costs, p.eta.ravel(), q.eta.ravel(), candidates, admit)
+        assert events == ["admit", "solve"] * len(order)
+        return order
+
+    unions = rs.distance._assignment_unions(2, 3)
+    forward, backward = offered(unions), offered(unions[::-1])
+    assert len(forward) == 24 and backward == forward[::-1]
 
 
 def test_capacity_error_without_fallback():

@@ -296,6 +296,20 @@ def test_rademacher_mc_within_five_se_of_exact():
             assert abs(estimate - exact) <= max(5 * se, 1e-9)
 
 
+@pytest.mark.parametrize("m, num_samples", [
+    (1, rs.empirical.SAMPLE_CAPACITY + 1),
+    (2, rs.empirical.SAMPLE_CAPACITY // 2 + 1),
+    (2**62, 2),
+    (1, 2**62),
+])
+def test_rademacher_mc_over_capacity_refused_before_drawing(monkeypatch, m, num_samples):
+    seeded = []
+    monkeypatch.setattr(rs.empirical, "_rng", seeded.append)
+    with pytest.raises(rs.CapacityError) as err:
+        rs.rademacher_mc(_four_atom_problem(), m, num_samples, seed=0)
+    assert (err.value.cap, err.value.actual, seeded) == ("sample", m * num_samples, [])
+
+
 def test_rademacher_capacity_error():
     p = _four_atom_problem()
     with pytest.raises(rs.CapacityError):

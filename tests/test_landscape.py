@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riskspace as rs
 from riskspace import serialize
@@ -401,6 +402,58 @@ def test_connected_distance_prunes_lps(monkeypatch):
                         lambda *args: calls.append(1) or solve(*args))
     rs.connected_risk_distance_exact(a, b)
     assert 0 < len(calls) < survivors
+
+
+def test_connected_distance_solves_only_minimal_relations(monkeypatch):
+    # a relation that holds an admitted one has every constraint of its LP,
+    # so only relations holding no admitted relation are solved
+    rng = np.random.default_rng(113)
+    graphs = [_path_graph(random_problem(rng, nx=2, ny=2, n_h=3)) for _ in range(3)]
+    graphs += [random_predictor_graph(rng, nx=2, ny=2, n_h=3) for _ in range(3)]
+    checked, calls = [], []
+    check = rs.landscape.is_inverse_connected
+    solve = rs.distance._minimax_coupling_lp
+
+    def recorded_check(r, left, right):
+        checked.append((r, check(r, left, right)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(rs.landscape, "is_inverse_connected", recorded_check)
+    monkeypatch.setattr(rs.distance, "_minimax_coupling_lp",
+                        lambda *args: calls.append(1) or solve(*args))
+    for a, b in zip(graphs[:3], graphs[3:]):
+        expected = connected_distance_oracle(a, b)
+        checked.clear()
+        calls.clear()
+        result = rs.connected_risk_distance_exact(a, b)
+        admitted = [r for r, ok in checked if ok]
+        assert admitted and len(calls) == len(admitted)
+        assert not any((r <= s).all() for r, s in itertools.permutations(admitted, 2))
+        assert result.value == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_connected_distance_matches_oracle_on_random_graphs(data):
+    def graph():
+        n_h = data.draw(st.integers(2, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        edges = data.draw(st.sets(st.sampled_from(
+            list(itertools.combinations(range(n_h), 2)))))
+        problem = random_problem(rng, nx=2, ny=2, n_h=n_h)
+        return rs.PredictorGraph(problem=problem, edges=tuple(sorted(edges)))
+
+    a, b = graph(), graph()
+    expected = connected_distance_oracle(a, b)
+    result = rs.connected_risk_distance_exact(a, b)
+    if np.isinf(expected):
+        assert np.isinf(result.value)
+        return
+    assert result.value == pytest.approx(expected, abs=1e-9)
+    r = result.witness_correspondence
+    assert rs.is_inverse_connected(r, a, b)
+    replay = rs.risk_distortion(a.problem, b.problem, r, result.witness_coupling)
+    assert replay == pytest.approx(result.value, abs=1e-9)
 
 
 def test_connected_distance_capacity():

@@ -71,6 +71,8 @@ def test_predictor_range_checked():
     ([[0, 2**63]], "predictors[0][1]"),
     ([[1e30, 0]], "predictors[0][0]"),
     ([[0, 2**64]], "predictors[0][1]"),
+    ([[2**64, 1.5]], "predictors[0][0]"),
+    ([[1.5, 2**64]], "predictors[0][0]"),
 ])
 def test_non_integer_predictors_rejected_not_cast(predictors, field):
     with pytest.raises(rs.ValidationError) as err:
