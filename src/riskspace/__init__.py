@@ -34,7 +34,6 @@ from .transport import (
     coupling_vertices,
     hausdorff,
     hausdorff_loss_profiles,
-    kernel_w1,
     solve_ot_exact,
     total_variation,
     w1_real_line,

@@ -27,7 +27,6 @@ from .problems import (
 from .transport import (
     check_markov_kernel,
     hausdorff,
-    kernel_w1,
     solve_ot_exact,
     total_variation,
 )
@@ -174,8 +173,10 @@ def noise_bound_metric(
 
     Verifies that |loss(z, y) - loss(z, y')| <= C * d_y(y, y') on every
     triple (the bound is vacuous otherwise, so the check refuses rather than
-    returning a meaningless number), then charges C times the average
-    transport cost from the no-noise kernel to ``n_kernel``.
+    returning a meaningless number), then charges C times the eta-average
+    transport cost from each noisy row to the point mass at its observed
+    label.  A coupling with a point mass is unique, so that cost is the
+    expectation sum_j N[r, j] d_y(j, y) of row r = (x, y).
     """
     lipschitz_c = _real(lipschitz_c, "lipschitz_c")
     require(0 <= lipschitz_c < np.inf, "lipschitz_c", "must be finite and nonnegative")
@@ -193,9 +194,9 @@ def noise_bound_metric(
             field="lipschitz_c",
         )
     n_kernel = _label_kernel(problem, n_kernel)
-    return lipschitz_c * kernel_w1(
-        n_kernel, no_noise_kernel(problem), problem.eta.ravel(), d_y
-    )
+    rows = np.arange(len(n_kernel))
+    costs = (n_kernel @ d_y)[rows, rows % problem.ny]
+    return lipschitz_c * float(problem.eta.ravel() @ costs)
 
 
 # --------------------------------------------------------------------------
@@ -208,17 +209,17 @@ def apply_general_noise(
     """Apply a noise kernel on the whole observation space and certify it.
 
     The new joint law is the kernel image of the old one; the certificate is
-    the average transport cost from the identity kernel under the weighted
-    observation pseudometric.
+    the eta-average transport cost from each state's point mass to its
+    kernel row under the weighted observation pseudometric S_p: the
+    expectation sum_j N[i, j] S_p(i, j), as a point mass has one coupling.
     """
     problem = wp.problem
     n = problem.nx * problem.ny
     n_kernel = _float_array(check_markov_kernel(n_kernel, "kernel"), "kernel", (n, n))
     new_eta = (problem.eta.ravel() @ n_kernel).reshape(problem.nx, problem.ny)
     noised = replace(wp, problem=replace(problem, eta=new_eta))
-    ground = s_metric_weighted(wp, p)
-    bound = kernel_w1(np.eye(n), n_kernel, problem.eta.ravel(), ground)
-    return noised, bound
+    costs = np.sum(n_kernel * s_metric_weighted(wp, p), axis=1)
+    return noised, float(problem.eta.ravel() @ costs)
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +254,17 @@ class StageRecord:
     bound: float
 
 
+# the parameters each stage kind takes, beside its ``kind``
+_STAGE_PARAMETERS = {
+    "bias_density": ("f",),
+    "restrict": ("A",),
+    "label_noise": ("kernel", "d_y", "lipschitz_c"),
+    "general_noise": ("kernel", "p"),
+    "loss_swap": ("loss",),
+    "predictor_swap": ("predictors",),
+}
+
+
 def run_pipeline(
     problem: FiniteProblem,
     stages: list[dict],
@@ -263,7 +275,8 @@ def run_pipeline(
     Each stage is a dict with a ``kind`` key naming the transform plus its
     parameters (see the individual operations).  The certificates compose by
     the triangle inequality: their sum bounds the distance between the
-    pipeline's endpoints.
+    pipeline's endpoints.  A key the stage's kind does not take is refused,
+    naming it, rather than leaving a misspelled parameter at its default.
     """
     records: list[StageRecord] = []
     current = problem
@@ -273,7 +286,18 @@ def run_pipeline(
                 f"stages[{idx}] is not an object with a kind", field=f"stages[{idx}]"
             )
         kind = stage["kind"]
+        if not (isinstance(kind, str) and kind in _STAGE_PARAMETERS):
+            raise ValidationError(
+                f"stages[{idx}] has unknown kind {kind!r}",
+                field=f"stages[{idx}].kind",
+            )
         params = {k: v for k, v in stage.items() if k != "kind"}
+        for key in params:
+            if key not in _STAGE_PARAMETERS[kind]:
+                raise ValidationError(
+                    f"stages[{idx}] ({kind}) has unknown parameter {key!r}",
+                    field=f"stages[{idx}].{key}",
+                )
         try:
             if kind == "bias_density":
                 current, bound = apply_bias_density(current, params["f"])
@@ -301,13 +325,8 @@ def run_pipeline(
                 swapped = replace(current, loss=params["loss"])
                 bound = _loss_swap_bound(current, swapped)
                 current = swapped
-            elif kind == "predictor_swap":
+            else:  # predictor_swap
                 current, bound = predictor_set_bound(current, params["predictors"])
-            else:
-                raise ValidationError(
-                    f"stages[{idx}] has unknown kind {kind!r}",
-                    field=f"stages[{idx}].kind",
-                )
         except KeyError as missing:
             raise ValidationError(
                 f"stages[{idx}] ({kind}) lacks parameter {missing.args[0]!r}",

@@ -401,27 +401,3 @@ def wasserstein_profile_distributions(
     _, value = solve_ot_exact(cost, mass_a / mass_a.sum(), mass_b / mass_b.sum())
     return float(max(value, 0.0) ** (1.0 / p))
 
-
-def kernel_w1(
-    m_kernel: np.ndarray,
-    n_kernel: np.ndarray,
-    base_mu: np.ndarray,
-    ground_metric: np.ndarray,
-) -> float:
-    """Wasserstein distance between two Markov kernels with a common source:
-    the base-measure average of the per-state 1-Wasserstein distances."""
-    m_kernel = check_markov_kernel(m_kernel, "M")
-    n_kernel = check_markov_kernel(n_kernel, "N")
-    base_mu = check_distribution(base_mu, "base_mu")
-    ground = _float_array(ground_metric, "ground_metric")
-    if m_kernel.shape != n_kernel.shape:
-        raise ValidationError("M and N must have the same shape", field="N")
-    base_mu = _float_array(base_mu, "base_mu", (len(m_kernel),))
-    t = m_kernel.shape[1]
-    ground = _float_array(ground, "ground_metric", (t, t))
-    require(np.isfinite(ground), "ground_metric", "must be finite")
-    total = 0.0
-    for i in np.flatnonzero(base_mu > 0):
-        _, value = solve_ot_exact(ground, m_kernel[i], n_kernel[i])
-        total += float(base_mu[i]) * value
-    return total

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import riskspace as rs
-from gen import identity_support_problem, random_problem, random_weighted, shared_pairs
+from gen import (
+    identity_support_problem,
+    kernel_transport_oracle,
+    random_problem,
+    random_weighted,
+    shared_pairs,
+)
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +282,19 @@ def test_noise_bound_epsilon_over_two():
         assert rs.risk_distance_exact(p, noised).value <= bound + 1e-9
 
 
+def test_noise_bound_epsilon_mixing_binary():
+    # one input, so the kernel's rows are the observed labels; mixing redraws
+    # the label uniformly with probability eps, whatever the law of the labels
+    d_y = 1.0 - np.eye(2)
+    for eps in (0.05, 0.2, 0.5):
+        mixed = eps * np.full((2, 2), 0.5) + (1 - eps) * np.eye(2)
+        for law in ([0.3, 0.7], [0.5, 0.5]):
+            p = rs.FiniteProblem(("x0",), ("y0", "y1"), [law], d_y, [[0], [1]])
+            assert rs.noise_bound_metric(p, mixed, d_y, 1.0) == pytest.approx(
+                eps / 2, abs=1e-12
+            )
+
+
 def test_noise_bound_x_dependent_epsilon():
     p = identity_support_problem()
     d_y = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -349,6 +368,51 @@ def test_general_noise_bound_dominates_alternating_value():
         noised, bound = rs.apply_general_noise(wp, kernel)
         value = rs.lp_risk_distance(wp, noised, p=1.0).value
         assert value <= bound + 1e-9
+
+
+@st.composite
+def _noise_instances(draw):
+    """A weighted problem of at most a 2x3 grid whose joint law may leave
+    states without mass, a label-noise kernel, an asymmetric label cost
+    the loss is 1-Lipschitz in (the largest loss gap plus a nonnegative
+    asymmetric excess), a joint-space kernel and an order p."""
+    nx, ny = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+
+    def weights(shape):
+        """Integer weights 0-4 of positive total."""
+        return draw(arrays(np.int64, shape, elements=st.integers(0, 4))
+                    .filter(lambda w: w.sum() > 0)).astype(float)
+
+    def kernel(n_rows, n_cols):
+        rows = np.array([weights(n_cols) for _ in range(n_rows)])
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    eta = weights((nx, ny))
+    loss = draw(arrays(float, (ny, ny), elements=st.floats(0, 5)))
+    predictors = draw(arrays(np.int64, (draw(st.integers(1, 3)), nx),
+                             elements=st.integers(0, ny - 1)))
+    lam = weights(len(predictors))
+    p = rs.FiniteProblem(tuple(f"x{i}" for i in range(nx)),
+                         tuple(f"y{j}" for j in range(ny)), eta / eta.sum(),
+                         loss, predictors)
+    excess = draw(arrays(float, (ny, ny), elements=st.floats(0, 2)))
+    d_y = np.abs(loss[:, :, None] - loss[:, None, :]).max(axis=0) + excess
+    return (rs.WeightedProblem(p, lam / lam.sum()), kernel(nx * ny, ny), d_y,
+            kernel(nx * ny, nx * ny), draw(st.sampled_from([1.0, 2.0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_noise_instances())
+def test_noise_certificates_match_per_state_transport(instance):
+    wp, label_kernel, d_y, joint_kernel, p = instance
+    problem, eta = wp.problem, wp.problem.eta.ravel()
+    label = rs.noise_bound_metric(problem, label_kernel, d_y, 1.0)
+    assert label == pytest.approx(kernel_transport_oracle(
+        label_kernel, rs.no_noise_kernel(problem), eta, d_y), abs=1e-12)
+    _, joint = rs.apply_general_noise(wp, joint_kernel, p)
+    n = problem.nx * problem.ny
+    assert joint == pytest.approx(kernel_transport_oracle(
+        np.eye(n), joint_kernel, eta, rs.s_metric_weighted(wp, p)), abs=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -490,6 +554,44 @@ def test_pipeline_refuses_bad_stage_parameters(stage, field):
     with pytest.raises(rs.ValidationError) as err:
         rs.run_pipeline(p, [stage], lam=np.full(p.n_predictors, 1 / p.n_predictors))
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("stage, field", [
+    # misspelled, these certified with their defaults: C = 1, d_y = loss > 0
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "lipschitz": 0.5,
+      "dy": [[0.0, 2.0], [2.0, 0.0]]}, "stages[0].lipschitz"),
+    ({"kind": "restrict", "A": [[1, 1], [1, 1]], "f": [[1, 1], [1, 1]]}, "stages[0].f"),
+    ({"kind": "general_noise", "kernel": np.eye(4).tolist(), "lambda": [0.25] * 4},
+     "stages[0].lambda"),
+])
+def test_pipeline_refuses_unknown_stage_keys(stage, field):
+    p = identity_support_problem()
+    with pytest.raises(rs.ValidationError) as err:
+        rs.run_pipeline(p, [stage], lam=np.full(p.n_predictors, 1 / p.n_predictors))
+    assert err.value.field == field
+
+
+def test_pipeline_solves_no_transport(monkeypatch):
+    # every stage kind certifies in closed form; only the CLI's eta-w1 bound
+    # solves a transport problem
+    def refuse(*args):
+        raise AssertionError("solve_ot_exact called")
+
+    monkeypatch.setattr(rs.transport, "solve_ot_exact", refuse)
+    monkeypatch.setattr(rs.corruption, "solve_ot_exact", refuse)
+    p = identity_support_problem()
+    stages = [
+        {"kind": "bias_density", "f": np.ones((2, 2)).tolist()},
+        {"kind": "restrict", "A": [[1, 1], [1, 1]]},
+        {"kind": "label_noise", "kernel": _epsilon_mixing_kernel(p, 0.2).tolist(),
+         "d_y": [[0.0, 1.0], [1.0, 0.0]], "lipschitz_c": 1.0},
+        {"kind": "general_noise", "kernel": np.full((4, 4), 0.25).tolist(), "p": 2.0},
+        {"kind": "loss_swap", "loss": [[0.0, 0.5], [0.5, 0.0]]},
+        {"kind": "predictor_swap", "predictors": [[0, 1]]},
+    ]
+    _, records = rs.run_pipeline(p, stages, lam=np.full(4, 0.25))
+    assert [r.kind for r in records] == [stage["kind"] for stage in stages]
+    assert records[2].bound == pytest.approx(0.1, abs=1e-12)
 
 
 def test_noise_operations_name_a_misshapen_kernel():

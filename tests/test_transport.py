@@ -472,62 +472,10 @@ def test_profile_distribution_point_masses_reduce_to_w1():
 
 
 # --------------------------------------------------------------------------
-# kernel_w1
-# --------------------------------------------------------------------------
-
-def test_kernel_w1_identical_zero():
-    kernel = np.array([[0.5, 0.5], [0.1, 0.9]])
-    base = np.array([0.3, 0.7])
-    ground = 1.0 - np.eye(2)
-    assert rs.kernel_w1(kernel, kernel, base, ground) == 0.0
-
-
-def test_kernel_w1_epsilon_mixing_binary():
-    # rows: observed label y; mixing re-draws the label uniformly with prob eps
-    ground = 1.0 - np.eye(2)
-    delta = np.eye(2)
-    for eps in (0.05, 0.2, 0.5):
-        mixed = eps * np.full((2, 2), 0.5) + (1 - eps) * delta
-        for base in (np.array([0.3, 0.7]), np.array([0.5, 0.5])):
-            assert rs.kernel_w1(mixed, delta, base, ground) == pytest.approx(
-                eps / 2, abs=1e-12
-            )
-
-
-def test_kernel_w1_single_state_reduces_to_w1():
-    rng = np.random.default_rng(22)
-    values = np.array([0.0, 1.0, 2.5])
-    ground = np.abs(values[:, None] - values[None, :])
-    mu = _random_distribution(rng, 3)
-    nu = _random_distribution(rng, 3)
-    got = rs.kernel_w1(mu[None, :], nu[None, :], np.array([1.0]), ground)
-    _, expected = rs.solve_ot_exact(ground, mu, nu)
-    assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_kernel_w1_bounded_by_worst_row():
-    rng = np.random.default_rng(23)
-    m = rng.dirichlet(np.ones(3), size=4)
-    n = rng.dirichlet(np.ones(3), size=4)
-    base = _random_distribution(rng, 4)
-    values = np.array([0.0, 0.7, 1.9])
-    ground = np.abs(values[:, None] - values[None, :])
-    avg = rs.kernel_w1(m, n, base, ground)
-    worst = max(rs.solve_ot_exact(ground, m[i], n[i])[1] for i in range(4))
-    assert avg <= worst + 1e-12
-
-
-def test_kernel_w1_shape_mismatch():
-    with pytest.raises(rs.ValidationError):
-        rs.kernel_w1(np.eye(2), np.eye(3), np.array([0.5, 0.5]), np.eye(2))
-
-
-# --------------------------------------------------------------------------
 # Refused numeric inputs name their field
 # --------------------------------------------------------------------------
 
 _HALF = np.array([0.5, 0.5])
-_EYE_KERNEL = np.eye(2)
 _P2 = rs.FiniteProblem(("x0", "x1"), ("a", "b"), np.full((2, 2), 0.25),
                        1.0 - np.eye(2), [[0, 1], [1, 0]])
 _W2 = rs.WeightedProblem(_P2, _HALF)
@@ -608,10 +556,10 @@ _MORE_REFUSALS = {
     (lambda: rs.hausdorff([["a"]]), "dist"),
     (lambda: rs.hausdorff([[np.nan, 1.0]]), "dist[0][0]"),
     (lambda: rs.hausdorff_reduction([["a"]]), "costs"),
-    (lambda: rs.kernel_w1(_EYE_KERNEL, _EYE_KERNEL, _HALF, [["a", "b"], ["c", "d"]]),
-     "ground_metric"),
-    (lambda: rs.kernel_w1(_EYE_KERNEL, _EYE_KERNEL, _HALF, [[0.0, np.nan], [1.0, 0.0]]),
-     "ground_metric[0][1]"),
+    (lambda: rs.noise_bound_metric(_P2, rs.no_noise_kernel(_P2),
+                                   [["a", "b"], ["c", "d"]], 1.0), "d_y"),
+    (lambda: rs.noise_bound_metric(_P2, rs.no_noise_kernel(_P2),
+                                   [[0.0, np.nan], [1.0, 0.0]], 1.0), "d_y[0][1]"),
     (lambda: LossProfile(values=["a"], masses=[1.0]), "values"),
     (lambda: LossProfile(values=[[0.0, 1.0]], masses=[[0.5, 0.5]]), "values"),
     (lambda: LossProfile(values=[0.0, 1.0], masses=[1.0]), "masses"),
