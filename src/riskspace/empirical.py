@@ -33,7 +33,6 @@ class ExperimentRow:
     seed: int
     tv_bound: float
     exact_distance: float | None
-    bound_used: str
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,6 @@ def convergence_experiment(
                     seed=seed,
                     tv_bound=bound,
                     exact_distance=exact,
-                    bound_used="tv",
                 )
             )
     return ExperimentReport(rows=tuple(rows), seed=seed)

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .distance import DistanceResult
-from .empirical import ExperimentReport
+from .empirical import ExperimentReport, ExperimentRow
 from .errors import ValidationError
 from .landscape import ReebGraph
 from .problems import FiniteProblem, WeightedProblem
@@ -140,11 +140,12 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
 
 
 def report_to_csv(report: ExperimentReport) -> str:
+    """One line per row: the fields of ``ExperimentRow``, then ``prng``.  The
+    csv module writes a missing exact distance as an empty cell, and a
+    float as its ``repr``."""
     return _csv_text(
-        ["n", "trial", "seed", "prng", "tv_bound", "exact_distance", "bound_used"],
-        ([row.n, row.trial, row.seed, report.prng, repr(row.tv_bound),
-          "" if row.exact_distance is None else repr(row.exact_distance),
-          row.bound_used] for row in report.rows),
+        [field.name for field in dataclasses.fields(ExperimentRow)] + ["prng"],
+        ([*dataclasses.astuple(row), report.prng] for row in report.rows),
     )
 
 

@@ -302,7 +302,7 @@ def test_cli_convergence_csv(capsys, paths):
                                  "--format", "csv"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,trial,seed,prng,tv_bound,exact_distance,bound_used"
+    assert lines[0] == "n,trial,seed,tv_bound,exact_distance,prng"
     assert len(lines) == 1 + 4
 
 

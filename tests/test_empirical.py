@@ -200,7 +200,6 @@ def test_convergence_exact_below_bound_per_row():
     for row in report.rows:
         assert row.exact_distance is not None
         assert row.exact_distance <= row.tv_bound + 1e-9
-        assert row.bound_used == "tv"
 
 
 def test_convergence_report_deterministic():
