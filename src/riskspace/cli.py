@@ -32,9 +32,44 @@ class _UsageError(Exception):
     pass
 
 
+class _FlagError(Exception):
+    """A numeric flag's value that does not parse, with the flag's field.
+    argparse turns a ValueError from a ``type`` into usage text, so this is
+    not one; :func:`main` reports it as a validation error."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _numeric(action: argparse.Action):
+    """The ``type`` of the int or float flag ``action``."""
+    kind = action.type
+
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise _FlagError(
+                f"{action.option_strings[0]} must be"
+                f" {'an integer' if kind is int else 'a number'}, got {text!r}",
+                field=action.dest,
+            ) from None
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+    def add_argument(self, *args, **kwargs):
+        """A flag of type int or float refuses a value that does not parse
+        naming its field, where argparse would print usage text."""
+        action = super().add_argument(*args, **kwargs)
+        if action.type in (int, float):
+            action.type = _numeric(action)
+        return action
 
 
 def _load_weighted(path: str) -> WeightedProblem:
@@ -390,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(str(exc))
         return 1
-    except ValidationError as exc:
+    except (ValidationError, _FlagError) as exc:
         sys.stderr.write(serialize.dump_json({
             "error": "validation", "message": str(exc), "field": exc.field,
         }))

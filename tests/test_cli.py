@@ -416,6 +416,32 @@ def test_cli_unknown_command_usage_exit_1(capsys):
     assert "usage" in err.lower()
 
 
+@pytest.mark.parametrize("command, flags, field", [
+    ("sample", ["--n", "nan"], "n"),
+    ("sample", ["--n", "1.5"], "n"),
+    ("sample", ["--n", "5", "--seed", "x"], "seed"),
+    ("distance-lp", ["--restarts", "1e3"], "restarts"),
+    ("distance-lp", ["--p", "abc"], "p"),
+    ("distance", ["--cap-pairs", "1.5"], "cap_pairs"),
+    ("bound", ["--mode", "eta-tv", "--ell-max", "one"], "ell_max"),
+])
+def test_cli_malformed_numeric_flag_names_field(capsys, paths, command, flags, field):
+    _, write = paths
+    wp = rs.WeightedProblem(problem=identity_support_problem(), lam=np.full(4, 0.25))
+    path = _problem_file(write, "p.json", wp.problem, lam=wp.lam)
+    files = [path] if command == "sample" else [path, path]
+    assert _validation_field(capsys, [command, *files, *flags]) == field
+
+
+@pytest.mark.parametrize("flags", [[], ["--n", "5", "--bogus", "1"]])
+def test_cli_missing_or_unknown_flag_is_usage_error(capsys, paths, flags):
+    _, write = paths
+    path = _problem_file(write, "p.json", identity_support_problem())
+    code, _, err = _run(capsys, ["sample", path, *flags])
+    assert code == 1
+    assert "usage" in err.lower()
+
+
 def test_cli_no_command_exit_1(capsys):
     code, _, err = _run(capsys, [])
     assert code == 1
@@ -543,6 +569,8 @@ _NO_NOISE = np.tile(np.eye(2), (2, 1)).tolist()
     ({"kind": "label_noise", "kernel": _NO_NOISE, "d_y": _RAGGED}, "d_y"),
     ({"kind": "loss_swap", "loss": _RAGGED}, "loss"),
     ({"kind": "label_noise", "kernel": _NO_NOISE[:3]}, "kernel"),
+    ({"kind": "label_noise", "kernel": _NO_NOISE, "dy": [[0.0, 2.0], [2.0, 0.0]]},
+     "stages[0].dy"),
 ])
 def test_cli_corrupt_rejects_bad_stage_parameters(capsys, paths, stage, field):
     _, write = paths
