@@ -589,7 +589,7 @@ def lp_risk_distance(
     random sample otherwise; at p = 1 with both polytopes that small, every
     vertex pair instead, with no LP.  Only the supported observation cells
     enter the steps.  ``trace``, a list when given, receives the objective
-    after every round.
+    after every round, or the one least value of the vertex-pair branch.
 
     The result is labeled ``exact`` only in the trivially tight case of
     singleton predictor sets, else ``upper_bound``.  For p = 1 the objective
