@@ -32,44 +32,23 @@ class _UsageError(Exception):
     pass
 
 
-class _FlagError(Exception):
-    """A numeric flag's value that does not parse, with the flag's field.
-    argparse turns a ValueError from a ``type`` into usage text, so this is
-    not one; :func:`main` reports it as a validation error."""
-
-    def __init__(self, message: str, field: str):
-        super().__init__(message)
-        self.field = field
-
-
-def _numeric(action: argparse.Action):
-    """The ``type`` of the int or float flag ``action``."""
-    kind = action.type
-
-    def parse(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            raise _FlagError(
-                f"{action.option_strings[0]} must be"
-                f" {'an integer' if kind is int else 'a number'}, got {text!r}",
-                field=action.dest,
-            ) from None
-
-    return parse
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
-    def add_argument(self, *args, **kwargs):
-        """A flag of type int or float refuses a value that does not parse
-        naming its field, where argparse would print usage text."""
-        action = super().add_argument(*args, **kwargs)
-        if action.type in (int, float):
-            action.type = _numeric(action)
-        return action
+    def _get_value(self, action, arg_string):
+        # argparse converts each value here and reports one its ``type``
+        # cannot parse as usage text; a numeric flag's names its field
+        try:
+            return super()._get_value(action, arg_string)
+        except argparse.ArgumentError:
+            if action.type not in (int, float):
+                raise
+            kind = "an integer" if action.type is int else "a number"
+            raise ValidationError(
+                f"{action.option_strings[0]} must be {kind}, got {arg_string!r}",
+                field=action.dest,
+            ) from None
 
 
 def _load_weighted(path: str) -> WeightedProblem:
@@ -425,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(str(exc))
         return 1
-    except (ValidationError, _FlagError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(serialize.dump_json({
             "error": "validation", "message": str(exc), "field": exc.field,
         }))

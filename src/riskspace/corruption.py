@@ -134,12 +134,7 @@ def w1_eta_bound(p: FiniteProblem, p_prime: FiniteProblem) -> float:
 
 def no_noise_kernel(problem: FiniteProblem) -> np.ndarray:
     """The label-noise kernel that reproduces each observed label exactly."""
-    n = problem.nx * problem.ny
-    kernel = np.zeros((n, problem.ny))
-    for x in range(problem.nx):
-        for y in range(problem.ny):
-            kernel[x * problem.ny + y, y] = 1.0
-    return kernel
+    return np.tile(np.eye(problem.ny), (problem.nx, 1))
 
 
 def _label_kernel(problem: FiniteProblem, n_kernel: np.ndarray) -> np.ndarray:
@@ -154,13 +149,8 @@ def apply_label_noise(problem: FiniteProblem, n_kernel: np.ndarray) -> FinitePro
     ``n_kernel`` rows are indexed by flattened (x, y) pairs and give the law
     of the corrupted label.  The input marginal is preserved.
     """
-    n_kernel = _label_kernel(problem, n_kernel)
-    flat = problem.eta.reshape(problem.nx, problem.ny)
-    new_eta = np.zeros_like(flat)
-    for x in range(problem.nx):
-        rows = n_kernel[x * problem.ny : (x + 1) * problem.ny]
-        new_eta[x] = flat[x] @ rows
-    return replace(problem, eta=new_eta)
+    rows = _label_kernel(problem, n_kernel).reshape(problem.nx, problem.ny, problem.ny)
+    return replace(problem, eta=np.matmul(problem.eta[:, None, :], rows)[:, 0])
 
 
 def noise_bound_metric(
