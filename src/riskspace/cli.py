@@ -72,10 +72,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="riskspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name: str, help_text: str, *paths: str, **described: str):
-        """The subcommand ``name``: its input files ``paths``, then those of
-        ``described`` with their help, then the common flags."""
+    def add(name: str, help_text: str, run, *paths: str, **described: str):
+        """The subcommand ``name``, which ``run`` carries out: its input files
+        ``paths``, then those of ``described`` with their help, then the
+        common flags."""
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         for path in paths:
             p.add_argument(path)
         for path, path_help in described.items():
@@ -88,7 +90,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--cap-pairs", type=int, default=distance.DEFAULT_CAP_PAIRS)
         p.add_argument("--cap-support", type=int, default=distance.DEFAULT_CAP_SUPPORT)
 
-    p = add("distance", "exact distance between two problems", "problem_a", "problem_b")
+    p = add("distance", "exact distance between two problems", _cmd_distance,
+            "problem_a", "problem_b")
     caps(p)
     p.add_argument("--no-heuristic", action="store_true",
                    help="fail (exit 2) instead of falling back beyond the caps")
@@ -96,69 +99,73 @@ def _build_parser() -> _Parser:
                    help="include witness coupling/correspondence in the output")
 
     p = add("distance-lp", "weighted distance by alternating minimization",
-            "problem_a", "problem_b")
+            _cmd_distance_lp, "problem_a", "problem_b")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witnesses", action="store_true")
 
     p = add("bound", "closed-form stability bound for shared-structure pairs",
-            "problem_a", "problem_b")
+            _cmd_bound, "problem_a", "problem_b")
     p.add_argument("--mode", required=True, choices=(
         "loss-swap", "eta-w1", "eta-tv", "predictor-swap", "lower"))
     p.add_argument("--ell-max", type=float, help="loss cap for --mode eta-tv")
 
     p = add("corrupt", "run a corruption pipeline and emit its bound ledger",
-            "problem", "pipeline")
+            _cmd_corrupt, "problem", "pipeline")
     p.add_argument("--exact", action="store_true",
                    help="also compute the exact endpoint distance when it fits")
     caps(p)
 
-    add("coarsen", "coarsen the response space by a partition", "problem",
-        partition="JSON file: {\"blocks\": [[...], ...]}")
+    add("coarsen", "coarsen the response space by a partition", _cmd_coarsen,
+        "problem", partition="JSON file: {\"blocks\": [[...], ...]}")
 
-    p = add("sample", "draw a seeded empirical problem", "problem")
+    p = add("sample", "draw a seeded empirical problem", _cmd_sample, "problem")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("convergence", "empirical-problem convergence experiment", "problem")
+    p = add("convergence", "empirical-problem convergence experiment",
+            _cmd_convergence, "problem")
     p.add_argument("--ns", default="10,100,1000",
                    help="comma-separated sample sizes")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     caps(p)
 
-    p = add("rademacher", "Rademacher complexity (Monte Carlo or exact)", "problem")
+    p = add("rademacher", "Rademacher complexity (Monte Carlo or exact)",
+            _cmd_rademacher, "problem")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("reeb", "Reeb graph of a risk landscape", "problem")
+    p = add("reeb", "Reeb graph of a risk landscape", _cmd_reeb, "problem")
     p.add_argument("--edges", required=True,
                    help="JSON file: {\"edges\": [[i, j], ...]}")
     p.add_argument("--tol", type=float, default=0.0,
                    help="height-merge tolerance for level grouping")
 
     p = add("connected-distance", "distance over inverse-connected alignments",
-            "problem_a", "problem_b")
+            _cmd_connected, "problem_a", "problem_b")
     p.add_argument("--edges-a", required=True)
     p.add_argument("--edges-b", required=True)
     p.add_argument("--cap-pairs", type=int, default=landscape.CONNECTED_CAP_PAIRS)
     p.add_argument("--witnesses", action="store_true")
 
     p = add("geodesic", "interpolate between two problems at parameter t",
-            "problem_a", "problem_b")
+            _cmd_geodesic, "problem_a", "problem_b")
     p.add_argument("--t", type=float, required=True)
     caps(p)
 
-    p = add("profile", "loss profiles, and profile-set comparisons", "problem_a")
+    p = add("profile", "loss profiles, and profile-set comparisons", _cmd_profile,
+            "problem_a")
     p.add_argument("problem_b", nargs="?")
     p.add_argument("--p", type=float, default=1.0,
                    help="order for the weighted profile-distribution distance")
 
     p = add("verify", "check a simulation witness between two problems",
-            "rich", "base", maps="JSON file with f1, f2, fwd, bwd index maps")
+            _cmd_verify, "rich", "base",
+            maps="JSON file with f1, f2, fwd, bwd index maps")
     p.add_argument("--tol", type=float, default=1e-12)
 
     return parser
@@ -227,14 +234,8 @@ def _cmd_corrupt(args) -> dict:
         "problem": serialize.problem_to_dict(final),
     }
     if args.exact:
-        try:
-            result = distance.risk_distance_exact(
-                problem, final, cap_pairs=args.cap_pairs,
-                cap_support=args.cap_support, fallback=False,
-            )
-            out["endpoint_exact_distance"] = result.value
-        except CapacityError:
-            out["endpoint_exact_distance"] = None
+        out["endpoint_exact_distance"] = distance._exact_or_none(
+            problem, final, args.cap_pairs, args.cap_support)
     return out
 
 
@@ -364,22 +365,6 @@ def _cmd_verify(args) -> dict:
     return {"ok": check.ok, "violation": check.violation}
 
 
-_COMMANDS = {
-    "distance": _cmd_distance,
-    "distance-lp": _cmd_distance_lp,
-    "bound": _cmd_bound,
-    "corrupt": _cmd_corrupt,
-    "coarsen": _cmd_coarsen,
-    "sample": _cmd_sample,
-    "convergence": _cmd_convergence,
-    "rademacher": _cmd_rademacher,
-    "reeb": _cmd_reeb,
-    "connected-distance": _cmd_connected,
-    "geodesic": _cmd_geodesic,
-    "profile": _cmd_profile,
-    "verify": _cmd_verify,
-}
-
 _CSV_COMMANDS = {"convergence", "reeb"}
 
 
@@ -395,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
                 f" {', '.join(sorted(_CSV_COMMANDS))})",
                 field="format",
             )
-        result = _COMMANDS[args.command](args)
+        result = args.run(args)
         text = result if isinstance(result, str) else serialize.dump_json(result)
         if args.out:
             serialize.atomic_write(args.out, text)

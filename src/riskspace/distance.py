@@ -16,7 +16,7 @@ raises, depending on ``fallback``; it never silently approximates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401  unused; perfbench's tracer wraps this binding
@@ -27,7 +27,7 @@ from .corruption import (
     predictor_set_bound,
     w1_eta_bound,
 )
-from .errors import CapacityError, ValidationError, require
+from .errors import CapacityError, ValidationError, require, within_cap
 from .problems import (
     METRIC_TOL,
     FiniteProblem,
@@ -66,8 +66,8 @@ DEFAULT_CAP_SUPPORT = 256
 _EXHAUSTIVE_VERTEX_LIMIT = 9
 
 # Alternating descents stop after _MAX_ITER rounds or once a round gains less
-# than _DESCENT_TOL.  The fallback beyond the caps starts from the independent
-# coupling and _FALLBACK_RESTARTS random vertices drawn with _FALLBACK_SEED.
+# than _DESCENT_TOL.  The fallback beyond the caps takes its starts from
+# _starts, with _FALLBACK_RESTARTS random vertices drawn with _FALLBACK_SEED.
 _MAX_ITER = 100
 _DESCENT_TOL = 1e-10
 _FALLBACK_RESTARTS = 4
@@ -103,6 +103,14 @@ class DistanceResult:
             arr = getattr(self, name)
             if arr is not None:
                 object.__setattr__(self, name, _freeze(convert(arr, name)))
+
+
+def _result(value, status: str, p: FiniteProblem, q: FiniteProblem,
+            gamma_flat: np.ndarray, r=None, rho=None) -> DistanceResult:
+    """A solver's result: ``value`` with round-off below zero clamped, and
+    the flat coupling ``gamma_flat`` shaped over the two joint laws."""
+    return DistanceResult(max(float(value), 0.0), status,
+                          gamma_flat.reshape(p.eta.shape + q.eta.shape), r, rho)
 
 
 def check_correspondence(r: np.ndarray, name: str = "correspondence") -> np.ndarray:
@@ -316,28 +324,19 @@ def risk_distance_exact(
             p_prime, p, cap_pairs=cap_pairs, cap_support=cap_support,
             fallback=fallback,
         )
-        return DistanceResult(
-            value=result.value,
-            status=result.status,
-            witness_coupling=None
-            if result.witness_coupling is None
-            else np.transpose(result.witness_coupling, (2, 3, 0, 1)),
-            witness_correspondence=None
-            if result.witness_correspondence is None
-            else result.witness_correspondence.T,
+        return replace(
+            result,
+            witness_coupling=np.transpose(result.witness_coupling, (2, 3, 0, 1)),
+            witness_correspondence=result.witness_correspondence.T,
         )
 
     n_pairs = p.n_predictors * p_prime.n_predictors
     support = (p.nx * p.ny) * (p_prime.nx * p_prime.ny)
-    if n_pairs > cap_pairs or support > cap_support:
-        if not fallback:
-            raise CapacityError(
-                f"exact solver caps exceeded: |H||H'| = {n_pairs} (cap"
-                f" {cap_pairs}), support product = {support} (cap"
-                f" {cap_support})",
-                cap="cap_pairs" if n_pairs > cap_pairs else "cap_support",
-                actual=n_pairs if n_pairs > cap_pairs else support,
-            )
+    if not fallback:
+        within_cap(n_pairs, cap_pairs, "cap_pairs", "the exact solver needs |H||H'|")
+        within_cap(support, cap_support, "cap_support",
+                   "the exact solver needs a support product")
+    elif n_pairs > cap_pairs or support > cap_support:
         return _alternating_upper_bound(p, p_prime)
 
     costs = _pair_costs(p, p_prime)
@@ -346,12 +345,17 @@ def risk_distance_exact(
         _assignment_unions(p.n_predictors, p_prime.n_predictors),
     )
     value, witness_r = hausdorff_reduction(_costs_under(costs, best_gamma))
-    return DistanceResult(
-        value=max(float(value), 0.0),
-        status="exact",
-        witness_coupling=best_gamma.reshape(p.eta.shape + p_prime.eta.shape),
-        witness_correspondence=witness_r,
-    )
+    return _result(value, "exact", p, p_prime, best_gamma, r=witness_r)
+
+
+def _exact_or_none(p: FiniteProblem, q: FiniteProblem, cap_pairs: int,
+                   cap_support: int) -> float | None:
+    """The exact distance, or None when the pair exceeds the caps."""
+    try:
+        return risk_distance_exact(p, q, cap_pairs=cap_pairs,
+                                   cap_support=cap_support, fallback=False).value
+    except CapacityError:
+        return None
 
 
 def _solved_once(solve):
@@ -382,19 +386,16 @@ def _alternating_upper_bound(
     costs = _pair_costs(p, p_prime)
     mu, nu = p.eta.ravel(), p_prime.eta.ravel()
     pattern_lp = _solved_once(lambda r: _minimax_coupling_lp(costs[r], mu, nu))
-    rng = _rng(_FALLBACK_SEED)
-    inits = [np.outer(mu, nu)]
-    inits += [random_coupling_vertex(mu, nu, rng) for _ in range(_FALLBACK_RESTARTS)]
+    starts = _starts(mu, nu, None, _FALLBACK_RESTARTS, _rng(_FALLBACK_SEED))
 
     best = (np.inf, None, None)
-    for gamma in inits:
+    for gamma in starts:
         gamma_flat = gamma.ravel()
         value = np.inf
         for _ in range(_MAX_ITER):
             cost_matrix = _costs_under(costs, gamma_flat)
             current = hausdorff(cost_matrix)
             if value - current < _DESCENT_TOL:
-                value = min(value, current)
                 break
             value = current
             # re-solve the coupling for the argmin assignment pattern; its
@@ -408,12 +409,7 @@ def _alternating_upper_bound(
             best = (final_value, gamma_flat, witness)
 
     value, gamma_flat, witness = best
-    return DistanceResult(
-        value=max(float(value), 0.0),
-        status="upper_bound",
-        witness_coupling=gamma_flat.reshape(p.eta.shape + p_prime.eta.shape),
-        witness_correspondence=witness,
-    )
+    return _result(value, "upper_bound", p, p_prime, gamma_flat, r=witness)
 
 
 # --------------------------------------------------------------------------
@@ -535,28 +531,28 @@ def _transport_step(a: np.ndarray, b: np.ndarray, downstream: np.ndarray):
     return _solved_once(simplex_step), None
 
 
-def _rho_inits(
+def _starts(
     lam: np.ndarray,
     lam_prime: np.ndarray,
     vertices: np.ndarray | None,
     restarts: int,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    """Starting predictor couplings: every listed vertex, else ``restarts``
-    seeded random ones, after the independent (and maybe the diagonal)
-    coupling."""
-    inits = [np.outer(lam, lam_prime)]
-    if lam.shape == lam_prime.shape and np.array_equal(lam, lam_prime):
+    """Starting couplings of an alternating descent: every listed vertex,
+    else ``restarts`` seeded random ones, after the independent (and maybe
+    the diagonal) coupling."""
+    starts = [np.outer(lam, lam_prime)]
+    if np.array_equal(lam, lam_prime):
         # the diagonal coupling is a vertex; it is the natural start for
         # self-comparisons and is rarely hit by random sampling
-        inits.append(np.diag(lam))
+        starts.append(np.diag(lam))
     if vertices is not None:
-        inits.extend(vertices)
+        starts.extend(vertices)
     else:
-        inits.extend(
+        starts.extend(
             random_coupling_vertex(lam, lam_prime, rng) for _ in range(restarts)
         )
-    return inits
+    return starts
 
 
 def lp_risk_distance(
@@ -610,10 +606,6 @@ def lp_risk_distance(
     flat_pairwise = _pair_costs(pa, pb, support)
     pow_pairwise = flat_pairwise if p == 1.0 else flat_pairwise**p
 
-    def objective(rho: np.ndarray, gamma_flat: np.ndarray) -> float:
-        pair = flat_pairwise @ gamma_flat
-        return float(np.sum(rho * pair**p) ** (1.0 / p))
-
     # each step's downstream: the pair costs read the gamma plan, and the
     # next gamma cost reads the rho plan
     gamma_step, gammas = _transport_step(
@@ -622,7 +614,7 @@ def lp_risk_distance(
         wp.lam, wp_prime.lam, np.moveaxis(pow_pairwise, -1, 0))
 
     best = (np.inf, None, None)
-    inits = []
+    starts = []
     if p == 1.0 and gammas is not None and rhos is not None:
         gammas = gammas.reshape(-1, m * n)
         values = np.einsum("vij,ijk,wk->vw", rhos, flat_pairwise, gammas)
@@ -631,35 +623,28 @@ def lp_risk_distance(
         if trace is not None:
             trace.append(float(values[v, w]))
     else:
-        inits = _rho_inits(wp.lam, wp_prime.lam, rhos, restarts, rng)
-    for rho in inits:
+        starts = _starts(wp.lam, wp_prime.lam, rhos, restarts, rng)
+    for rho in starts:
         gamma_flat = np.outer(mu, nu).ravel()
         current = np.inf
         for _ in range(_MAX_ITER):
             gamma_cost = np.tensordot(rho, pow_pairwise, axes=2)
             gamma_flat = gamma_step(gamma_cost.reshape(m, n)).ravel()
-            pair = flat_pairwise @ gamma_flat
-            rho = rho_step(pair**p)
-            value = objective(rho, gamma_flat)
+            pair_cost = (flat_pairwise @ gamma_flat) ** p
+            rho = rho_step(pair_cost)
+            value = float(np.sum(rho * pair_cost) ** (1.0 / p))
             if trace is not None:
                 trace.append(value)
             if current - value < _DESCENT_TOL:
-                current = min(current, value)
                 break
             current = value
-        value = objective(rho, gamma_flat)
         if value < best[0]:
             best = (value, gamma_flat, rho)
 
     value, gamma_flat, rho = best
     status = "exact" if n_h == 1 and n_hp == 1 else "upper_bound"
-    return DistanceResult(
-        value=max(float(value), 0.0),
-        status=status,
-        witness_coupling=support.embed(gamma_flat.reshape(m, n)).reshape(
-            pa.eta.shape + pb.eta.shape),
-        witness_predictor_coupling=rho,
-    )
+    return _result(value, status, pa, pb, support.embed(gamma_flat.reshape(m, n)),
+                   rho=rho)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, require
+from .errors import require, within_cap
 from . import distance as _distance
 from .corruption import tv_bound
 from .problems import FiniteProblem, _count, _index_array, _rng
@@ -45,9 +45,7 @@ class ExperimentReport:
 def _sample_size(n) -> int:
     """``n`` as a sample size of 1 to ``SAMPLE_CAPACITY`` draws."""
     n = _count(n, "n", least=1)
-    if n > SAMPLE_CAPACITY:
-        raise CapacityError(f"a sample needs n <= {SAMPLE_CAPACITY}, got {n}",
-                            cap="sample", actual=n)
+    within_cap(n, SAMPLE_CAPACITY, "sample", "a sample needs n")
     return n
 
 
@@ -100,26 +98,12 @@ def convergence_experiment(
     for n in ns:
         for trial in range(trials):
             empirical = _resample(problem, n, _rng(seed, n, trial))
-            bound = tv_bound(problem, empirical, ell_max)
-            try:
-                exact = _distance.risk_distance_exact(
-                    problem,
-                    empirical,
-                    cap_pairs=cap_pairs,
-                    cap_support=cap_support,
-                    fallback=False,
-                ).value
-            except CapacityError:
-                exact = None
-            rows.append(
-                ExperimentRow(
-                    n=n,
-                    trial=trial,
-                    seed=seed,
-                    tv_bound=bound,
-                    exact_distance=exact,
-                )
-            )
+            rows.append(ExperimentRow(
+                n=n, trial=trial, seed=seed,
+                tv_bound=tv_bound(problem, empirical, ell_max),
+                exact_distance=_distance._exact_or_none(
+                    problem, empirical, cap_pairs, cap_support),
+            ))
     return ExperimentReport(rows=tuple(rows), seed=seed)
 
 
@@ -139,10 +123,8 @@ def rademacher_mc(
     """
     m = _count(m, "m", least=1)
     num_samples = _count(num_samples, "num_samples", least=1)
-    if num_samples * m > SAMPLE_CAPACITY:
-        raise CapacityError(
-            f"Monte Carlo needs num_samples * m <= {SAMPLE_CAPACITY}, got"
-            f" {num_samples * m}", cap="sample", actual=num_samples * m)
+    within_cap(num_samples * m, SAMPLE_CAPACITY, "sample",
+               "Monte Carlo needs num_samples * m")
     rng = _rng(_count(seed, "seed"))
     flat_losses = problem.predictor_loss_stack().reshape(problem.n_predictors, -1)
     flat_eta = problem.eta.ravel()
@@ -170,14 +152,8 @@ def _exhaustive_rademacher(values: np.ndarray, weights: np.ndarray, m: int) -> f
     """
     m = _count(m, "m", least=1)
     atoms = len(weights)
-    work = (atoms**m) * (2**m)
-    if work > RADEMACHER_CAPACITY:
-        raise CapacityError(
-            f"exhaustive expectation needs atoms^m * 2^m <= "
-            f"{RADEMACHER_CAPACITY}, got {work}",
-            cap="rademacher",
-            actual=work,
-        )
+    within_cap(atoms**m * 2**m, RADEMACHER_CAPACITY, "rademacher",
+               "exhaustive expectation needs atoms^m * 2^m")
     atom = np.repeat(np.flatnonzero(weights), 2)
     prob = weights[atom] / 2
     signed = values[:, atom] * np.tile([-1.0, 1.0], len(atom) // 2)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one input check."""
+"""Exception types shared across the package, the one input check and the
+one capacity check."""
 
 import numpy as np
 
@@ -42,6 +43,18 @@ class CapacityError(RuntimeError):
         super().__init__(message)
         self.cap = cap
         self.actual = actual
+
+
+def within_cap(actual: int, limit: int, cap: str, what: str) -> None:
+    """Raise :class:`CapacityError` unless ``actual <= limit``.
+
+    ``what`` says what needs the limit (``"a sample needs n"``); the message
+    is ``what`` followed by ``<= limit, got actual``, and the error carries
+    ``cap`` and ``actual`` for front ends.
+    """
+    if actual > limit:
+        raise CapacityError(f"{what} <= {limit}, got {actual}", cap=cap,
+                            actual=actual)
 
 
 class SolverError(RuntimeError):

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, require
+from .errors import require, within_cap
 from .distance import (
     DistanceResult,
     _minimax_coupling_lp,  # noqa: F401  unused; perfbench's tracer wraps this binding
     _pair_costs,
     _pattern_sweep,
+    _result,
     check_correspondence,
 )
 from .problems import (
@@ -197,12 +198,7 @@ def connected_risk_distance_exact(
     cap_pairs = _count(cap_pairs, "cap_pairs")
     p, q = pg.problem, pg_prime.problem
     n_pairs = p.n_predictors * q.n_predictors
-    if n_pairs > cap_pairs:
-        raise CapacityError(
-            f"relation enumeration needs |H||H'| <= {cap_pairs}, got {n_pairs}",
-            cap="cap_pairs",
-            actual=n_pairs,
-        )
+    within_cap(n_pairs, cap_pairs, "cap_pairs", "relation enumeration needs |H||H'|")
     # relation k holds pair b (row-major) when bit b of k is set
     relations = np.arange(1, 1 << n_pairs)[:, None] >> np.arange(n_pairs) & 1
     relations = relations.astype(bool).reshape(-1, p.n_predictors, q.n_predictors)
@@ -224,12 +220,7 @@ def connected_risk_distance_exact(
         _pair_costs(p, q), p.eta.ravel(), q.eta.ravel(), relations, admissible)
     if gamma_flat is None:
         return DistanceResult(value=np.inf, status="exact")
-    return DistanceResult(
-        value=max(float(value), 0.0),
-        status="exact",
-        witness_coupling=gamma_flat.reshape(p.eta.shape + q.eta.shape),
-        witness_correspondence=r,
-    )
+    return _result(value, "exact", p, q, gamma_flat, r=r)
 
 
 def reeb_sandwich(

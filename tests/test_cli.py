@@ -135,7 +135,7 @@ def test_parser_dispatch_and_readme_list_the_same_commands():
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
     documented = [line.split()[1] for line in block.splitlines()
                   if line.startswith("riskspace ")]
-    assert list(subparsers.choices) == list(cli._COMMANDS) == documented
+    assert list(subparsers.choices) == documented
 
 
 def test_cli_distance_example_pair(capsys, paths):
@@ -547,6 +547,17 @@ def test_cli_connected_distance_rejects_negative_cap(capsys, paths):
     argv = ["connected-distance", a, b, "--edges-a", ea, "--edges-b", eb,
             "--cap-pairs", "-1"]
     assert _validation_field(capsys, argv) == "cap_pairs"
+
+
+def test_cli_corrupt_exact_beyond_caps_is_null(capsys, paths):
+    _, write = paths
+    problem = _problem_file(write, "p.json", identity_support_problem())
+    pipeline = write("pipeline.json", [
+        {"kind": "loss_swap", "loss": [[0.0, 2.0], [2.0, 0.0]]}])
+    code, out, err = _run(capsys, ["corrupt", problem, pipeline, "--exact",
+                                   "--cap-pairs", "15"])
+    assert (code, err) == (0, "")
+    assert '"endpoint_exact_distance": null' in out
 
 
 def test_cli_corrupt_non_object_stage(capsys, paths):

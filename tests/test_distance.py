@@ -541,6 +541,19 @@ def test_lp_distance_self_zero_beyond_vertex_enumeration():
     assert rs.lp_risk_distance(wp, wp, p=1.0).value <= 1e-9
 
 
+def test_fallback_self_distance_zero_beyond_caps():
+    # four predictors: 16 pairs, beyond the exact caps, so the fallback's
+    # diagonal start has to carry each self-comparison to zero
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        p = rs.FiniteProblem(("a", "b", "c"), ("u", "v", "w"),
+                             rng.dirichlet(np.ones(9)).reshape(3, 3),
+                             rng.integers(0, 3, size=(3, 3)),
+                             rng.integers(0, 3, size=(4, 3)))
+        result = rs.risk_distance_exact(p, p)
+        assert result.status == "upper_bound" and result.value <= 1e-9
+
+
 def test_lp_distance_p_diameter_formula():
     rng = np.random.default_rng(55)
     bullet = rs.WeightedProblem(problem=rs.one_point_problem(0.0),

@@ -5,7 +5,13 @@ assignment patterns.  Here the same quantity is recomputed along a second,
 fully independent exact route: enumerate every correspondence outright and
 solve, for each, a minimax LP assembled from scratch with scipy.  The two
 routes must agree to solver tolerance.
+
+Every size-cap refusal, of the exact solver and of the other capped
+routines, is raised by ``errors.within_cap`` in one form.
 """
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +24,45 @@ from gen import (
     random_problem,
     random_weighted,
 )
+
+
+_FOUR = random_problem(np.random.default_rng(170), nx=2, ny=2, n_h=4)
+_SAMPLES = rs.empirical.SAMPLE_CAPACITY
+
+
+@pytest.mark.parametrize("refuse, cap, actual, limit", [
+    # both caps are exceeded: the pairs cap is named first
+    (lambda p: rs.risk_distance_exact(p, p, cap_support=15, fallback=False),
+     "cap_pairs", 16, 12),
+    (lambda p: rs.risk_distance_exact(p, p, cap_pairs=16, cap_support=15,
+                                      fallback=False), "cap_support", 16, 15),
+    (lambda p: rs.connected_risk_distance_exact(rs.PredictorGraph(p, []),
+                                                rs.PredictorGraph(p, [])),
+     "cap_pairs", 16, rs.landscape.CONNECTED_CAP_PAIRS),
+    (lambda p: rs.sample_empirical(p, _SAMPLES + 1, 0),
+     "sample", _SAMPLES + 1, _SAMPLES),
+    (lambda p: rs.rademacher_mc(p, 3, _SAMPLES // 3 + 1, 0),
+     "sample", 3 * (_SAMPLES // 3 + 1), _SAMPLES),
+    (lambda p: rs.rademacher_exact_small(p, 9),
+     "rademacher", 4**9 * 2**9, rs.empirical.RADEMACHER_CAPACITY),
+], ids=["exact-pairs", "exact-support", "connected", "sample", "monte-carlo",
+        "exhaustive"])
+def test_capacity_refusals_share_one_form(refuse, cap, actual, limit):
+    with pytest.raises(rs.CapacityError) as err:
+        refuse(_FOUR)
+    assert (err.value.cap, err.value.actual) == (cap, actual)
+    assert str(err.value).endswith(f" <= {limit}, got {actual}")
+
+
+def test_only_errors_constructs_capacity_errors():
+    src = pathlib.Path(__file__).parents[1] / "src" / "riskspace"
+    constructing = [
+        path.name for path in sorted(src.glob("*.py"))
+        if path.name != "errors.py"
+        and re.search(r"CapacityError\s*\(|raise\s+CapacityError\b",
+                      path.read_text())
+    ]
+    assert constructing == []
 
 
 def _minimax_lp_from_scratch(cost_vectors, mu, nu):
