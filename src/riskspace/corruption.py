@@ -21,6 +21,7 @@ from .problems import (
     WeightedProblem,
     _float_array,
     _mask,
+    _power_mean,
     _real,
     cross_predictor_pseudometric,
 )
@@ -110,14 +111,12 @@ def s_metric(problem: FiniteProblem) -> np.ndarray:
 
 
 def s_metric_weighted(wp: WeightedProblem, p: float) -> np.ndarray:
-    """Weighted analog of :func:`s_metric`: the lambda-L^p norm of the
-    per-predictor loss gaps."""
+    """Weighted analog of :func:`s_metric`: the lambda-L^p mean of the
+    per-predictor loss gaps (``problems._power_mean``)."""
     p = _real(p, "p")
-    # at p = inf the formula below puts 0 ** 0 = 1 on the diagonal
     require(1 <= p < np.inf, "p", "must lie in [1, inf)")
     flat = wp.problem.predictor_loss_stack().reshape(wp.problem.n_predictors, -1)
-    gaps = np.abs(flat[:, :, None] - flat[:, None, :])
-    return np.einsum("h,hij->ij", wp.lam, gaps**p) ** (1.0 / p)
+    return _power_mean(np.abs(flat[:, :, None] - flat[:, None, :]), wp.lam, p)
 
 
 def w1_eta_bound(p: FiniteProblem, p_prime: FiniteProblem) -> float:

@@ -37,6 +37,7 @@ from .problems import (
     _freeze,
     _mask,
     _mm_space,
+    _power_mean,
     _real,
     _rng,
     constrained_bayes_risk,
@@ -459,15 +460,13 @@ def lp_risk_distortion(
     gamma: np.ndarray,
     p: float,
 ) -> float:
-    """L^p average (or supported supremum, for p = inf) of the pair costs
-    under a predictor coupling and an observation coupling."""
+    """L^p mean (or supported supremum, for p = inf) of the pair costs under
+    a predictor coupling and an observation coupling (``problems._power_mean``)."""
     p = _real(p, "p")
     require(p >= 1, "p", "must be at least 1")
     rho = check_coupling(rho, wp.lam, wp_prime.lam, name="rho")
     pair_costs = pair_cost_matrix(wp.problem, wp_prime.problem, gamma)
-    if p == np.inf:
-        return float(pair_costs[rho > 0].max())
-    return float(np.sum(rho * pair_costs**p) ** (1.0 / p))
+    return float(_power_mean(pair_costs, rho, p))
 
 
 def _transport_step(a: np.ndarray, b: np.ndarray, downstream: np.ndarray):
@@ -578,14 +577,15 @@ def lp_risk_distance(
     pair costs, for the observation coupling; the next observation cost,
     for the predictor coupling).  On a tie the step solves the transport
     LP, so values and ``trace`` lengths are those of an LP per step (see
-    :func:`_transport_step`).  Restarts cover the
-    independent coupling, the diagonal coupling when the two weightings
-    coincide, and polytope vertices: all of them when the predictor supports
-    are small (which makes the p = 1 result provably optimal), a seeded
-    random sample otherwise; at p = 1 with both polytopes that small, every
-    vertex pair instead, with no LP.  Only the supported observation cells
-    enter the steps.  ``trace``, a list when given, receives the objective
-    after every round, or the one least value of the vertex-pair branch.
+    :func:`_transport_step`).  Every call descends from each start of
+    :func:`_starts`: the independent coupling, the diagonal coupling when
+    the two weightings coincide, and polytope vertices: all of them when
+    the predictor supports are small (which makes the p = 1 result provably
+    optimal), a seeded random sample otherwise.  Only the supported
+    observation cells enter the steps.  ``trace``, a list when given,
+    receives the objective after every round, which may underflow to 0 at a
+    large p; the value reported, the L^p mean at the witnesses, is scaled
+    so that it does not (``problems._power_mean``).
 
     The result is labeled ``exact`` only in the trivially tight case of
     singleton predictor sets, else ``upper_bound``.  For p = 1 the objective
@@ -604,27 +604,16 @@ def lp_risk_distance(
 
     n_h, n_hp = pa.n_predictors, pb.n_predictors
     flat_pairwise = _pair_costs(pa, pb, support)
-    pow_pairwise = flat_pairwise if p == 1.0 else flat_pairwise**p
+    pow_pairwise = flat_pairwise**p
 
     # each step's downstream: the pair costs read the gamma plan, and the
     # next gamma cost reads the rho plan
-    gamma_step, gammas = _transport_step(
-        mu, nu, flat_pairwise.reshape(n_h * n_hp, m, n))
+    gamma_step, _ = _transport_step(mu, nu, flat_pairwise.reshape(n_h * n_hp, m, n))
     rho_step, rhos = _transport_step(
         wp.lam, wp_prime.lam, np.moveaxis(pow_pairwise, -1, 0))
 
     best = (np.inf, None, None)
-    starts = []
-    if p == 1.0 and gammas is not None and rhos is not None:
-        gammas = gammas.reshape(-1, m * n)
-        values = np.einsum("vij,ijk,wk->vw", rhos, flat_pairwise, gammas)
-        v, w = np.unravel_index(np.argmin(values), values.shape)
-        best = (values[v, w], gammas[w], rhos[v])
-        if trace is not None:
-            trace.append(float(values[v, w]))
-    else:
-        starts = _starts(wp.lam, wp_prime.lam, rhos, restarts, rng)
-    for rho in starts:
+    for rho in _starts(wp.lam, wp_prime.lam, rhos, restarts, rng):
         gamma_flat = np.outer(mu, nu).ravel()
         current = np.inf
         for _ in range(_MAX_ITER):
@@ -641,10 +630,10 @@ def lp_risk_distance(
         if value < best[0]:
             best = (value, gamma_flat, rho)
 
-    value, gamma_flat, rho = best
+    _, gamma_flat, rho = best
     status = "exact" if n_h == 1 and n_hp == 1 else "upper_bound"
-    return _result(value, status, pa, pb, support.embed(gamma_flat.reshape(m, n)),
-                   rho=rho)
+    return _result(_power_mean(flat_pairwise @ gamma_flat, rho, p), status, pa, pb,
+                   support.embed(gamma_flat.reshape(m, n)), rho=rho)
 
 
 # --------------------------------------------------------------------------
@@ -667,10 +656,10 @@ def bilinear_gw(
     point ``a1``, and the pair cost of (a2, b2) under gamma is the inner
     integral.  The objective is bilinear, so its minimum is attained at a
     vertex pair; when the support product is at most
-    ``_EXHAUSTIVE_VERTEX_LIMIT`` every vertex pair is evaluated and the
-    value is exact, otherwise it is an upper bound from the alternating
-    descent, whose steps over larger polytopes are tree-simplex solves
-    that reach the transport LP only on a tie.
+    ``_EXHAUSTIVE_VERTEX_LIMIT`` the descent starts from every predictor
+    coupling vertex and the value is exact, otherwise it is an upper bound
+    from seeded random starts.  Every step reaches the transport LP only
+    on a tie.
     """
     return lp_risk_distance(
         _mm_space(None, dist_a, mu_a, "dist_a", "mu_a"),

@@ -122,6 +122,19 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _power_mean(values, weights, p: float):
+    """The weighted L^p mean (sum w * v ** p) ** (1 / p) over the axes that
+    ``weights`` spans; at p = inf, t, the largest v of positive weight.  Zero
+    weights are dropped and v is divided by t first, so no p underflows it to 0."""
+    values = values[weights > 0]
+    weights = weights[weights > 0].reshape((-1,) + (1,) * (values.ndim - 1))
+    top = values.max(axis=0)
+    if p == np.inf:
+        return top
+    scaled = values / np.where(top > 0, top, 1.0)
+    return top * np.sum(weights * scaled**p, axis=0) ** (1.0 / p)
+
+
 def _count(value, name: str, least: int = 0) -> int:
     """A count (seed, sample size, trials, restarts, cap) as a Python int of
     at least ``least``.  ``range`` and numpy refuse fractional counts with

@@ -26,6 +26,7 @@ from .problems import (
     WeightedProblem,
     _check_mass,
     _float_array,
+    _power_mean,
     _real,
     loss_profile_distribution,
     loss_profile_set,
@@ -372,12 +373,9 @@ def hausdorff(dist: np.ndarray) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
-def _w1_matrix(profiles_a, profiles_b, p: float = 1.0) -> np.ndarray:
-    """1-Wasserstein distances on the line between two profile lists, each
-    raised to ``p`` as a Python float: numpy's vectorised power can differ
-    in the last bit, and x ** 1.0 is x."""
-    return np.array([[w1_real_line(a, b) ** p for b in profiles_b]
-                     for a in profiles_a])
+def _w1_matrix(profiles_a, profiles_b) -> np.ndarray:
+    """1-Wasserstein distances on the line between two profile lists."""
+    return np.array([[w1_real_line(a, b) for b in profiles_b] for a in profiles_a])
 
 
 def hausdorff_loss_profiles(p: FiniteProblem, p_prime: FiniteProblem) -> float:
@@ -390,14 +388,14 @@ def wasserstein_profile_distributions(
     wp: WeightedProblem, wp_prime: WeightedProblem, p: float
 ) -> float:
     """Outer p-Wasserstein distance between the two weighted profile
-    distributions, with ground distance 1-Wasserstein between profiles."""
+    distributions, with ground distance 1-Wasserstein between profiles, scaled
+    so that a large p does not underflow it (``problems._power_mean``)."""
     p = _real(p, "p")
-    # at p = inf the formula below gives 0 ** 0 = 1 for equal distributions
     require(1 <= p < np.inf, "p", "must lie in [1, inf)")
     profiles_a, mass_a = zip(*loss_profile_distribution(wp))
     profiles_b, mass_b = zip(*loss_profile_distribution(wp_prime))
-    mass_a, mass_b = np.array(mass_a), np.array(mass_b)
-    cost = _w1_matrix(profiles_a, profiles_b, p)
-    _, value = solve_ot_exact(cost, mass_a / mass_a.sum(), mass_b / mass_b.sum())
-    return float(max(value, 0.0) ** (1.0 / p))
+    mass_a, mass_b = (np.array(mass) / np.sum(mass) for mass in (mass_a, mass_b))
+    dist = _w1_matrix(profiles_a, profiles_b)
+    plan, _ = solve_ot_exact((dist / (dist.max() or 1.0)) ** p, mass_a, mass_b)
+    return float(_power_mean(dist, plan, p))
 

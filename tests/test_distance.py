@@ -589,6 +589,54 @@ def test_lp_distance_singletons_exact_status():
 
 
 # --------------------------------------------------------------------------
+# Large orders: weighted L^p means are scaled before they are powered
+# --------------------------------------------------------------------------
+
+def _two_labels(eta=(0.5, 0.5), gap=0.5):
+    """One input, two labels, loss ``gap`` off the diagonal and the two
+    constant predictors, weighted equally."""
+    problem = rs.FiniteProblem(("x",), ("a", "b"), [list(eta)],
+                               [[0.0, gap], [gap, 0.0]], [[0], [1]])
+    return rs.WeightedProblem(problem, [0.5, 0.5])
+
+
+def test_label_swap_certificate_at_large_p():
+    # both predictors' losses differ by 0.5 between the labels, so S_p is
+    # 0.5 off the diagonal at every p, though 0.5 ** 2000 underflows
+    for order in (1.0, 100.0, 2000.0):
+        _, bound = rs.apply_general_noise(_two_labels(), [[0, 1], [1, 0]], order)
+        assert bound == pytest.approx(0.5, abs=1e-12)
+
+
+def test_lp_distortion_at_large_p():
+    # each diagonal pair costs 0.25 under the independent coupling
+    wp = _two_labels()
+    gamma = np.multiply.outer(wp.problem.eta, wp.problem.eta)
+    assert rs.lp_risk_distortion(wp, wp, np.diag([0.5, 0.5]), gamma,
+                                 2000.0) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_lp_distance_at_large_p_is_its_witnesses_distortion():
+    # every round's objective underflows to 0; the reported value does not
+    wp = _two_labels()
+    noised, _ = rs.apply_general_noise(wp, [[1.0, 0.0], [0.1, 0.9]])
+    trace: list[float] = []
+    result = rs.lp_risk_distance(wp, noised, p=2000.0, trace=trace)
+    assert set(trace) == {0.0}
+    assert result.value == pytest.approx(0.025, abs=1e-12)
+    assert result.value == pytest.approx(rs.lp_risk_distortion(
+        wp, noised, result.witness_predictor_coupling, result.witness_coupling,
+        2000.0), rel=1e-12)
+
+
+def test_profile_wasserstein_at_large_p():
+    # every pair of loss profiles is 0.2 apart in W1
+    value = rs.wasserstein_profile_distributions(
+        _two_labels(), _two_labels(eta=(0.9, 0.1)), 1200.0)
+    assert value == pytest.approx(0.2, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
 # Bilinear relaxation
 # --------------------------------------------------------------------------
 
@@ -685,15 +733,14 @@ def test_bilinear_exact_with_zero_mass_atoms():
 
 def test_lp_distance_p1_small_polytopes_is_vertex_pair_minimum(monkeypatch):
     # both coupling polytopes have support product at most 9, some through
-    # zero-mass cells: the p = 1 value is the least distortion over every
-    # pair of vertices, found without an LP
+    # zero-mass cells: the p = 1 value, descended from every predictor
+    # vertex, is the least distortion over every pair of vertices
     rng = np.random.default_rng(65)
     for nx, ny, support in ((1, 3, None), (1, 2, None), (2, 3, 3), (3, 3, 2)):
         wa = random_weighted(rng, nx=nx, ny=ny, n_h=3, eta_support=support)
         wb = random_weighted(rng, nx=nx, ny=ny, n_h=3, eta_support=support)
-        result, solved = _recorded_lps(
+        result, _ = _recorded_lps(
             monkeypatch, lambda: rs.lp_risk_distance(wa, wb, p=1.0))
-        assert solved == []
         shape = (nx, ny, nx, ny)
         oracle = min(
             rs.lp_risk_distortion(wa, wb, rho, gamma.reshape(shape), 1.0)
