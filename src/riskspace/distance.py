@@ -16,6 +16,7 @@ raises, depending on ``fallback``; it never silently approximates.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,6 +59,10 @@ from .transport import (
 
 DEFAULT_CAP_PAIRS = 12
 DEFAULT_CAP_SUPPORT = 256
+# Bytes of one enumeration array: the assignment unions of the exact solver,
+# the relation bits of the connected distance.  A raised cap is refused
+# above it before the array is built.
+ENUMERATION_CAPACITY = 2**28
 
 # Coupling polytopes with support product at most this have their vertices
 # listed: a transport step over one is a vertex argmin, and a predictor
@@ -235,7 +240,11 @@ def _canonical_key(p: FiniteProblem) -> tuple:
 def _assignment_unions(n_h: int, n_hp: int) -> np.ndarray:
     """Distinct unions of a row assignment H -> H' and a column assignment
     H' -> H, as a boolean (k, n_h, n_hp) stack of pair sets, ordered by
-    their row-major pair lists."""
+    their row-major pair lists.  Refused with a capacity error when the
+    stack of all unions, duplicates included, would exceed
+    ``ENUMERATION_CAPACITY`` bytes."""
+    within_cap(n_hp**n_h * n_h**n_hp * n_h * n_hp, ENUMERATION_CAPACITY,
+               "enumeration", "the assignment unions need a byte count")
     a = np.indices((n_hp,) * n_h).reshape(n_h, -1).T
     b = np.indices((n_h,) * n_hp).reshape(n_hp, -1).T
     rows = a[:, :, None] == np.arange(n_hp)
@@ -313,7 +322,9 @@ def risk_distance_exact(
 
     Beyond the caps: with ``fallback`` the best alternating-minimization
     result is returned with status ``upper_bound``; otherwise a capacity
-    error is raised.
+    error is raised.  A ``cap_pairs`` raised so far that the assignment
+    unions would exceed ``ENUMERATION_CAPACITY`` bytes is refused with a
+    capacity error either way, before they are built.
 
     Argument order is canonicalized internally, making the function exactly
     symmetric.
@@ -536,22 +547,22 @@ def _starts(
     vertices: np.ndarray | None,
     restarts: int,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Starting couplings of an alternating descent: every listed vertex,
-    else ``restarts`` seeded random ones, after the independent (and maybe
-    the diagonal) coupling."""
-    starts = [np.outer(lam, lam_prime)]
+) -> Iterator[np.ndarray]:
+    """Starting couplings of an alternating descent: the independent (and
+    maybe the diagonal) coupling, then every listed vertex, else
+    ``restarts`` seeded random ones.  They are yielded one at a time and a
+    random vertex is drawn when it is reached, so a large ``restarts``
+    costs time, not memory."""
+    yield np.outer(lam, lam_prime)
     if np.array_equal(lam, lam_prime):
         # the diagonal coupling is a vertex; it is the natural start for
         # self-comparisons and is rarely hit by random sampling
-        starts.append(np.diag(lam))
+        yield np.diag(lam)
     if vertices is not None:
-        starts.extend(vertices)
+        yield from vertices
     else:
-        starts.extend(
-            random_coupling_vertex(lam, lam_prime, rng) for _ in range(restarts)
-        )
-    return starts
+        for _ in range(restarts):
+            yield random_coupling_vertex(lam, lam_prime, rng)
 
 
 def lp_risk_distance(
@@ -585,7 +596,10 @@ def lp_risk_distance(
     observation cells enter the steps.  ``trace``, a list when given,
     receives the objective after every round, which may underflow to 0 at a
     large p; the value reported, the L^p mean at the witnesses, is scaled
-    so that it does not (``problems._power_mean``).
+    so that it does not (``problems._power_mean``).  The steps power the
+    raw pair costs, so an order at which the largest supported pair cost
+    raised to ``p`` overflows is refused before any step, naming ``p``; an
+    order whose powers only underflow runs.
 
     The result is labeled ``exact`` only in the trivially tight case of
     singleton predictor sets, else ``upper_bound``.  For p = 1 the objective
@@ -604,6 +618,9 @@ def lp_risk_distance(
 
     n_h, n_hp = pa.n_predictors, pb.n_predictors
     flat_pairwise = _pair_costs(pa, pb, support)
+    top = float(flat_pairwise.max())
+    require(top <= np.finfo(float).max ** (1.0 / p), "p",
+            f"must leave the largest pair cost, {top!r}, finite when raised to it")
     pow_pairwise = flat_pairwise**p
 
     # each step's downstream: the pair costs read the gamma plan, and the

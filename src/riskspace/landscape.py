@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import require, within_cap
 from .distance import (
+    ENUMERATION_CAPACITY,
     DistanceResult,
     _minimax_coupling_lp,  # noqa: F401  unused; perfbench's tracer wraps this binding
     _pair_costs,
@@ -193,12 +194,16 @@ def connected_risk_distance_exact(
     one's, and is otherwise checked for inverse connectivity; so only
     minimal inverse-connected correspondences are solved.  Dominates the
     unrestricted distance.  If no correspondence is inverse-connected the
-    distance is infinite.
+    distance is infinite.  A ``cap_pairs`` raised so far that the relation
+    bits would exceed ``distance.ENUMERATION_CAPACITY`` bytes is refused
+    with a capacity error before they are built.
     """
     cap_pairs = _count(cap_pairs, "cap_pairs")
     p, q = pg.problem, pg_prime.problem
     n_pairs = p.n_predictors * q.n_predictors
     within_cap(n_pairs, cap_pairs, "cap_pairs", "relation enumeration needs |H||H'|")
+    within_cap(8 * n_pairs * ((1 << n_pairs) - 1), ENUMERATION_CAPACITY,
+               "enumeration", "the relation bits need a byte count")
     # relation k holds pair b (row-major) when bit b of k is set
     relations = np.arange(1, 1 << n_pairs)[:, None] >> np.arange(n_pairs) & 1
     relations = relations.astype(bool).reshape(-1, p.n_predictors, q.n_predictors)

@@ -149,6 +149,13 @@ def identity_support_problem() -> FiniteProblem:
     )
 
 
+def repeated_predictor_problem(n_h: int) -> FiniteProblem:
+    """One input, two labels, 0-1 loss and ``n_h`` copies of one constant
+    predictor: as many predictor pairs as wanted at a tiny support."""
+    return FiniteProblem(("x",), ("a", "b"), [[0.5, 0.5]], 1.0 - np.eye(2),
+                         np.zeros((n_h, 1), dtype=int))
+
+
 def cutoff_landscapes(k: int) -> tuple[PredictorGraph, PredictorGraph]:
     """Discretized one-dimensional threshold landscapes: a circle and the
     interval obtained by deleting the circle's all-zeros predictor.

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import stat
 
 import numpy as np
@@ -16,7 +17,12 @@ from scipy.optimize import OptimizeResult
 
 import riskspace as rs
 from riskspace import cli, serialize
-from gen import identity_support_problem, rademacher_example_problem, random_problem
+from gen import (
+    identity_support_problem,
+    rademacher_example_problem,
+    random_problem,
+    repeated_predictor_problem,
+)
 
 
 @pytest.fixture
@@ -136,6 +142,26 @@ def test_parser_dispatch_and_readme_list_the_same_commands():
     documented = [line.split()[1] for line in block.splitlines()
                   if line.startswith("riskspace ")]
     assert list(subparsers.choices) == documented
+
+
+def _power_literal(text: str) -> int:
+    base, _, exponent = text.partition("**")
+    return int(base) ** int(exponent or 1)
+
+
+def test_readme_size_caps_equal_the_constants():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Size caps and exactness", 1)[1].split("\n## ", 1)[0]
+    stated = {name: _power_literal(value)
+              for name, value in re.findall(r"`([A-Z_]+) = ([0-9*]+)`", section)}
+    assert stated == {
+        "DEFAULT_CAP_PAIRS": rs.distance.DEFAULT_CAP_PAIRS,
+        "DEFAULT_CAP_SUPPORT": rs.distance.DEFAULT_CAP_SUPPORT,
+        "CONNECTED_CAP_PAIRS": rs.landscape.CONNECTED_CAP_PAIRS,
+        "ENUMERATION_CAPACITY": rs.distance.ENUMERATION_CAPACITY,
+        "RADEMACHER_CAPACITY": rs.empirical.RADEMACHER_CAPACITY,
+        "SAMPLE_CAPACITY": rs.empirical.SAMPLE_CAPACITY,
+    }
 
 
 def test_cli_distance_example_pair(capsys, paths):
@@ -547,6 +573,35 @@ def test_cli_connected_distance_rejects_negative_cap(capsys, paths):
     argv = ["connected-distance", a, b, "--edges-a", ea, "--edges-b", eb,
             "--cap-pairs", "-1"]
     assert _validation_field(capsys, argv) == "cap_pairs"
+
+
+def test_cli_raised_caps_beyond_enumeration_capacity_exit_2(capsys, paths):
+    # 6 x 6 predictors would enumerate about 78 GB of assignment unions, and
+    # 5 x 8 would enumerate 2^40 relations; both are refused before that
+    _, write = paths
+    edges = write("edges.json", {"edges": []})
+    six, five, eight = (
+        _problem_file(write, f"h{n}.json", repeated_predictor_problem(n))
+        for n in (6, 5, 8))
+    for argv, actual in (
+            (["distance", six, six, "--cap-pairs", "36"], 6**6 * 6**6 * 36),
+            (["connected-distance", five, eight, "--edges-a", edges,
+              "--edges-b", edges, "--cap-pairs", "40"], 8 * 40 * (2**40 - 1))):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        data = json.loads(err)
+        assert (data["error"], data["cap"], data["actual"]) == (
+            "capacity", "enumeration", actual)
+
+
+def test_cli_distance_lp_refuses_an_overflowing_order(capsys, paths):
+    # losses up to 3: 3 ** 800 overflows a float
+    _, write = paths
+    problem = rs.FiniteProblem(("x",), ("a", "b"), [[0.5, 0.5]],
+                               3.0 * (1.0 - np.eye(2)), [[0], [1]])
+    path = _problem_file(write, "w.json", problem, lam=[0.5, 0.5])
+    assert _validation_field(capsys, ["distance-lp", path, path,
+                                      "--p", "800"]) == "p"
 
 
 def test_cli_corrupt_exact_beyond_caps_is_null(capsys, paths):

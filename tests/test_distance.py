@@ -588,6 +588,26 @@ def test_lp_distance_singletons_exact_status():
     assert recomputed == pytest.approx(result.value, abs=1e-9)
 
 
+def test_starts_are_drawn_as_they_are_reached():
+    lam, lam_prime = np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4])
+    tracemalloc.start()
+    try:
+        starts = rs.distance._starts(lam, lam_prime, None, 10**12,
+                                     np.random.default_rng(0))
+        first = next(starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, np.outer(lam, lam_prime))
+    assert peak < 1e5
+    # the same starts, in the same order, from the same draws as a list
+    rng = np.random.default_rng(0)
+    expected = [np.outer(lam, lam), np.diag(lam)] + [
+        rs.transport.random_coupling_vertex(lam, lam, rng) for _ in range(5)]
+    starts = rs.distance._starts(lam, lam, None, 5, np.random.default_rng(0))
+    assert [s.tobytes() for s in starts] == [s.tobytes() for s in expected]
+
+
 # --------------------------------------------------------------------------
 # Large orders: weighted L^p means are scaled before they are powered
 # --------------------------------------------------------------------------
@@ -634,6 +654,26 @@ def test_profile_wasserstein_at_large_p():
     value = rs.wasserstein_profile_distributions(
         _two_labels(), _two_labels(eta=(0.9, 0.1)), 1200.0)
     assert value == pytest.approx(0.2, abs=1e-12)
+
+
+class _StepReached(Exception):
+    pass
+
+
+def _no_step(*args):
+    raise _StepReached
+
+
+def test_lp_distance_refuses_an_order_whose_powers_overflow(monkeypatch):
+    # pair costs reach 3: 3 ** 800 overflows and is refused before any
+    # step is built, 3 ** 600 does not and reaches the steps
+    wp = _two_labels(gap=3.0)
+    monkeypatch.setattr(rs.distance, "_transport_step", _no_step)
+    with pytest.raises(_StepReached):
+        rs.lp_risk_distance(wp, wp, p=600.0)
+    with pytest.raises(rs.ValidationError) as err:
+        rs.lp_risk_distance(wp, wp, p=800.0)
+    assert err.value.field == "p"
 
 
 # --------------------------------------------------------------------------

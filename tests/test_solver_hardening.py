@@ -12,6 +12,7 @@ routines, is raised by ``errors.within_cap`` in one form.
 
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gen import (
     random_predictor_graph,
     random_problem,
     random_weighted,
+    repeated_predictor_problem,
 )
 
 
@@ -52,6 +54,39 @@ def test_capacity_refusals_share_one_form(refuse, cap, actual, limit):
         refuse(_FOUR)
     assert (err.value.cap, err.value.actual) == (cap, actual)
     assert str(err.value).endswith(f" <= {limit}, got {actual}")
+
+
+def test_enumerations_one_step_past_the_capacity_refused_before_allocating():
+    limit = rs.distance.ENUMERATION_CAPACITY
+    # the unions of n_h x n_hp predictors take n_hp^n_h * n_h^n_hp * n_h * n_hp
+    # bytes: 2 x 15 fits (221 MB), 2 x 16 does not (537 MB); the relation bits
+    # of k pairs take 8 * k * (2^k - 1) bytes: 20 pairs fit, 21 do not; the
+    # defaults and the suite's cap_pairs=16 sit far below
+    assert 15**2 * 2**15 * 30 <= limit < 16**2 * 2**16 * 32
+    assert 8 * 20 * (2**20 - 1) <= limit < 8 * 21 * (2**21 - 1)
+    assert max(b**a * a**b * a * b for a in range(1, 17) for b in range(1, 17)
+               if a * b <= 16) <= limit
+    two, three, sixteen, seven = (repeated_predictor_problem(n)
+                                  for n in (2, 3, 16, 7))
+    tracemalloc.start()
+    try:
+        for refuse, actual in (
+                (lambda: rs.risk_distance_exact(two, sixteen, cap_pairs=32),
+                 16**2 * 2**16 * 32),
+                (lambda: rs.risk_distance_exact(sixteen, two, cap_pairs=32,
+                                                fallback=False),
+                 16**2 * 2**16 * 32),
+                (lambda: rs.connected_risk_distance_exact(
+                    rs.PredictorGraph(three, []), rs.PredictorGraph(seven, []),
+                    cap_pairs=21), 8 * 21 * (2**21 - 1))):
+            with pytest.raises(rs.CapacityError) as err:
+                refuse()
+            assert (err.value.cap, err.value.actual) == ("enumeration", actual)
+            assert str(err.value).endswith(f" <= {limit}, got {actual}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_only_errors_constructs_capacity_errors():
