@@ -593,13 +593,12 @@ def lp_risk_distance(
     the two weightings coincide, and polytope vertices: all of them when
     the predictor supports are small (which makes the p = 1 result provably
     optimal), a seeded random sample otherwise.  Only the supported
-    observation cells enter the steps.  ``trace``, a list when given,
+    observation cells enter the steps, divided by t, the largest pair cost:
+    no power of them overflows, every step tolerance is relative to t, and
+    the result scales with the losses.  ``trace``, a list when given,
     receives the objective after every round, which may underflow to 0 at a
     large p; the value reported, the L^p mean at the witnesses, is scaled
-    so that it does not (``problems._power_mean``).  The steps power the
-    raw pair costs, so an order at which the largest supported pair cost
-    raised to ``p`` overflows is refused before any step, naming ``p``; an
-    order whose powers only underflow runs.
+    so that it does not (``problems._power_mean``).
 
     The result is labeled ``exact`` only in the trivially tight case of
     singleton predictor sets, else ``upper_bound``.  For p = 1 the objective
@@ -618,14 +617,13 @@ def lp_risk_distance(
 
     n_h, n_hp = pa.n_predictors, pb.n_predictors
     flat_pairwise = _pair_costs(pa, pb, support)
-    top = float(flat_pairwise.max())
-    require(top <= np.finfo(float).max ** (1.0 / p), "p",
-            f"must leave the largest pair cost, {top!r}, finite when raised to it")
-    pow_pairwise = flat_pairwise**p
+    top = float(flat_pairwise.max()) or 1.0
+    unit = flat_pairwise / top
+    pow_pairwise = unit**p
 
     # each step's downstream: the pair costs read the gamma plan, and the
     # next gamma cost reads the rho plan
-    gamma_step, _ = _transport_step(mu, nu, flat_pairwise.reshape(n_h * n_hp, m, n))
+    gamma_step, _ = _transport_step(mu, nu, unit.reshape(n_h * n_hp, m, n))
     rho_step, rhos = _transport_step(
         wp.lam, wp_prime.lam, np.moveaxis(pow_pairwise, -1, 0))
 
@@ -636,9 +634,9 @@ def lp_risk_distance(
         for _ in range(_MAX_ITER):
             gamma_cost = np.tensordot(rho, pow_pairwise, axes=2)
             gamma_flat = gamma_step(gamma_cost.reshape(m, n)).ravel()
-            pair_cost = (flat_pairwise @ gamma_flat) ** p
+            pair_cost = (unit @ gamma_flat) ** p
             rho = rho_step(pair_cost)
-            value = float(np.sum(rho * pair_cost) ** (1.0 / p))
+            value = top * float(np.sum(rho * pair_cost) ** (1.0 / p))
             if trace is not None:
                 trace.append(value)
             if current - value < _DESCENT_TOL:

@@ -35,7 +35,6 @@ from .problems import (
 # Tightened HiGHS tolerances (1e-10 is the solver's floor): vertex solutions
 # on these tiny instances are then accurate well inside the 1e-9 contracts.
 _LP_OPTIONS = {
-    "presolve": True,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
@@ -131,11 +130,18 @@ def _coupling_lp(
     The LP variables are the supported block flattened row-major, followed by
     as many free extra variables as ``objective`` has further entries.  With
     one supported row or column the product coupling is the only one, and no
-    LP is solved.  This is the one call site of the LP solver.
+    LP is solved.  This is the one call site of the LP solver.  The cost
+    entries (the objective, or the coupling columns of ``a_ub``) reach it
+    in one binade (:func:`_unit_binade`), so its absolute tolerances and
+    its infinite cost of 1e20 meet every loss unit alike.
     """
     m, n = len(support.mu), len(support.nu)
     if m == 1 or n == 1:
         return np.outer(support.mu, support.nu)
+    if a_ub is None:
+        objective = _unit_binade(objective)
+    else:
+        a_ub = np.hstack([_unit_binade(a_ub[:, : m * n]), a_ub[:, m * n :]])
     a_eq, b_eq = _marginal_equalities(support.mu, support.nu,
                                       n_extra=len(objective) - m * n)
     res = linprog(
@@ -152,6 +158,13 @@ def _coupling_lp(
         kind = "transport" if a_ub is None else "minimax transport"
         raise SolverError(f"{kind} LP failed: {res.message}")
     return res.x[: m * n].reshape(m, n)
+
+
+def _unit_binade(costs: np.ndarray) -> np.ndarray:
+    """``costs`` divided by the power of two that puts its largest |entry|
+    in [1, 2): exact, the same optima, and costs already there unchanged."""
+    _, exponent = np.frexp(np.max(np.abs(costs)))
+    return np.ldexp(costs, 1 - exponent)
 
 
 def solve_ot_exact(

@@ -8,6 +8,7 @@ import os
 import pathlib
 import re
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gen import (
     identity_support_problem,
     rademacher_example_problem,
     random_problem,
+    random_weighted,
     repeated_predictor_problem,
 )
 
@@ -594,14 +596,33 @@ def test_cli_raised_caps_beyond_enumeration_capacity_exit_2(capsys, paths):
             "capacity", "enumeration", actual)
 
 
-def test_cli_distance_lp_refuses_an_overflowing_order(capsys, paths):
-    # losses up to 3: 3 ** 800 overflows a float
+def test_cli_distance_lp_runs_at_an_order_past_float_range(capsys, paths):
+    # losses up to 3: 3 ** 800 overflows a float, 1 ** 800 does not
     _, write = paths
     problem = rs.FiniteProblem(("x",), ("a", "b"), [[0.5, 0.5]],
                                3.0 * (1.0 - np.eye(2)), [[0], [1]])
     path = _problem_file(write, "w.json", problem, lam=[0.5, 0.5])
-    assert _validation_field(capsys, ["distance-lp", path, path,
-                                      "--p", "800"]) == "p"
+    code, out, err = _run(capsys, ["distance-lp", path, path, "--p", "800"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 0.0
+
+
+def test_cli_distance_lp_scales_with_large_losses(cli_process, paths):
+    # losses times 1e6 once hung the descent's tree simplex; the subprocess
+    # timeout turns a hang into a failure
+    _, write = paths
+    rng = np.random.default_rng(0)
+    pair = random_weighted(rng), random_weighted(rng)
+    values = []
+    for k in (1.0, 1e6):
+        a, b = (_problem_file(write, f"{name}{k:g}.json",
+                              replace(wp.problem, loss=wp.problem.loss * k),
+                              lam=wp.lam)
+                for name, wp in zip("ab", pair))
+        proc = cli_process(["distance-lp", a, b, "--p", "2"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        values.append(json.loads(proc.stdout)["value"])
+    assert values[1] == pytest.approx(1e6 * values[0], rel=1e-12, abs=0.0)
 
 
 def test_cli_corrupt_exact_beyond_caps_is_null(capsys, paths):

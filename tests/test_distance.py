@@ -2,6 +2,7 @@
 the bilinear relaxation, geodesics, and weak-isomorphism witnesses."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -348,6 +349,19 @@ def test_fallback_upper_bound_dominates_exact():
         assert heur.value >= exact - 1e-9
 
 
+def test_exact_distance_scales_with_the_losses():
+    # the LP sees its costs in one binade whatever the loss unit, so HiGHS's
+    # absolute tolerances and its infinite cost meet every unit alike
+    for seed in range(12):
+        rng = np.random.default_rng(100 + seed)
+        p, q = random_problem(rng), random_problem(rng)
+        base = rs.risk_distance_exact(p, q).value
+        for k in (1e-8, 1e-6, 1e-4, 1e4, 1e8):
+            value = rs.risk_distance_exact(replace(p, loss=p.loss * k),
+                                           replace(q, loss=q.loss * k)).value
+            assert value / k == pytest.approx(base, rel=1e-12, abs=0.0), (seed, k)
+
+
 # --------------------------------------------------------------------------
 # Shared-structure bounds and the lower bound
 # --------------------------------------------------------------------------
@@ -656,24 +670,40 @@ def test_profile_wasserstein_at_large_p():
     assert value == pytest.approx(0.2, abs=1e-12)
 
 
-class _StepReached(Exception):
-    pass
-
-
-def _no_step(*args):
-    raise _StepReached
-
-
-def test_lp_distance_refuses_an_order_whose_powers_overflow(monkeypatch):
-    # pair costs reach 3: 3 ** 800 overflows and is refused before any
-    # step is built, 3 ** 600 does not and reaches the steps
+def test_lp_distance_self_distance_zero_at_any_order():
+    # pair costs reach 3, and 3 ** 45 passes HiGHS's infinite cost of 1e20
+    # and 3 ** 800 overflows a float; the steps see the costs divided by 3
     wp = _two_labels(gap=3.0)
-    monkeypatch.setattr(rs.distance, "_transport_step", _no_step)
-    with pytest.raises(_StepReached):
-        rs.lp_risk_distance(wp, wp, p=600.0)
-    with pytest.raises(rs.ValidationError) as err:
-        rs.lp_risk_distance(wp, wp, p=800.0)
-    assert err.value.field == "p"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (45.0, 600.0, 800.0, 2000.0):
+            assert rs.lp_risk_distance(wp, wp, p=order).value == 0.0
+
+
+def test_lp_distance_self_distance_zero_when_rounds_underflow():
+    # 0.5 ** 100 is not 0, but the first start's rounds compared as 0
+    # against the diagonal start's when the raw costs were powered
+    wp = _two_labels(eta=(0.9, 0.1))
+    assert rs.lp_risk_distance(wp, wp, p=100.0).value == 0.0
+
+
+def _scaled_losses(wp: rs.WeightedProblem, k: float) -> rs.WeightedProblem:
+    return rs.WeightedProblem(replace(wp.problem, loss=wp.problem.loss * k), wp.lam)
+
+
+def test_lp_distance_scales_with_the_losses():
+    # the distance is a mean of expected loss gaps: losses times k give k
+    # times the distance, at every order and loss unit
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        wp, wq = random_weighted(rng), random_weighted(rng)
+        for p in (1.0, 2.0, 3.0):
+            base = rs.lp_risk_distance(wp, wq, p=p).value
+            for k in (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9):
+                value = rs.lp_risk_distance(_scaled_losses(wp, k),
+                                            _scaled_losses(wq, k), p=p).value
+                assert value / k == pytest.approx(base, rel=1e-12, abs=0.0), (
+                    seed, p, k)
 
 
 # --------------------------------------------------------------------------
