@@ -680,9 +680,9 @@ def test_lp_distance_self_distance_zero_at_any_order():
             assert rs.lp_risk_distance(wp, wp, p=order).value == 0.0
 
 
-def test_lp_distance_self_distance_zero_when_rounds_underflow():
-    # 0.5 ** 100 is not 0, but the first start's rounds compared as 0
-    # against the diagonal start's when the raw costs were powered
+def test_lp_distance_self_distance_zero_when_powers_are_tiny():
+    # 0.5 ** 100 is about 8e-31: powered raw costs put every rho-step cost
+    # inside the steps' absolute tolerances, and the value read 0.4
     wp = _two_labels(eta=(0.9, 0.1))
     assert rs.lp_risk_distance(wp, wp, p=100.0).value == 0.0
 
