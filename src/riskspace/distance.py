@@ -16,6 +16,7 @@ raises, depending on ``fallback``; it never silently approximates.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -186,15 +187,14 @@ def hausdorff_reduction(costs: np.ndarray) -> tuple[float, np.ndarray]:
     """Best correspondence for a fixed pair-cost matrix, in closed form.
 
     For fixed costs, the optimal correspondence problem collapses to the
-    Hausdorff value of the matrix; the maximal witness keeps every pair whose
-    cost does not exceed that value.
+    Hausdorff value of the matrix.  The witness keeps every pair whose cost
+    does not exceed that value, so it covers each row and column at its minimum.
     """
     costs = _float_array(costs, "costs", (None, None))
     require(costs.size > 0, "costs", "must be a nonempty pair-cost matrix")
     require(np.isfinite(costs), "costs", "must be finite")
     value = hausdorff(costs)
-    witness = costs <= value + 1e-12
-    return value, check_correspondence(witness, name="witness")
+    return value, costs <= value + 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -240,26 +240,20 @@ def _canonical_key(p: FiniteProblem) -> tuple:
 def _assignment_unions(n_h: int, n_hp: int) -> np.ndarray:
     """Distinct unions of a row assignment H -> H' and a column assignment
     H' -> H, as a boolean (k, n_h, n_hp) stack of pair sets, ordered by
-    their row-major pair lists.  Refused with a capacity error when the
-    stack of all unions, duplicates included, would exceed
-    ``ENUMERATION_CAPACITY`` bytes."""
+    their row-major pair lists (a list before its extensions).  Refused
+    with a capacity error when the assignment pairs iterated, as a boolean
+    stack of their unions, would exceed ``ENUMERATION_CAPACITY`` bytes."""
     within_cap(n_hp**n_h * n_h**n_hp * n_h * n_hp, ENUMERATION_CAPACITY,
                "enumeration", "the assignment unions need a byte count")
-    a = np.indices((n_hp,) * n_h).reshape(n_h, -1).T
-    b = np.indices((n_h,) * n_hp).reshape(n_hp, -1).T
-    rows = a[:, :, None] == np.arange(n_hp)
-    cols = b[:, None, :] == np.arange(n_h)[:, None]
-    unions = (rows[:, None] | cols[None, :]).reshape(-1, n_h * n_hp)
-    # deduplicated on packed bytes: np.unique over boolean rows is far slower
-    packed = np.packbits(unions, axis=1)
-    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
-                         return_index=True)
-    unions = unions[first]
-    # pair lists padded with -1, so a list sorts before its extensions
-    n = n_h * n_hp
-    pairs = np.sort(np.where(unions, np.arange(n), n), axis=1)
-    pairs[pairs == n] = -1
-    return unions[np.lexsort(pairs.T[::-1])].reshape(-1, n_h, n_hp)
+    rows = [{h * n_hp + g for h, g in enumerate(a)}
+            for a in itertools.product(range(n_hp), repeat=n_h)]
+    cols = [{h * n_hp + g for g, h in enumerate(b)}
+            for b in itertools.product(range(n_h), repeat=n_hp)]
+    unions = sorted({tuple(sorted(r | c)) for r in rows for c in cols})
+    stack = np.zeros((len(unions), n_h * n_hp), dtype=bool)
+    for k, pairs in enumerate(unions):
+        stack[k, pairs] = True
+    return stack.reshape(-1, n_h, n_hp)
 
 
 def _pattern_sweep(
@@ -491,19 +485,18 @@ def _transport_step(a: np.ndarray, b: np.ndarray, downstream: np.ndarray):
     On a small polytope the step is the argmin of <cost, v> over the
     vertices, listed once: an LP optimum over a polytope is a vertex, so
     that is the LP's answer.  When another vertex costs within METRIC_TOL of
-    the least, the step is the memoized LP instead, so HiGHS picks among
+    the least, the step is the transport LP instead, so HiGHS picks among
     tied vertices.  A large polytope takes the tree simplex
     (``transport._tree_simplex``), started from the basis, among those this
     step has reached, whose plan costs least under the new cost.  Nonbasic
     cells of reduced cost at most METRIC_TOL are tied; the simplex's basis
     inverse prices the image under ``downstream`` like a cost, and when the
     tree cycle of some tied cell moves it by more than METRIC_TOL, the tied
-    optima can send the descent different ways and the step is the memoized
-    LP.  Otherwise every optimal plan has the simplex plan's image (see
-    docs/algorithms.md), and the step takes that plan.
-    Callers only read the plans a step hands out.
+    optima can send the descent different ways and the step is the
+    transport LP.  Otherwise every optimal plan has the simplex plan's image
+    (see docs/algorithms.md), and the step takes that plan.  Either step is
+    memoized on the cost's bytes, tie LP included; callers only read its plans.
     """
-    lp = _solved_once(lambda cost: solve_ot_exact(cost, a, b)[0])
     support = _support(a, b)
     if len(support.mu) * len(support.nu) <= _EXHAUSTIVE_VERTEX_LIMIT:
         vertices = coupling_vertices(a, b)
@@ -513,10 +506,10 @@ def _transport_step(a: np.ndarray, b: np.ndarray, downstream: np.ndarray):
             values = flat @ cost.ravel()
             k = int(np.argmin(values))
             if np.count_nonzero(values <= values[k] + METRIC_TOL) > 1:
-                return lp(cost)
+                return solve_ot_exact(cost, a, b)[0]
             return vertices[k]
 
-        return step, vertices
+        return _solved_once(step), vertices
 
     system, _ = _tree_system(support)
     image = support.restrict(downstream).reshape(len(downstream), -1)
@@ -535,7 +528,7 @@ def _transport_step(a: np.ndarray, b: np.ndarray, downstream: np.ndarray):
         tied[basis] = False
         moves = image[:, tied] - image[:, basis] @ inverse @ system[:, tied]
         if np.any(np.abs(moves) > METRIC_TOL):
-            return lp(cost)
+            return solve_ot_exact(cost, a, b)[0]
         return support.embed(plan)
 
     return _solved_once(simplex_step), None
@@ -629,7 +622,6 @@ def lp_risk_distance(
 
     best = (np.inf, None, None)
     for rho in _starts(wp.lam, wp_prime.lam, rhos, restarts, rng):
-        gamma_flat = np.outer(mu, nu).ravel()
         current = np.inf
         for _ in range(_MAX_ITER):
             gamma_cost = np.tensordot(rho, pow_pairwise, axes=2)

@@ -226,8 +226,6 @@ class FiniteProblem:
         require(len(predictors) > 0, "predictors", "must list at least one predictor")
         require((predictors >= 0) & (predictors < ny), "predictors",
                 f"must lie in [0, {ny})")
-        # Finite risk is automatic for finite matrices; assert anyway.
-        assert np.all(np.isfinite(self.loss[self.predictors]))
 
     # -- basic views -------------------------------------------------------
 

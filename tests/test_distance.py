@@ -254,7 +254,8 @@ def test_witnesses_achieve_reported_value():
         assert replay == pytest.approx(result.value, abs=1e-9)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4),
+                                   (4, 3), (2, 6), (6, 2), (4, 4)])
 def test_assignment_unions_match_loop_oracle(shape):
     unions = rs.distance._assignment_unions(*shape)
     got = [tuple(map(tuple, np.argwhere(r).tolist())) for r in unions]
