@@ -161,10 +161,10 @@ def noise_bound_metric(
     """Certificate for label noise when the loss respects a label metric.
 
     Verifies that |loss(z, y) - loss(z, y')| <= C * d_y(y, y') on every
-    triple (the bound is vacuous otherwise, so the check refuses rather than
-    returning a meaningless number), then charges C times the eta-average
-    transport cost from each noisy row to the point mass at its observed
-    label.  A coupling with a point mass is unique, so that cost is the
+    triple, within METRIC_TOL times the largest loss (the bound is vacuous
+    otherwise, so the check refuses rather than returning a meaningless
+    number), then charges C times the eta-average transport cost from each
+    noisy row to the point mass at its observed label.  A coupling with a point mass is unique, so that cost is the
     expectation sum_j N[r, j] d_y(j, y) of row r = (x, y).
     """
     lipschitz_c = _real(lipschitz_c, "lipschitz_c")
@@ -174,7 +174,7 @@ def noise_bound_metric(
     gaps = np.abs(problem.loss[:, :, None] - problem.loss[:, None, :])
     allowed = lipschitz_c * d_y[None, :, :]
     slack = gaps - allowed
-    if np.max(slack) > METRIC_TOL:
+    if np.max(slack) > METRIC_TOL * problem.loss.max():
         z, y, yp = np.unravel_index(np.argmax(slack), slack.shape)
         raise ValidationError(
             f"loss is not {lipschitz_c}-Lipschitz in its second argument:"

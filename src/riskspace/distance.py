@@ -73,8 +73,9 @@ ENUMERATION_CAPACITY = 2**28
 _EXHAUSTIVE_VERTEX_LIMIT = 9
 
 # Alternating descents stop after _MAX_ITER rounds or once a round gains less
-# than _DESCENT_TOL.  The fallback beyond the caps takes its starts from
-# _starts, with _FALLBACK_RESTARTS random vertices drawn with _FALLBACK_SEED.
+# than _DESCENT_TOL times the largest pair cost.  The fallback beyond the caps
+# takes its starts from _starts, with _FALLBACK_RESTARTS random vertices drawn
+# with _FALLBACK_SEED.
 _MAX_ITER = 100
 _DESCENT_TOL = 1e-10
 _FALLBACK_RESTARTS = 4
@@ -194,7 +195,7 @@ def hausdorff_reduction(costs: np.ndarray) -> tuple[float, np.ndarray]:
     require(costs.size > 0, "costs", "must be a nonempty pair-cost matrix")
     require(np.isfinite(costs), "costs", "must be finite")
     value = hausdorff(costs)
-    return value, costs <= value + 1e-12
+    return value, costs <= value + 1e-12 * np.abs(costs).max()
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +286,7 @@ def _pattern_sweep(
     scores = np.where(flat, lower.ravel(), -np.inf).max(axis=1)
     best: tuple[float, np.ndarray | None, np.ndarray | None] = (np.inf, None, None)
     for i in np.argsort(scores, kind="stable"):
-        if scores[i] >= best[0] - 1e-12:
+        if scores[i] >= best[0] - 1e-12 * costs.max():
             break
         r = candidates[i]
         if admissible is not None and not admissible(r):
@@ -401,7 +402,7 @@ def _alternating_upper_bound(
         for _ in range(_MAX_ITER):
             cost_matrix = _costs_under(costs, gamma_flat)
             current = hausdorff(cost_matrix)
-            if value - current < _DESCENT_TOL:
+            if value - current < _DESCENT_TOL * (costs.max() or 1.0):
                 break
             value = current
             # re-solve the coupling for the argmin assignment pattern; its
@@ -631,7 +632,7 @@ def lp_risk_distance(
             value = top * float(np.sum(rho * pair_cost) ** (1.0 / p))
             if trace is not None:
                 trace.append(value)
-            if current - value < _DESCENT_TOL:
+            if current - value < _DESCENT_TOL * top:
                 break
             current = value
         if value < best[0]:
@@ -735,12 +736,13 @@ def weak_isomorphism_witness(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """A zero-distortion (correspondence, coupling) pair if one exists.
 
-    Distance zero with attained witnesses characterizes interchangeable
-    problems; capacity errors from the exact solver propagate.
+    Distance zero (at most 1e-9 times the largest loss) with attained
+    witnesses characterizes interchangeable problems; capacity errors from
+    the exact solver propagate.
     """
     result = risk_distance_exact(
         p, p_prime, cap_pairs=cap_pairs, cap_support=cap_support, fallback=False
     )
-    if result.value <= 1e-9:
+    if result.value <= 1e-9 * max(p.loss.max(), p_prime.loss.max()):
         return result.witness_correspondence, result.witness_coupling
     return None

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ValidationError, require
 
 # Probability-mass sums are validated at 1e-12; metric structure (symmetry,
-# triangle inequality) at 1e-9.  The first is data validation, the second
-# absorbs solver round-off.
+# triangle inequality) at 1e-9 of the largest distance.  The first is data
+# validation, the second absorbs solver round-off.
 PROB_TOL = 1e-12
 METRIC_TOL = 1e-9
 
@@ -513,11 +513,12 @@ def _check_metric_matrix(d: np.ndarray, field: str = "dist"):
     require(np.isfinite(d) & (d >= 0), field, "must be finite and nonnegative")
     if np.any(np.abs(np.diag(d)) > 0):
         raise ValidationError(f"{field} must have a zero diagonal", field=field)
-    if np.max(np.abs(d - d.T)) > METRIC_TOL:
+    tol = METRIC_TOL * d.max()
+    if np.max(np.abs(d - d.T)) > tol:
         raise ValidationError(f"{field} must be symmetric", field=field)
     # triangle inequality: d[i,k] <= d[i,j] + d[j,k] for all triples
     slack = d[:, None, :] - (d[:, :, None] + d[None, :, :])
-    if np.max(slack) > METRIC_TOL:
+    if np.max(slack) > tol:
         i, j, k = np.unravel_index(np.argmax(slack), slack.shape)
         raise ValidationError(
             f"{field} violates the triangle inequality on ({i},{j},{k})", field=field

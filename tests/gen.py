@@ -69,6 +69,15 @@ def random_weighted(rng: np.random.Generator, **kwargs) -> WeightedProblem:
     return WeightedProblem(problem=problem, lam=lam / lam.sum())
 
 
+def scaled(problem, k: float):
+    """``problem`` with every loss multiplied by ``k``, which multiplies
+    every risk and Risk distance by ``k``; a weighted problem keeps its
+    weights and a predictor graph its edges."""
+    if isinstance(problem, FiniteProblem):
+        return replace(problem, loss=problem.loss * k)
+    return replace(problem, problem=scaled(problem.problem, k))
+
+
 def random_partition(rng: np.random.Generator, ny: int) -> Partition:
     n_blocks = int(rng.integers(1, ny + 1))
     assignment = rng.integers(0, n_blocks, size=ny)

@@ -229,6 +229,21 @@ def test_cli_distance_lp_echoes_seed(capsys, paths):
     assert data["value"] <= 1e-9
 
 
+def test_cli_distance_lp_witnesses(capsys, paths):
+    rng = np.random.default_rng(134)
+    _, write = paths
+    wp, wq = random_weighted(rng), random_weighted(rng)
+    a = _problem_file(write, "a.json", wp.problem, lam=wp.lam)
+    b = _problem_file(write, "b.json", wq.problem, lam=wq.lam)
+    code, out, _ = _run(capsys, ["distance-lp", a, b, "--witnesses"])
+    assert code == 0
+    data = json.loads(out)
+    expected = rs.lp_risk_distance(wp, wq)
+    assert data["value"] == expected.value
+    assert data["witness_predictor_coupling"] == expected.witness_predictor_coupling.tolist()
+    assert data["witness_coupling"] == expected.witness_coupling.tolist()
+
+
 def test_cli_bound_modes(capsys, paths):
     rng = np.random.default_rng(135)
     _, write = paths
@@ -334,6 +349,22 @@ def test_cli_convergence_csv(capsys, paths):
     assert len(lines) == 1 + 4
 
 
+def test_cli_convergence_json_holds_the_csv_rows(capsys, paths):
+    _, write = paths
+    path = _problem_file(write, "p.json", identity_support_problem())
+    argv = ["convergence", path, "--ns", "5,20", "--trials", "2", "--seed", "3"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["seed"] == 3 and data["prng"] == "numpy-PCG64"
+    assert [row["n"] for row in data["rows"]] == [5, 5, 20, 20]
+    _, csv_out, _ = _run(capsys, [*argv, "--format", "csv"])
+    header, *lines = csv_out.strip().splitlines()
+    assert list(data["rows"][0]) + ["prng"] == header.split(",")
+    assert [repr(row["tv_bound"]) for row in data["rows"]] == [
+        line.split(",")[3] for line in lines]
+
+
 def test_cli_rademacher(capsys, paths):
     _, write = paths
     path = _problem_file(write, "p.json", rademacher_example_problem(4))
@@ -382,6 +413,20 @@ def test_cli_connected_distance(capsys, paths):
                                  "--edges-a", ea, "--edges-b", eb])
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.6, abs=1e-9)
+
+
+def test_cli_connected_distance_prints_inf_without_a_connected_correspondence(
+        capsys, paths):
+    # two isolated predictors against one: no correspondence is inverse-connected
+    _, write = paths
+    p = random_problem(np.random.default_rng(108), n_h=2)
+    a = _problem_file(write, "a.json", p)
+    b = _problem_file(write, "b.json", rs.one_point_problem(0.0))
+    none = write("none.json", {"edges": []})
+    code, out, _ = _run(capsys, ["connected-distance", a, b,
+                                 "--edges-a", none, "--edges-b", none])
+    assert code == 0
+    assert json.loads(out) == {"value": "inf", "status": "exact"}
 
 
 def test_cli_geodesic(capsys, paths):
@@ -634,6 +679,13 @@ def test_cli_corrupt_exact_beyond_caps_is_null(capsys, paths):
                                    "--cap-pairs", "15"])
     assert (code, err) == (0, "")
     assert '"endpoint_exact_distance": null' in out
+
+
+def test_cli_corrupt_pipeline_must_be_a_list(capsys, paths):
+    _, write = paths
+    problem = _problem_file(write, "p.json", identity_support_problem())
+    pipeline = write("pipeline.json", {"kind": "label_noise"})
+    assert _validation_field(capsys, ["corrupt", problem, pipeline]) == "pipeline"
 
 
 def test_cli_corrupt_non_object_stage(capsys, paths):

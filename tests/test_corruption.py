@@ -13,6 +13,7 @@ from gen import (
     kernel_transport_oracle,
     random_problem,
     random_weighted,
+    scaled,
     shared_pairs,
 )
 
@@ -312,6 +313,17 @@ def test_noise_bound_refuses_bad_lipschitz_constant():
     d_y = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(rs.ValidationError, match="Lipschitz"):
         rs.noise_bound_metric(p, rs.no_noise_kernel(p), d_y, 0.5)
+
+
+@pytest.mark.parametrize("k", [1e-12, 1.0, 1e12])
+def test_noise_bound_lipschitz_check_is_relative_to_the_losses(k):
+    # losses and label distances in one unit: C = 1/2 is refused and C = 1
+    # accepted in every unit
+    p = scaled(identity_support_problem(), k)
+    d_y = k * (1.0 - np.eye(2))
+    with pytest.raises(rs.ValidationError, match="Lipschitz"):
+        rs.noise_bound_metric(p, rs.no_noise_kernel(p), d_y, 0.5)
+    assert rs.noise_bound_metric(p, rs.no_noise_kernel(p), d_y, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("lipschitz_c, d_y, field", [

@@ -21,6 +21,7 @@ from gen import (
     rademacher_example_problem,
     random_problem,
     random_weighted,
+    scaled,
     shared_pairs,
     transport_vertices,
 )
@@ -352,15 +353,38 @@ def test_fallback_upper_bound_dominates_exact():
 
 def test_exact_distance_scales_with_the_losses():
     # the LP sees its costs in one binade whatever the loss unit, so HiGHS's
-    # absolute tolerances and its infinite cost meet every unit alike
+    # absolute tolerances and its infinite cost meet every unit alike; the
+    # sweep's pruning and the witness's ties are relative to the largest
+    # pair cost, so at losses x1e-12 the value and its witnesses still agree
     for seed in range(12):
         rng = np.random.default_rng(100 + seed)
         p, q = random_problem(rng), random_problem(rng)
         base = rs.risk_distance_exact(p, q).value
-        for k in (1e-8, 1e-6, 1e-4, 1e4, 1e8):
-            value = rs.risk_distance_exact(replace(p, loss=p.loss * k),
-                                           replace(q, loss=q.loss * k)).value
-            assert value / k == pytest.approx(base, rel=1e-12, abs=0.0), (seed, k)
+        for k in (1e-14, 1e-12, 1e-8, 1e-6, 1e-4, 1e4, 1e8):
+            pk, qk = scaled(p, k), scaled(q, k)
+            result = rs.risk_distance_exact(pk, qk)
+            assert result.value / k == pytest.approx(base, rel=1e-12, abs=0.0), (
+                seed, k)
+            distortion = rs.risk_distortion(pk, qk, result.witness_correspondence,
+                                            result.witness_coupling)
+            assert distortion == pytest.approx(result.value, rel=1e-12, abs=0.0), (
+                seed, k)
+
+
+def test_fallback_scales_with_the_losses():
+    # beyond the caps: a power-of-two unit scales every cost exactly, so the
+    # LPs and the descent's path are the unscaled pair's, and only a
+    # tolerance in loss units could stop the descent elsewhere
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, nx=3, ny=3, n_h=4)
+        q = random_problem(rng, nx=3, ny=3, n_h=4)
+        base = rs.risk_distance_exact(p, q)
+        assert base.status == "upper_bound"
+        for k in (2.0**-40, 2.0**40):
+            value = rs.risk_distance_exact(scaled(p, k), scaled(q, k)).value
+            assert value / k == pytest.approx(base.value, rel=1e-12, abs=0.0), (
+                seed, k)
 
 
 # --------------------------------------------------------------------------
@@ -688,23 +712,23 @@ def test_lp_distance_self_distance_zero_when_powers_are_tiny():
     assert rs.lp_risk_distance(wp, wp, p=100.0).value == 0.0
 
 
-def _scaled_losses(wp: rs.WeightedProblem, k: float) -> rs.WeightedProblem:
-    return rs.WeightedProblem(replace(wp.problem, loss=wp.problem.loss * k), wp.lam)
-
-
 def test_lp_distance_scales_with_the_losses():
     # the distance is a mean of expected loss gaps: losses times k give k
-    # times the distance, at every order and loss unit
+    # times the distance, at every order and loss unit, and the descent
+    # stops after as many rounds, its gains being compared in that unit
     for seed in range(6):
         rng = np.random.default_rng(seed)
         wp, wq = random_weighted(rng), random_weighted(rng)
         for p in (1.0, 2.0, 3.0):
-            base = rs.lp_risk_distance(wp, wq, p=p).value
+            base_trace = []
+            base = rs.lp_risk_distance(wp, wq, p=p, trace=base_trace).value
             for k in (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9):
-                value = rs.lp_risk_distance(_scaled_losses(wp, k),
-                                            _scaled_losses(wq, k), p=p).value
+                trace = []
+                value = rs.lp_risk_distance(scaled(wp, k), scaled(wq, k), p=p,
+                                            trace=trace).value
                 assert value / k == pytest.approx(base, rel=1e-12, abs=0.0), (
                     seed, p, k)
+                assert len(trace) == len(base_trace), (seed, p, k)
 
 
 # --------------------------------------------------------------------------
@@ -1320,6 +1344,18 @@ def test_weak_iso_extra_label_pair():
                                   base.loss, base.predictors[[0, 3]])
     witness = rs.weak_isomorphism_witness(base_small, rich_small)
     assert witness is not None
+
+
+def test_weak_iso_zero_test_is_relative_to_the_losses():
+    # at losses x1e-12 a distance of 0.1 units is still no zero, and a
+    # singleton coarsening is still at distance zero
+    rng = np.random.default_rng(65)
+    p, q = random_problem(rng, n_h=2), random_problem(rng, n_h=2)
+    coarse = rs.coarsen(p, rs.singleton_partition(p.ny))
+    assert rs.risk_distance_exact(p, q).value > 0.1
+    k = 1e-12
+    assert rs.weak_isomorphism_witness(scaled(p, k), scaled(q, k)) is None
+    assert rs.weak_isomorphism_witness(scaled(p, k), scaled(coarse, k)) is not None
 
 
 def test_weak_iso_none_for_distinct_bayes_risks():

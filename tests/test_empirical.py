@@ -12,6 +12,7 @@ from gen import (
     rademacher_example_problem,
     rademacher_tuple_oracle,
     random_problem,
+    scaled,
 )
 
 
@@ -409,6 +410,21 @@ def test_gap_bound_example_pair_nonvacuous():
     assert gap <= bound + 1e-9
     # the coupled-gap complexity term contributes at least 0.125 here
     assert bound - result.value >= 2 * 0.125 - 1e-9
+
+
+@pytest.mark.parametrize("k", [1e-12, 1.0])
+def test_gap_bound_refuses_a_gap_over_its_certificate_in_any_loss_unit(k, monkeypatch):
+    # a gap a millionth of the certificate over it is refused, however
+    # small the losses are
+    p4 = scaled(rademacher_example_problem(4), k)
+    bullet = rs.one_point_problem(0.0)
+    result = rs.risk_distance_exact(p4, bullet)
+    args = (p4, bullet, result.witness_correspondence, result.witness_coupling)
+    bound = rs.rademacher_gap_bound(*args, m=1)
+    monkeypatch.setattr(rs.empirical, "rademacher_exact_small",
+                        lambda problem, m: bound * (1 + 1e-6) if problem is p4 else 0.0)
+    with pytest.raises(AssertionError, match="exceeds its certificate"):
+        rs.rademacher_gap_bound(*args, m=1)
 
 
 def test_gap_bound_random_tiny_pairs():

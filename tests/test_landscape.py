@@ -16,6 +16,7 @@ from gen import (
     enumerate_correspondences,
     random_predictor_graph,
     random_problem,
+    scaled,
 )
 
 
@@ -371,6 +372,18 @@ def test_connected_dominance_on_seeded_instances():
         plain = rs.risk_distance_exact(a.problem, b.problem).value
         connected = rs.connected_risk_distance_exact(a, b).value
         assert connected >= plain - 1e-9
+
+
+def test_connected_distance_scales_with_the_losses():
+    # the sweep prunes relative to the largest pair cost, so at losses
+    # x1e-12 it still solves every relation that can improve on the best
+    for seed in range(12):
+        rng = np.random.default_rng(100 + seed)
+        a, b = random_predictor_graph(rng), random_predictor_graph(rng)
+        base = rs.connected_risk_distance_exact(a, b).value
+        for k in (1e-14, 1e-12):
+            value = rs.connected_risk_distance_exact(scaled(a, k), scaled(b, k)).value
+            assert value / k == pytest.approx(base, rel=1e-12, abs=0.0), (seed, k)
 
 
 def test_connected_distance_matches_unpruned_oracle():

@@ -1,5 +1,7 @@
 """Problem container, risk functionals, coarsening, simulations, encodings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from gen import (
     random_partition,
     random_problem,
     random_weighted,
+    scaled,
 )
 
 
@@ -116,6 +119,28 @@ def test_labels_must_be_strings_or_numbers(labels, suffix, field):
         rs.FiniteProblem(eta=np.full((2, 2), 0.25), loss=np.zeros((2, 2)),
                          predictors=[[0, 1]], **fields)
     assert err.value.field == field + suffix
+
+
+@pytest.mark.parametrize("labels, message", [((), "nonempty"), (("u", "u"), "duplicates")])
+@pytest.mark.parametrize("field", ["x_labels", "y_labels"])
+def test_labels_must_be_nonempty_and_distinct(labels, message, field):
+    fields = {"x_labels": ("x0", "x1"), "y_labels": ("a", "b")}
+    fields[field] = labels
+    with pytest.raises(rs.ValidationError, match=message) as err:
+        rs.FiniteProblem(eta=np.full((2, 2), 0.25), loss=np.zeros((2, 2)),
+                         predictors=[[0, 1]], **fields)
+    assert err.value.field == field
+
+
+def test_equality_compares_values_and_declines_other_types():
+    wp = random_weighted(np.random.default_rng(7), n_h=3)
+    assert wp == rs.WeightedProblem(wp.problem, wp.lam.copy())
+    assert wp != rs.WeightedProblem(wp.problem, wp.lam[::-1])
+    assert wp != rs.WeightedProblem(replace(wp.problem, loss=wp.problem.loss + 1.0),
+                                    wp.lam)
+    for value in (wp, wp.problem, rs.loss_profile(wp.problem, 0)):
+        assert value.__eq__("x") is NotImplemented
+        assert value != "x"
 
 
 def test_number_labels_read_as_strings():
@@ -583,6 +608,18 @@ def test_encode_rejects_non_metric():
         rs.encode_mm_space(("a", "b", "c"), bad, np.array([0.4, 0.3, 0.3]))
 
 
+@pytest.mark.parametrize("k", [1e-12, 1.0, 1e12])
+def test_metric_check_is_relative_to_the_largest_distance(k):
+    # a triangle violation of half the unit is refused in every unit, and
+    # an asymmetry of half a billionth of it, round-off, is accepted
+    bad = k * np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+    with pytest.raises(rs.ValidationError, match="triangle"):
+        rs.encode_mm_space(("a", "b", "c"), bad, np.array([0.4, 0.3, 0.3]))
+    near = k * (1.0 - np.eye(2))
+    near[0, 1] += 5e-10 * k
+    assert rs.encode_mm_space(("a", "b"), near, [0.5, 0.5]).loss.max() == near.max()
+
+
 @pytest.mark.parametrize("points, dist, mu, field", [
     (("a", "b"), np.zeros((2, 3)), [0.5, 0.5], "dist"),
     (("a", "b"), [[0.0, "x"], ["x", 0.0]], [0.5, 0.5], "dist"),
@@ -591,6 +628,8 @@ def test_encode_rejects_non_metric():
     (("a", "b"), 1.0 - np.eye(2), ["a", "b"], "mu"),
     (("a", "b", "c"), 1.0 - np.eye(2), [0.5, 0.5], "points"),
     ("ab", 1.0 - np.eye(2), [0.5, 0.5], "points"),
+    (("a", "b"), [[1.0, 1.0], [1.0, 0.0]], [0.5, 0.5], "dist"),
+    (("a", "b"), [[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5], "dist"),
 ])
 def test_encode_names_the_bad_input(points, dist, mu, field):
     for encode in (rs.encode_mm_space, rs.encode_mm_space_weighted):

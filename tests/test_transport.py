@@ -543,6 +543,17 @@ _MORE_REFUSALS = {
     "reduction-empty": (lambda: rs.hausdorff_reduction(np.zeros((0, 0))), "costs"),
     "result-string-value": (lambda: rs.DistanceResult("x", "exact"), "value"),
     "result-bool-value": (lambda: rs.DistanceResult(True, "exact"), "value"),
+    "result-unknown-status": (lambda: rs.DistanceResult(0.0, "approx"), "status"),
+    "geodesic-missing-witnesses": (lambda: rs.geodesic_problem(
+        _P2, _P2, rs.DistanceResult(0.0, "exact"), 0.5), "witness"),
+    "distortion-uncovered-column": (lambda: rs.risk_distortion(
+        _P2, _P2, [[True, False], [True, False]], _GAMMA), "correspondence[:,1]"),
+    "distortion-row-sums": (lambda: rs.risk_distortion(
+        _P2, _P2, np.eye(2), np.outer([0.5, 0.5, 0, 0], [0.25] * 4).reshape(
+            _GAMMA.shape)), "gamma"),
+    "distortion-column-sums": (lambda: rs.risk_distortion(
+        _P2, _P2, np.eye(2), np.outer([0.25] * 4, [0.5, 0.5, 0, 0]).reshape(
+            _GAMMA.shape)), "gamma"),
 } | {
     f"lp-distance-{kind}-trace": (
         lambda v=v: rs.lp_risk_distance(_W2, _W2, trace=v), "trace")
