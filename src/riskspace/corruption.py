@@ -164,8 +164,9 @@ def noise_bound_metric(
     triple, within METRIC_TOL times the largest loss (the bound is vacuous
     otherwise, so the check refuses rather than returning a meaningless
     number), then charges C times the eta-average transport cost from each
-    noisy row to the point mass at its observed label.  A coupling with a point mass is unique, so that cost is the
-    expectation sum_j N[r, j] d_y(j, y) of row r = (x, y).
+    noisy row to the point mass at its observed label.  A coupling with a
+    point mass is unique, so that cost is the expectation sum_j N[r, j]
+    d_y(j, y) of row r = (x, y).
     """
     lipschitz_c = _real(lipschitz_c, "lipschitz_c")
     require(0 <= lipschitz_c < np.inf, "lipschitz_c", "must be finite and nonnegative")

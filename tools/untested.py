@@ -16,9 +16,9 @@ Run from the root of a checkout; extra arguments go to pytest:
 Prints one ``path:line: statement`` per statement never executed, then a
 summary line.  Statements reached only in a child process, such as a CLI
 test that starts ``python -m riskspace.cli``, are listed too: the tracer
-sees this process alone.  Tracing slows the suite several times over, so a
-test with a Hypothesis deadline can fail under it; the lines it ran still
-count.
+sees this process alone.  Tracing slows the suite down, so a test with a
+Hypothesis deadline can fail under it; the lines it ran still count, and
+the exit status is pytest's.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def main(pytest_args: list[str]) -> int:
                 missing += 1
                 print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
     print(f"{missing} statements never executed; pytest exit status {int(status)}")
-    return 0
+    return int(status)
 
 
 if __name__ == "__main__":
