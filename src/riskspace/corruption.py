@@ -268,6 +268,7 @@ def run_pipeline(
     pipeline's endpoints.  A key the stage's kind does not take is refused,
     naming it, rather than leaving a misspelled parameter at its default.
     """
+    require(isinstance(stages, (list, tuple)), "stages", "must be a list of stages")
     records: list[StageRecord] = []
     current = problem
     for idx, stage in enumerate(stages):

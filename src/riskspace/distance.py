@@ -121,14 +121,13 @@ def _result(value, status: str, p: FiniteProblem, q: FiniteProblem,
                           gamma_flat.reshape(p.eta.shape + q.eta.shape), r, rho)
 
 
-def check_correspondence(r: np.ndarray, name: str = "correspondence") -> np.ndarray:
-    r = _mask(r, name, (None, None))
-    require(r.any(axis=1), name, "must cover some column")
+def check_correspondence(r: np.ndarray) -> np.ndarray:
+    r = _mask(r, "correspondence", (None, None))
+    require(r.any(axis=1), "correspondence", "must cover some column")
     if not np.all(r.any(axis=0)):
         (hp,) = np.argwhere(~r.any(axis=0))[0]
-        raise ValidationError(
-            f"{name} column {hp} is not covered", field=f"{name}[:,{hp}]"
-        )
+        raise ValidationError(f"correspondence column {hp} is not covered",
+                              field=f"correspondence[:,{hp}]")
     return r
 
 

@@ -159,21 +159,18 @@ def is_inverse_connected(
 
     The correspondence carries the product-graph structure restricted to its
     pairs: two pairs are adjacent when both coordinates are equal or
-    adjacent.  Checking vertex fibers and edge fibers suffices for all
-    connected sets (induction along a spanning tree; see
-    docs/algorithms.md).
+    adjacent.  A vertex's fiber, or an edge's, is connected exactly when its
+    image, the predictors of the other graph that it relates to, is
+    connected there; checking these images suffices for all connected sets
+    (induction along a spanning tree; see docs/algorithms.md).
     """
     shape = (left.problem.n_predictors, right.problem.n_predictors)
     r = check_correspondence(_mask(r, "correspondence", shape))
-    pairs = np.argwhere(r).tolist()
-    adj_left, adj_right = left.adjacency().tolist(), right.adjacency().tolist()
-    adj = [[(h == h2 or adj_left[h][h2]) and (g == g2 or adj_right[g][g2])
-            for h2, g2 in pairs] for h, g in pairs]
-    for side, graph in enumerate((left, right)):
-        vertex_fibers = [[k for k, pair in enumerate(pairs) if pair[side] == v]
-                         for v in range(graph.problem.n_predictors)]
-        edge_fibers = [vertex_fibers[a] + vertex_fibers[b] for a, b in graph.edges]
-        if any(len(_components(f, adj)) != 1 for f in vertex_fibers + edge_fibers):
+    for rows, graph, other in ((r, left, right), (r.T, right, left)):
+        adjacent = other.adjacency().tolist()
+        images = [set(np.flatnonzero(row).tolist()) for row in rows]
+        edge_images = [images[a] | images[b] for a, b in graph.edges]
+        if any(len(_components(s, adjacent)) != 1 for s in images + edge_images):
             return False
     return True
 

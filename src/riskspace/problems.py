@@ -469,8 +469,8 @@ def _mm_space(points, dist, mu, dist_name: str = "dist",
     mu = _float_array(mu, mu_name, (None,))
     n = len(mu)
     dist = _float_array(dist, dist_name, (n, n))
-    _check_metric_matrix(dist, field=dist_name)
     _check_mass(mu, mu_name)
+    _check_metric_matrix(dist, field=dist_name)
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     elif len(labels) != n:

@@ -533,6 +533,13 @@ def test_pipeline_unknown_kind_rejected():
         rs.run_pipeline(p, [{"kind": "transmogrify"}])
 
 
+@pytest.mark.parametrize("stages", [None, 5, {"kind": "restrict"}])
+def test_pipeline_stages_must_be_a_list(stages):
+    with pytest.raises(rs.ValidationError) as err:
+        rs.run_pipeline(identity_support_problem(), stages)
+    assert err.value.field == "stages"
+
+
 def test_pipeline_missing_parameter_named():
     p = identity_support_problem()
     with pytest.raises(rs.ValidationError) as err:

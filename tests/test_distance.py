@@ -881,6 +881,7 @@ def test_bilinear_checks_each_metric_once(monkeypatch):
     ((1.0 - np.eye(2), [[0.5, 0.5]]), "mu_a"),
     ((1.0 - np.eye(2), ["a", "b"]), "mu_a"),
     ((1.0 - np.eye(2), [0.7, 0.7]), "mu_a"),
+    ((np.zeros((0, 0)), []), "mu_a"),
 ])
 def test_bilinear_names_the_bad_input(args, field):
     good = (1.0 - np.eye(2), np.array([0.5, 0.5]))

@@ -300,23 +300,31 @@ def test_split_fiber_not_inverse_connected():
     assert not rs.is_inverse_connected(r, a, b)
 
 
-def test_fiber_criterion_matches_full_subset_oracle():
+def test_inverse_connectivity_matches_full_subset_oracle():
     rng = np.random.default_rng(105)
     edge_sets_2 = [(), ((0, 1),)]
     # edgeless, one edge, path, and the cycle, which on three vertices is
     # also the complete graph
     edge_sets_3 = [(), ((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))]
+    # edgeless, path, star, cycle, complete, and two disjoint edges: on four
+    # vertices an image can be disconnected in more ways
+    edge_sets_4 = [(), ((0, 1), (1, 2), (2, 3)), ((0, 1), (0, 2), (0, 3)),
+                   ((0, 1), (1, 2), (2, 3), (0, 3)),
+                   tuple(itertools.combinations(range(4), 2)), ((0, 1), (2, 3))]
     a_problem = random_problem(rng, n_h=2)
     b_problem = random_problem(rng, n_h=3)
     c_problem = random_problem(rng, n_h=3)
-    for left_problem, left_edge_sets in ((a_problem, edge_sets_2),
-                                         (c_problem, edge_sets_3)):
-        n_left = left_problem.n_predictors
+    d_problem = random_problem(rng, n_h=4)
+    for left_problem, left_edge_sets, right_problem, right_edge_sets in (
+            (a_problem, edge_sets_2, b_problem, edge_sets_3),
+            (c_problem, edge_sets_3, b_problem, edge_sets_3),
+            (d_problem, edge_sets_4, a_problem, edge_sets_2)):
         for edges_a in left_edge_sets:
-            for edges_b in edge_sets_3:
+            for edges_b in right_edge_sets:
                 pg_a = rs.PredictorGraph(problem=left_problem, edges=edges_a)
-                pg_b = rs.PredictorGraph(problem=b_problem, edges=edges_b)
-                for r in enumerate_correspondences(n_left, 3):
+                pg_b = rs.PredictorGraph(problem=right_problem, edges=edges_b)
+                for r in enumerate_correspondences(left_problem.n_predictors,
+                                                   right_problem.n_predictors):
                     assert rs.is_inverse_connected(r, pg_a, pg_b) == (
                         _inverse_connected_oracle(r, pg_a, pg_b)
                     )

@@ -630,6 +630,7 @@ def test_metric_check_is_relative_to_the_largest_distance(k):
     ("ab", 1.0 - np.eye(2), [0.5, 0.5], "points"),
     (("a", "b"), [[1.0, 1.0], [1.0, 0.0]], [0.5, 0.5], "dist"),
     (("a", "b"), [[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5], "dist"),
+    (None, np.zeros((0, 0)), [], "mu"),
 ])
 def test_encode_names_the_bad_input(points, dist, mu, field):
     for encode in (rs.encode_mm_space, rs.encode_mm_space_weighted):
