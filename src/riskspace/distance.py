@@ -37,6 +37,7 @@ from .problems import (
     _count,
     _float_array,
     _freeze,
+    _join_labels,
     _mask,
     _mm_space,
     _power_mean,
@@ -207,16 +208,10 @@ def _minimax_coupling_lp(
     """min over couplings gamma of max_k <costs[k], gamma>.
 
     ``costs`` has one row per functional, flat over the (len(mu), len(nu))
-    grid; each row is one constraint, in row order.  Zero-mass
-    rows/columns are dropped before the solve and reinserted as zeros.
+    grid; each row is one constraint of the epigraph LP
+    (:func:`transport._coupling_lp`), in row order.
     """
-    support = _support(mu, nu)
-    k = len(costs)
-    sub_costs = support.restrict(costs.reshape(k, *support.shape)).reshape(k, -1)
-    objective = np.zeros(sub_costs.shape[1] + 1)
-    objective[-1] = 1.0
-    a_ub = np.hstack([sub_costs, np.full((k, 1), -1.0)])
-    gamma_flat = support.embed(_coupling_lp(support, objective, a_ub)).ravel()
+    gamma_flat = _coupling_lp(mu, nu, costs.reshape(-1, len(mu), len(nu))).ravel()
     return max(float(c @ gamma_flat) for c in costs), gamma_flat
 
 
@@ -706,8 +701,10 @@ def geodesic_problem(
     check_coupling(gamma, p0.eta, p1.eta, name="witness coupling")
     _mask(r, "witness", (p0.n_predictors, p1.n_predictors))
 
-    x_labels = tuple(f"{a}|{b}" for a in p0.x_labels for b in p1.x_labels)
-    y_labels = tuple(f"{a}|{b}" for a in p0.y_labels for b in p1.y_labels)
+    x_labels = tuple(_join_labels(pair, "|")
+                     for pair in itertools.product(p0.x_labels, p1.x_labels))
+    y_labels = tuple(_join_labels(pair, "|")
+                     for pair in itertools.product(p0.y_labels, p1.y_labels))
     eta_t = np.transpose(gamma, (0, 2, 1, 3)).reshape(
         p0.nx * p1.nx, p0.ny * p1.ny
     )
@@ -735,13 +732,13 @@ def weak_isomorphism_witness(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """A zero-distortion (correspondence, coupling) pair if one exists.
 
-    Distance zero (at most 1e-9 times the largest loss) with attained
+    Distance zero (at most METRIC_TOL times the largest loss) with attained
     witnesses characterizes interchangeable problems; capacity errors from
     the exact solver propagate.
     """
     result = risk_distance_exact(
         p, p_prime, cap_pairs=cap_pairs, cap_support=cap_support, fallback=False
     )
-    if result.value <= 1e-9 * max(p.loss.max(), p_prime.loss.max()):
+    if result.value <= METRIC_TOL * max(p.loss.max(), p_prime.loss.max()):
         return result.witness_correspondence, result.witness_coupling
     return None

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import require, within_cap
 from . import distance as _distance
 from .corruption import tv_bound
-from .problems import FiniteProblem, _count, _index_array, _rng
+from .problems import METRIC_TOL, FiniteProblem, _count, _index_array, _rng
 
 PRNG_ID = "numpy-PCG64"
 
@@ -192,7 +192,7 @@ def rademacher_gap_bound(
 
     Evaluates the witnesses' risk distortion plus twice the exact Rademacher
     complexity of the coupled loss-gap class, checks that the actual gap
-    |R_m(P) - R_m(P')| respects it within 1e-9 times the largest loss, and
+    |R_m(P) - R_m(P')| respects it within METRIC_TOL times the largest loss, and
     returns the cap.
     """
     distortion = _distance.risk_distortion(p, p_prime, r, gamma)
@@ -205,7 +205,7 @@ def rademacher_gap_bound(
     )
     bound = distortion + 2.0 * gap_complexity
     actual = abs(rademacher_exact_small(p, m) - rademacher_exact_small(p_prime, m))
-    if actual > bound + 1e-9 * max(p.loss.max(), p_prime.loss.max()):
+    if actual > bound + METRIC_TOL * max(p.loss.max(), p_prime.loss.max()):
         raise AssertionError(
             f"Rademacher gap {actual!r} exceeds its certificate {bound!r}"
         )

@@ -177,6 +177,13 @@ def _label_tuple(raw, field: str) -> tuple[str, ...]:
     return tuple(str(s) for s in labels)
 
 
+def _join_labels(parts: Iterable[str], sep: str) -> str:
+    """``parts`` joined by ``sep``, with each backslash and ``sep`` in a part
+    escaped by a backslash: distinct part tuples give distinct labels."""
+    escape = {ord("\\"): "\\\\", ord(sep): "\\" + sep}
+    return sep.join(part.translate(escape) for part in parts)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteProblem:
     """A finite supervised learning problem.
@@ -569,7 +576,8 @@ def coarsen(problem: FiniteProblem, q: Partition) -> FiniteProblem:
         eta_q[:, bi] = problem.eta[:, list(block)].sum(axis=1)
     loss_q, _ = _block_loss_ranges(problem.loss, q)
     labels = tuple(
-        "{" + ",".join(problem.y_labels[i] for i in block) + "}" for block in q.blocks
+        "{" + _join_labels((problem.y_labels[i] for i in block), ",") + "}"
+        for block in q.blocks
     )
     return FiniteProblem(
         x_labels=problem.x_labels,

@@ -79,13 +79,12 @@ def check_markov_kernel(kernel: np.ndarray, name: str = "kernel") -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _marginal_equalities(
-    mu: np.ndarray, nu: np.ndarray, n_extra: int = 0
+    mu: np.ndarray, nu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equality constraints (A_eq, b_eq) fixing the row sums to ``mu`` and the
-    column sums to ``nu`` of a coupling flattened row-major, followed by
-    ``n_extra`` further variables that the constraints leave free."""
+    column sums to ``nu`` of a coupling flattened row-major."""
     m, n = len(mu), len(nu)
-    a_eq = np.zeros((m + n, m * n + n_extra))
+    a_eq = np.zeros((m + n, m * n))
     for i in range(m):
         a_eq[i, i * n : (i + 1) * n] = 1.0
     for j in range(n):
@@ -121,33 +120,39 @@ def _support(mu: np.ndarray, nu: np.ndarray) -> _Support:
     return _Support(rows, cols, mu[rows], nu[cols], (len(mu), len(nu)))
 
 
-def _coupling_lp(
-    support: _Support, objective: np.ndarray, a_ub: np.ndarray | None = None
-) -> np.ndarray:
-    """The supported block of a coupling of ``support`` minimizing
-    ``objective``, subject to ``a_ub @ x <= 0`` when ``a_ub`` is given.
+def _coupling_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """A coupling of (mu, nu), at full shape, minimizing one cost of shape
+    (len(mu), len(nu)), the transport form, or the largest of a stack
+    (k, len(mu), len(nu)), the epigraph form: its variables are the
+    supported block flattened row-major, then t, and it minimizes t subject
+    to <costs[r], x> - t <= 0, one row per r in order.
 
-    The LP variables are the supported block flattened row-major, followed by
-    as many free extra variables as ``objective`` has further entries.  With
-    one supported row or column the product coupling is the only one, and no
-    LP is solved.  This is the one call site of the LP solver.  The cost
-    entries (the objective, or the coupling columns of ``a_ub``) reach it
-    in one binade (:func:`_unit_binade`), so its absolute tolerances and
-    its infinite cost of 1e20 meet every loss unit alike.
+    Zero-mass rows and columns are dropped before the solve and come back
+    as zeros; with one supported row or column the product coupling is the
+    only one, and no LP is solved.  The supported costs reach HiGHS in one
+    binade (:func:`_unit_binade`), so its absolute tolerances and its
+    infinite cost of 1e20 meet every loss unit alike.  This is the one call
+    site of the LP solver.
     """
+    support = _support(mu, nu)
     m, n = len(support.mu), len(support.nu)
     if m == 1 or n == 1:
-        return np.outer(support.mu, support.nu)
-    if a_ub is None:
-        objective = _unit_binade(objective)
+        return support.embed(np.outer(support.mu, support.nu))
+    block = _unit_binade(support.restrict(costs))
+    a_eq, b_eq = _marginal_equalities(support.mu, support.nu)
+    a_ub = b_ub = None
+    if costs.ndim == 2:
+        objective = block.ravel()
     else:
-        a_ub = np.hstack([_unit_binade(a_ub[:, : m * n]), a_ub[:, m * n :]])
-    a_eq, b_eq = _marginal_equalities(support.mu, support.nu,
-                                      n_extra=len(objective) - m * n)
+        k = len(block)
+        objective = np.append(np.zeros(m * n), 1.0)
+        a_ub = np.hstack([block.reshape(k, -1), np.full((k, 1), -1.0)])
+        b_ub = np.zeros(k)
+        a_eq = np.hstack([a_eq, np.zeros((m + n, 1))])
     res = linprog(
         objective,
         A_ub=a_ub,
-        b_ub=None if a_ub is None else np.zeros(len(a_ub)),
+        b_ub=b_ub,
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=(0, None),
@@ -157,7 +162,7 @@ def _coupling_lp(
     if res.status != 0:
         kind = "transport" if a_ub is None else "minimax transport"
         raise SolverError(f"{kind} LP failed: {res.message}")
-    return res.x[: m * n].reshape(m, n)
+    return support.embed(res.x[: m * n].reshape(m, n))
 
 
 def _unit_binade(costs: np.ndarray) -> np.ndarray:
@@ -172,18 +177,16 @@ def solve_ot_exact(
 ) -> tuple[np.ndarray, float]:
     """Minimize <cost, gamma> over couplings of (mu, nu), exactly.
 
-    Solves the transportation LP with a simplex-grade method; no entropic
-    approximation.  Zero-mass rows and columns are dropped before the solve
-    and reinserted as zero rows/columns of the returned coupling.  Any
-    optimal basic solution may be returned; callers must depend only on the
-    value or treat the coupling as one witness among many.
+    Solves the transportation LP with a simplex-grade method
+    (:func:`_coupling_lp`); no entropic approximation.  Any optimal basic
+    solution may be returned; callers must depend only on the value or
+    treat the coupling as one witness among many.
     """
     mu = check_distribution(mu, "mu")
     nu = check_distribution(nu, "nu")
     cost = _float_array(cost, "cost", (len(mu), len(nu)))
     require(np.isfinite(cost), "cost", "must be finite")
-    support = _support(mu, nu)
-    plan = support.embed(_coupling_lp(support, support.restrict(cost).ravel()))
+    plan = _coupling_lp(mu, nu, cost)
     return plan, float(np.sum(plan * cost))
 
 

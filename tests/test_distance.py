@@ -1289,6 +1289,16 @@ def test_geodesic_chain_between_interior_points():
             assert abs(d - (t - s) * total) <= 1e-6
 
 
+def test_geodesic_labels_with_separators_stay_distinct():
+    # joined unescaped, x|y with z and x with y|z would both be x|y|z
+    rng = np.random.default_rng(65)
+    p0, p1 = _tiny_pair(rng)
+    p0 = replace(p0, x_labels=("x|y", "x"))
+    p1 = replace(p1, x_labels=("z", "y|z"))
+    mid = rs.geodesic_problem(p0, p1, rs.risk_distance_exact(p0, p1), 0.5)
+    assert mid.x_labels == ("x\\|y|z", "x\\|y|y\\|z", "x|z", "x|y\\|z")
+
+
 def test_isometric_relabelings_encode_at_distance_zero():
     rng = np.random.default_rng(67)
     pts = rng.random((3, 2))

@@ -1,5 +1,6 @@
 """Problem container, risk functionals, coarsening, simulations, encodings."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -428,6 +429,25 @@ def test_coarsen_weighted_pushforward_masses():
     coarse = rs.coarsen_weighted(wp, rs.Partition(blocks=((0, 1), (2,)), ny=3))
     assert coarse.problem.n_predictors == 2
     assert coarse.lam.tolist() == pytest.approx([0.5, 0.5])
+
+
+def test_coarsen_labels_with_commas_stay_distinct():
+    # joined unescaped, blocks [0] and [2, 3] would both be labeled {a,b}
+    p = replace(random_problem(np.random.default_rng(413), ny=4),
+                y_labels=("a,b", "c", "a", "b"))
+    coarse = rs.coarsen(p, rs.Partition(blocks=((0,), (2, 3), (1,)), ny=4))
+    assert coarse.y_labels == ("{a\\,b}", "{a,b}", "{c}")
+
+
+def test_joined_labels_are_distinct_for_distinct_parts():
+    from riskspace.problems import _join_labels
+
+    assert _join_labels(("x0", "x1"), "|") == "x0|x1"
+    assert _join_labels(("y0", "y1"), ",") == "y0,y1"
+    parts = ("", "a", "|", ",", "\\")
+    tuples = [t for k in (1, 2, 3) for t in itertools.product(parts, repeat=k)]
+    for sep in "|,":
+        assert len({_join_labels(t, sep) for t in tuples}) == len(tuples)
 
 
 def test_coarsen_weighted_sums_weights_in_first_seen_order():

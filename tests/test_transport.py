@@ -180,6 +180,29 @@ def test_northwest_walk_spans_and_keeps_random_vertices():
     assert degenerate  # equal partial sums came up
 
 
+def test_coupling_lp_forms_agree_and_vanish_off_the_support():
+    # the transport form, the epigraph form over one cost and over three,
+    # on seeded marginals with zero-mass atoms and one supported row
+    from riskspace.transport import _coupling_lp
+    from test_solver_hardening import _minimax_lp_from_scratch
+
+    rng = np.random.default_rng(28)
+    pairs = [*_seeded_marginal_pairs(rng, 60),
+             (np.array([0.0, 1.0, 0.0]), _random_distribution(rng, 4))]
+    for mu, nu in pairs:
+        costs = rng.random((3, len(mu), len(nu)))
+        transport = _coupling_lp(mu, nu, costs[0])
+        one_row = _coupling_lp(mu, nu, costs[:1])
+        epigraph = _coupling_lp(mu, nu, costs)
+        assert abs(np.sum(one_row * costs[0]) - np.sum(transport * costs[0])) <= 1e-12
+        for plan in (transport, one_row, epigraph):
+            check_coupling(plan, mu, nu)
+            assert not plan[mu == 0].any() and not plan[:, nu == 0].any()
+        value = max(float(np.sum(c * epigraph)) for c in costs)
+        oracle = _minimax_lp_from_scratch([c.ravel() for c in costs], mu, nu)
+        assert value == pytest.approx(oracle, abs=1e-9)
+
+
 @st.composite
 def _ot_instances(draw):
     """Two marginals of 2-6 atoms (uniform, so that every basis can be
