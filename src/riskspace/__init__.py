@@ -49,7 +49,6 @@ from .distance import (
     pair_cost_matrix,
     risk_distance_exact,
     risk_distance_lower,
-    risk_distance_upper_shared,
     risk_distortion,
     weak_isomorphism_witness,
 )
@@ -61,6 +60,7 @@ from .corruption import (
     noise_bound_metric,
     predictor_set_bound,
     restrict,
+    risk_distance_upper_shared,
     run_pipeline,
     s_metric,
     s_metric_weighted,

@@ -21,6 +21,7 @@ from .problems import (
     Partition,
     WeightedProblem,
     coarsen,
+    coarsen_weighted,
     coarsening_bound,
     loss_profile_set,
     verify_simulation,
@@ -197,7 +198,7 @@ def _cmd_distance_lp(args) -> dict:
     return out
 
 
-# ``bound`` modes that are modes of ``distance.risk_distance_upper_shared``
+# ``bound`` modes that are modes of ``corruption.risk_distance_upper_shared``
 _SHARED_MODES = {
     "loss-swap": "shared_eta_H",
     "eta-w1": "shared_all_but_eta",
@@ -210,7 +211,7 @@ def _cmd_bound(args) -> dict:
     pb, _ = serialize.load_problem(args.problem_b)
     kind = "upper_bound"
     if args.mode in _SHARED_MODES:
-        value = distance.risk_distance_upper_shared(pa, pb, _SHARED_MODES[args.mode])
+        value = corruption.risk_distance_upper_shared(pa, pb, _SHARED_MODES[args.mode])
     elif args.mode == "eta-tv":
         if args.ell_max is None:
             raise ValidationError("--ell-max is required for eta-tv", field="ell_max")
@@ -239,21 +240,25 @@ def _cmd_corrupt(args) -> dict:
 
 
 def _cmd_coarsen(args) -> dict:
-    problem, _ = serialize.load_problem(args.problem)
+    problem, lam = serialize.load_problem(args.problem)
     blocks = _load_object(args.partition, "blocks", "blocks")["blocks"]
     q = Partition(blocks=blocks, ny=problem.ny)
-    coarse = coarsen(problem, q)
+    if lam is None:
+        coarse = coarsen(problem, q)
+    else:
+        weighted = coarsen_weighted(WeightedProblem(problem=problem, lam=lam), q)
+        coarse, lam = weighted.problem, weighted.lam
     return {
-        "problem": serialize.problem_to_dict(coarse),
+        "problem": serialize.problem_to_dict(coarse, lam),
         "bound": coarsening_bound(problem, q),
     }
 
 
 def _cmd_sample(args) -> dict:
-    problem, _ = serialize.load_problem(args.problem)
+    problem, lam = serialize.load_problem(args.problem)
     sampled = empirical.sample_empirical(problem, args.n, args.seed)
     return {
-        "problem": serialize.problem_to_dict(sampled),
+        "problem": serialize.problem_to_dict(sampled, lam),
         "n": args.n,
         "seed": args.seed,
         "prng": empirical.PRNG_ID,

@@ -5,7 +5,9 @@ Each operation here transforms a problem the way a real data pipeline might
 substitution, predictor-set swaps) and returns the transformed problem
 together with an upper bound on how far the transformation can have moved it.
 Bounds compose along a pipeline by the triangle inequality, so a sequence of
-stages yields a ledger of per-stage and cumulative certificates.
+stages yields a ledger of per-stage and cumulative certificates.  The
+shared-structure upper bounds (``risk_distance_upper_shared``) apply them to
+two problems that differ in one component: the loss, joint law or predictors.
 """
 
 from __future__ import annotations
@@ -232,6 +234,33 @@ def predictor_set_bound(
     swapped = replace(problem, predictors=new_predictors)
     cross = cross_predictor_pseudometric(problem, swapped.predictors)
     return swapped, hausdorff(cross)
+
+
+def risk_distance_upper_shared(
+    p: FiniteProblem, p_prime: FiniteProblem, mode: str
+) -> float:
+    """Closed-form upper bounds for problems differing in one component.
+
+    ``shared_eta_H``: same joint law and predictors, losses may differ;
+    the bound is the worst per-predictor expected loss gap.
+    ``shared_all_but_eta``: only the joint law differs; exact transport under
+    the predictor-uniform loss-gap pseudometric on observations.
+    ``shared_all_but_H``: only the predictor set differs; Hausdorff distance
+    between the predictor sets in L1(eta).
+
+    Two problems that do not share what ``mode`` needs are refused naming
+    ``p_prime``.
+    """
+    if not isinstance(mode, str):
+        raise ValidationError(f"unknown mode {mode!r}", field="mode")
+    if mode == "shared_eta_H":
+        return _loss_swap_bound(p, p_prime)
+    if mode == "shared_all_but_eta":
+        return w1_eta_bound(p, p_prime)
+    if mode == "shared_all_but_H":
+        _require_shared(p, p_prime, "eta", "loss")
+        return predictor_set_bound(p, p_prime.predictors)[1]
+    raise ValidationError(f"unknown mode {mode!r}", field="mode")
 
 
 # --------------------------------------------------------------------------

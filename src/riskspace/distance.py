@@ -1,5 +1,6 @@
-"""Risk distortion, the exact Risk distance, its bounds, weighted variants,
-geodesics, and the bilinear relaxation for metric measure spaces.
+"""Risk distortion, the exact Risk distance, its profile lower bound,
+weighted variants, geodesics, and the bilinear relaxation for metric measure
+spaces.
 
 The distance between two problems is the smallest worst-case gap in expected
 loss achievable by jointly aligning the observation spaces (a coupling of the
@@ -23,12 +24,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401  unused; perfbench's tracer wraps this binding
 
-from .corruption import (
-    _loss_swap_bound,
-    _require_shared,
-    predictor_set_bound,
-    w1_eta_bound,
-)
 from .errors import CapacityError, ValidationError, require, within_cap
 from .problems import (
     METRIC_TOL,
@@ -414,33 +409,8 @@ def _alternating_upper_bound(
 
 
 # --------------------------------------------------------------------------
-# Shared-structure upper bounds and the profile lower bound
+# The profile lower bound
 # --------------------------------------------------------------------------
-
-def risk_distance_upper_shared(
-    p: FiniteProblem, p_prime: FiniteProblem, mode: str
-) -> float:
-    """Closed-form upper bounds for problems differing in one component.
-
-    ``shared_eta_H``: same joint law and predictors, losses may differ;
-    the bound is the worst per-predictor expected loss gap.
-    ``shared_all_but_eta``: only the joint law differs; exact transport under
-    the predictor-uniform loss-gap pseudometric on observations.
-    ``shared_all_but_H``: only the predictor set differs; Hausdorff distance
-    between the predictor sets in L1(eta).
-
-    Two problems that do not share what ``mode`` needs are refused naming
-    ``p_prime``.
-    """
-    if mode == "shared_eta_H":
-        return _loss_swap_bound(p, p_prime)
-    if mode == "shared_all_but_eta":
-        return w1_eta_bound(p, p_prime)
-    if mode == "shared_all_but_H":
-        _require_shared(p, p_prime, "eta", "loss")
-        return predictor_set_bound(p, p_prime.predictors)[1]
-    raise ValidationError(f"unknown mode {mode!r}", field="mode")
-
 
 def risk_distance_lower(p: FiniteProblem, p_prime: FiniteProblem) -> float:
     """Certified lower bound: the larger of the optimal-risk gap and the

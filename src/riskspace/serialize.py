@@ -15,7 +15,6 @@ import io
 import json
 import os
 import stat
-import tempfile
 from typing import Any
 
 import numpy as np
@@ -156,20 +155,20 @@ def dump_json(data: Any) -> str:
 def atomic_write(path: str, text: str):
     """Write via a temp file in the target directory, then rename.  The file
     gets the mode a plain ``open(path, "w")`` gives it: an existing file
-    keeps its mode, a new one gets 0o666 less the umask (the temp file alone
-    would leave 0o600)."""
+    keeps its mode, and a new one gets 0o666 less the umask, which the kernel
+    applies when it creates the temp file."""
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
+        mode = None
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp, mode)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

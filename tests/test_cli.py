@@ -111,6 +111,24 @@ def test_cli_out_file_gets_the_usual_mode(capsys, paths):
     assert stat.S_IMODE(old.stat().st_mode) == 0o604
 
 
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # a umask flipped to read it would give another thread's new files 0o666
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("")
+    old.chmod(0o604)
+    set_umask = os.umask
+    umask = set_umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", lambda mask: pytest.fail("umask changed"))
+        for out in (new, old):
+            serialize.atomic_write(str(out), "{}\n")
+    finally:
+        set_umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert new.read_text() == old.read_text() == "{}\n"
+
+
 def test_problem_json_ragged_array_names_field():
     with pytest.raises(rs.ValidationError) as err:
         serialize.problem_from_dict({
@@ -335,6 +353,29 @@ def test_cli_coarsen_labels_with_commas(capsys, paths):
     assert code == 0
     coarse, _ = serialize.problem_from_dict(json.loads(out)["problem"])
     assert coarse.y_labels == ("{a\\,b}", "{a,b}", "{c}")
+
+
+# three predictors, of which the first two collapse under blocks [[0, 2], [1]]
+_WEIGHTED_THREE = rs.FiniteProblem(
+    ("x0", "x1"), ("a", "b", "c"), [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]],
+    1.0 - np.eye(3), [[0, 1], [2, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("argv, lam", [
+    (["coarsen", "p.json", "q.json"], [0.5, 0.5]),
+    (["sample", "p.json", "--n", "16", "--seed", "2"], [0.25, 0.25, 0.5]),
+])
+def test_cli_carries_lambda(capsys, paths, monkeypatch, argv, lam):
+    tmp_path, write = paths
+    monkeypatch.chdir(tmp_path)
+    _problem_file(write, "p.json", _WEIGHTED_THREE, lam=[0.25, 0.25, 0.5])
+    write("q.json", {"blocks": [[0, 2], [1]]})
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    emitted = json.loads(out)["problem"]
+    assert emitted["lambda"] == lam
+    write("emitted.json", emitted)
+    assert _run(capsys, ["distance-lp", "emitted.json", "emitted.json"])[0] == 0
 
 
 def test_cli_sample_echoes_seed_and_roundtrips(capsys, paths):

@@ -424,6 +424,13 @@ def test_mode_mismatch_rejected():
         rs.risk_distance_upper_shared(p, q, "shared_all_but_eta")
     with pytest.raises(rs.ValidationError):
         rs.risk_distance_upper_shared(p, q, "no_such_mode")
+    # numpy compares a string array elementwise; only a str names a mode
+    for mode in (np.array(["shared_eta_H", "x"]), np.array(["shared_eta_H"]),
+                 np.array("shared_eta_H")):
+        with pytest.raises(rs.ValidationError) as err:
+            rs.risk_distance_upper_shared(p, p, mode)
+        assert err.value.field == "mode"
+    assert rs.risk_distance_upper_shared(p, p, np.str_("shared_eta_H")) == 0.0
 
 
 # what each mode requires the two problems to share, besides their labels
