@@ -227,6 +227,15 @@ def _canonical_key(p: FiniteProblem) -> tuple:
     )
 
 
+def _transposed(result: DistanceResult) -> DistanceResult:
+    """A correspondence distance's result with its two arguments swapped."""
+    if result.witness_coupling is None:
+        return result  # no relation attains it: the value is inf
+    return replace(result,
+                   witness_coupling=np.transpose(result.witness_coupling, (2, 3, 0, 1)),
+                   witness_correspondence=result.witness_correspondence.T)
+
+
 def _assignment_unions(n_h: int, n_hp: int) -> np.ndarray:
     """Distinct unions of a row assignment H -> H' and a column assignment
     H' -> H, as a boolean (k, n_h, n_hp) stack of pair sets, ordered by
@@ -250,14 +259,16 @@ def _pattern_sweep(
     costs: np.ndarray,
     mu: np.ndarray,
     nu: np.ndarray,
+    lower: np.ndarray,
     candidates: np.ndarray,
     admissible=None,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Minimum of the minimax coupling LP over candidate pair sets.
 
-    ``costs`` is the pair-cost tensor (:func:`_pair_costs`); ``candidates``
-    a boolean (k, |H|, |H'|) stack of pair sets.  A set's LP value is at
-    least its score, the largest transport minimum ``m[h, h']`` of its pairs
+    ``costs`` is the pair-cost tensor (:func:`_pair_costs`), ``lower`` the
+    (|H|, |H'|) matrix of the pairs' transport minima ``m[h, h']`` and
+    ``candidates`` a boolean (k, |H|, |H'|) stack of pair sets.  A set's LP
+    value is at least its score, the largest ``m[h, h']`` of its pairs
     (docs/algorithms.md, Step 2), so the sets are solved in increasing score
     order, ties in the order ``candidates`` lists them, and the sweep stops
     at the first score that cannot improve on the best value.  ``admissible``
@@ -267,10 +278,6 @@ def _pattern_sweep(
     Returns (value, flat coupling, pair set) of the best set, or
     (inf, None, None) when no set is admissible.
     """
-    lower = np.array([
-        [solve_ot_exact(c.reshape(len(mu), len(nu)), mu, nu)[1] for c in row]
-        for row in costs
-    ])
     flat = candidates.reshape(len(candidates), -1)
     scores = np.where(flat, lower.ravel(), -np.inf).max(axis=1)
     best: tuple[float, np.ndarray | None, np.ndarray | None] = (np.inf, None, None)
@@ -316,15 +323,7 @@ def risk_distance_exact(
     cap_pairs = _count(cap_pairs, "cap_pairs")
     cap_support = _count(cap_support, "cap_support")
     if _canonical_key(p_prime) < _canonical_key(p):
-        result = risk_distance_exact(
-            p_prime, p, cap_pairs=cap_pairs, cap_support=cap_support,
-            fallback=fallback,
-        )
-        return replace(
-            result,
-            witness_coupling=np.transpose(result.witness_coupling, (2, 3, 0, 1)),
-            witness_correspondence=result.witness_correspondence.T,
-        )
+        return _transposed(risk_distance_exact(p_prime, p, cap_pairs, cap_support, fallback))
 
     n_pairs = p.n_predictors * p_prime.n_predictors
     support = (p.nx * p.ny) * (p_prime.nx * p_prime.ny)
@@ -336,8 +335,14 @@ def risk_distance_exact(
         return _alternating_upper_bound(p, p_prime)
 
     costs = _pair_costs(p, p_prime)
+    mu, nu = p.eta.ravel(), p_prime.eta.ravel()
+    # bounds by LP, not W1: perfbench's selftest counts these LPs (ROADMAP item 1)
+    lower = np.array([
+        [solve_ot_exact(c.reshape(len(mu), len(nu)), mu, nu)[1] for c in row]
+        for row in costs
+    ])
     _, best_gamma, _ = _pattern_sweep(
-        costs, p.eta.ravel(), p_prime.eta.ravel(),
+        costs, mu, nu, lower,
         _assignment_unions(p.n_predictors, p_prime.n_predictors),
     )
     value, witness_r = hausdorff_reduction(_costs_under(costs, best_gamma))

@@ -18,10 +18,12 @@ from .errors import require, within_cap
 from .distance import (
     ENUMERATION_CAPACITY,
     DistanceResult,
+    _canonical_key,
     _minimax_coupling_lp,  # noqa: F401  unused; perfbench's tracer wraps this binding
     _pair_costs,
     _pattern_sweep,
     _result,
+    _transposed,
     check_correspondence,
 )
 from .problems import (
@@ -32,7 +34,9 @@ from .problems import (
     _real,
     all_risks,
     constrained_bayes_risk,
+    loss_profile_set,
 )
+from .transport import _w1_matrix
 
 CONNECTED_CAP_PAIRS = 9
 
@@ -184,18 +188,23 @@ def connected_risk_distance_exact(
 
     Every correspondence on H x H' is a candidate for the exact solver's
     score-sorted sweep: candidates are taken in increasing order of their
-    per-pair transport lower bound, fewer pairs first among equal bounds,
-    and solved by the exact minimax coupling LP until no remaining bound can
-    beat the best value.  A candidate reached is skipped when it contains a
-    correspondence already solved, since its LP has every constraint of that
-    one's, and is otherwise checked for inverse connectivity; so only
-    minimal inverse-connected correspondences are solved.  Dominates the
-    unrestricted distance.  If no correspondence is inverse-connected the
-    distance is infinite.  A ``cap_pairs`` raised so far that the relation
-    bits would exceed ``distance.ENUMERATION_CAPACITY`` bytes is refused
-    with a capacity error before they are built.
+    per-pair transport lower bound (the closed-form line W1 distance of the
+    two loss profiles; no transport LP), fewer pairs first among equal
+    bounds, and solved by the exact minimax coupling LP until no remaining
+    bound can beat the best value.  A candidate reached is skipped when it
+    contains a correspondence already solved, since its LP has every
+    constraint of that one's, and is otherwise checked for inverse
+    connectivity; so only minimal inverse-connected correspondences are
+    solved.  Dominates the unrestricted distance.  If no correspondence is
+    inverse-connected the distance is infinite.  A ``cap_pairs`` raised so
+    far that the relation bits would exceed ``distance.ENUMERATION_CAPACITY``
+    bytes is refused with a capacity error before they are built.  Argument
+    order is canonicalized internally, making the function exactly symmetric.
     """
     cap_pairs = _count(cap_pairs, "cap_pairs")
+    if ((_canonical_key(pg_prime.problem), pg_prime.edges)
+            < (_canonical_key(pg.problem), pg.edges)):
+        return _transposed(connected_risk_distance_exact(pg_prime, pg, cap_pairs=cap_pairs))
     p, q = pg.problem, pg_prime.problem
     n_pairs = p.n_predictors * q.n_predictors
     within_cap(n_pairs, cap_pairs, "cap_pairs", "relation enumeration needs |H||H'|")
@@ -219,7 +228,8 @@ def connected_risk_distance_exact(
         return True
 
     value, gamma_flat, r = _pattern_sweep(
-        _pair_costs(p, q), p.eta.ravel(), q.eta.ravel(), relations, admissible)
+        _pair_costs(p, q), p.eta.ravel(), q.eta.ravel(),
+        _w1_matrix(loss_profile_set(p), loss_profile_set(q)), relations, admissible)
     if gamma_flat is None:
         return DistanceResult(value=np.inf, status="exact")
     return _result(value, "exact", p, q, gamma_flat, r=r)

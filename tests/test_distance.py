@@ -93,7 +93,7 @@ def test_pair_cost_matrix_zero_losses():
     assert np.all(costs == 0.0)
 
 
-def test_pair_transport_minimum_is_profile_w1():
+def test_pair_transport_minimum_is_profile_w1(monkeypatch):
     # the cost |l_h - l'_h'| factors through the two loss maps, so its
     # transport minimum is the W1 distance of the two loss profiles
     rng = np.random.default_rng(34)
@@ -108,6 +108,31 @@ def test_pair_transport_minimum_is_profile_w1():
                 _, value = rs.solve_ot_exact(cost, p.eta.ravel(), q.eta.ravel())
                 w1 = rs.w1_real_line(rs.loss_profile(p, h), rs.loss_profile(q, hp))
                 assert abs(value - w1) <= 1e-12
+
+    def lp_and_w1(p, q):
+        """The pair bounds by LP and in closed form, and the largest cost."""
+        costs = rs.distance._pair_costs(p, q)
+        mu, nu = p.eta.ravel(), q.eta.ravel()
+        lp = np.array([[rs.solve_ot_exact(c.reshape(len(mu), len(nu)), mu, nu)[1]
+                        for c in row] for row in costs])
+        w1 = rs.transport._w1_matrix(rs.loss_profile_set(p), rs.loss_profile_set(q))
+        return lp, w1, costs.max()
+
+    # losses far from unit size: the match is relative to the largest cost
+    p, q = random_problem(rng, n_h=3), random_problem(rng, n_h=3)
+    for k in (1e-12, 1e12):
+        lp, w1, top = lp_and_w1(scaled(p, k), scaled(q, k))
+        assert np.abs(lp - w1).max() <= 1e-12 * top, k
+    # two identical predictors: their rows of bounds tie exactly
+    twin = replace(p, predictors=p.predictors[[0, 1, 0]])
+    lp, w1, top = lp_and_w1(twin, q)
+    assert np.array_equal(w1[0], w1[2]) and np.array_equal(lp[0], lp[2])
+    assert np.abs(lp - w1).max() <= 1e-12 * top
+    # a one-point joint law: the product coupling is the only one, no LP runs
+    monkeypatch.setattr(rs.transport, "linprog",
+                        lambda *args, **kwargs: pytest.fail("an LP was solved"))
+    lp, w1, top = lp_and_w1(random_problem(rng, n_h=3, eta_support=1), q)
+    assert np.abs(lp - w1).max() <= 1e-12 * top
 
 
 # --------------------------------------------------------------------------
@@ -272,10 +297,9 @@ def test_sweep_breaks_score_ties_by_sorted_pair_list(monkeypatch):
     costs = rs.distance._pair_costs(p, q)
     solved = []
     solve = rs.distance._minimax_coupling_lp
-    monkeypatch.setattr(rs.distance, "solve_ot_exact", lambda c, mu, nu: (None, 0.0))
     monkeypatch.setattr(rs.distance, "_minimax_coupling_lp",
                         lambda c, mu, nu: solved.append(c) or solve(c, mu, nu))
-    rs.distance._pattern_sweep(costs, p.eta.ravel(), q.eta.ravel(),
+    rs.distance._pattern_sweep(costs, p.eta.ravel(), q.eta.ravel(), np.zeros((2, 3)),
                                rs.distance._assignment_unions(2, 3))
     expected = [costs[tuple(zip(*union))] for union in assignment_unions_oracle(2, 3)]
     assert len(solved) == len(expected) == 24
@@ -292,7 +316,6 @@ def test_sweep_solves_tied_sets_in_the_given_order_each_when_admitted(monkeypatc
     costs = rs.distance._pair_costs(p, q)
     events = []
     solve = rs.distance._minimax_coupling_lp
-    monkeypatch.setattr(rs.distance, "solve_ot_exact", lambda c, mu, nu: (None, 0.0))
     monkeypatch.setattr(rs.distance, "_minimax_coupling_lp",
                         lambda c, mu, nu: events.append("solve") or solve(c, mu, nu))
 
@@ -305,7 +328,8 @@ def test_sweep_solves_tied_sets_in_the_given_order_each_when_admitted(monkeypatc
             events.append("admit")
             return True
 
-        rs.distance._pattern_sweep(costs, p.eta.ravel(), q.eta.ravel(), candidates, admit)
+        rs.distance._pattern_sweep(costs, p.eta.ravel(), q.eta.ravel(), np.zeros((2, 3)),
+                                   candidates, admit)
         assert events == ["admit", "solve"] * len(order)
         return order
 

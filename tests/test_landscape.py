@@ -453,6 +453,84 @@ def test_connected_distance_solves_only_minimal_relations(monkeypatch):
         assert result.value == pytest.approx(expected, abs=1e-9)
 
 
+def test_connected_distance_is_exactly_symmetric():
+    # argument order is canonicalized, so a swapped call returns the same
+    # float and the transposed witnesses
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        a, b = (random_predictor_graph(rng, nx=2, ny=2, n_h=3) for _ in range(2))
+        ab = rs.connected_risk_distance_exact(a, b)
+        ba = rs.connected_risk_distance_exact(b, a)
+        assert ab.value == ba.value, seed
+        assert np.array_equal(ab.witness_coupling,
+                              np.transpose(ba.witness_coupling, (2, 3, 0, 1)))
+        assert np.array_equal(ab.witness_correspondence, ba.witness_correspondence.T)
+    # no relation is inverse-connected: inf, with no witness, either way
+    isolated = rs.PredictorGraph(problem=random_problem(rng, n_h=2), edges=())
+    bullet = rs.PredictorGraph(problem=rs.one_point_problem(0.0), edges=())
+    for result in (rs.connected_risk_distance_exact(isolated, bullet),
+                   rs.connected_risk_distance_exact(bullet, isolated)):
+        assert np.isinf(result.value) and result.witness_coupling is None
+
+
+def test_connected_distance_solves_no_transport_lp(monkeypatch):
+    # the pair bounds are closed-form profile W1 distances; the exact
+    # distance still solves them by LP
+    def no_transport_lp(*args):
+        raise AssertionError("a transport LP was solved")
+
+    monkeypatch.setattr(rs.distance, "solve_ot_exact", no_transport_lp)
+    rng = np.random.default_rng(114)
+    for _ in range(6):
+        a, b = (random_predictor_graph(rng, nx=2, ny=2, n_h=3) for _ in range(2))
+        value = rs.connected_risk_distance_exact(a, b).value
+        assert value == pytest.approx(connected_distance_oracle(a, b), abs=1e-9)
+    with pytest.raises(AssertionError, match="transport LP"):
+        rs.risk_distance_exact(a.problem, b.problem)
+
+
+def test_connected_distance_lps_are_its_admitted_relations(monkeypatch):
+    # every LP the connected distance solves is the minimax LP of a relation
+    # it admitted, and no admitted relation's LP value is below the sweep's
+    # bound on it
+    rng = np.random.default_rng(115)
+    admitted, values, lps, lower = [], [], [], []
+    check = rs.landscape.is_inverse_connected
+    solve = rs.distance._minimax_coupling_lp
+    linprog = rs.transport.linprog
+    sweep = rs.landscape._pattern_sweep
+
+    def recorded_check(r, left, right):
+        if check(r, left, right):
+            admitted.append(r)
+            return True
+        return False
+
+    def recorded_solve(costs, mu, nu):
+        value, gamma_flat = solve(costs, mu, nu)
+        values.append(value)
+        return value, gamma_flat
+
+    def recorded_sweep(costs, mu, nu, bounds, *args):
+        lower.append((bounds, costs.max()))
+        return sweep(costs, mu, nu, bounds, *args)
+
+    monkeypatch.setattr(rs.landscape, "is_inverse_connected", recorded_check)
+    monkeypatch.setattr(rs.distance, "_minimax_coupling_lp", recorded_solve)
+    monkeypatch.setattr(rs.landscape, "_pattern_sweep", recorded_sweep)
+    monkeypatch.setattr(rs.transport, "linprog",
+                        lambda *args, **kwargs: lps.append(1) or linprog(*args, **kwargs))
+    for _ in range(8):
+        a, b = (random_predictor_graph(rng, nx=2, ny=2, n_h=3) for _ in range(2))
+        for log in (admitted, values, lps, lower):
+            log.clear()
+        rs.connected_risk_distance_exact(a, b)
+        assert len(lps) == len(admitted) == len(values) > 0
+        [(bounds, top)] = lower
+        for r, value in zip(admitted, values):
+            assert bounds[r].max() <= value + 1e-12 * top
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_connected_distance_matches_oracle_on_random_graphs(data):
