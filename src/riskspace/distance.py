@@ -198,16 +198,19 @@ def hausdorff_reduction(costs: np.ndarray) -> tuple[float, np.ndarray]:
 # --------------------------------------------------------------------------
 
 def _minimax_coupling_lp(
-    costs: np.ndarray, mu: np.ndarray, nu: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """min over couplings gamma of max_k <costs[k], gamma>.
+    costs: np.ndarray, mu: np.ndarray, nu: np.ndarray, duals: bool = False
+):
+    """min over couplings gamma of max_k <costs[k], gamma>: (value, flat
+    coupling), and with ``duals`` also the LP's duals (w, u, v).
 
     ``costs`` has one row per functional, flat over the (len(mu), len(nu))
     grid; each row is one constraint of the epigraph LP
-    (:func:`transport._coupling_lp`), in row order.
+    (:func:`transport._coupling_lp`), in row order, and w weighs the rows.
     """
-    gamma_flat = _coupling_lp(mu, nu, costs.reshape(-1, len(mu), len(nu))).ravel()
-    return max(float(c @ gamma_flat) for c in costs), gamma_flat
+    solved = _coupling_lp(mu, nu, costs.reshape(-1, len(mu), len(nu)), duals)
+    gamma_flat = (solved[0] if duals else solved).ravel()
+    value = max(float(c @ gamma_flat) for c in costs)
+    return (value, gamma_flat, solved[1]) if duals else (value, gamma_flat)
 
 
 # --------------------------------------------------------------------------
@@ -262,6 +265,7 @@ def _pattern_sweep(
     lower: np.ndarray,
     candidates: np.ndarray,
     admissible=None,
+    solve=None,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Minimum of the minimax coupling LP over candidate pair sets.
 
@@ -273,11 +277,15 @@ def _pattern_sweep(
     order, ties in the order ``candidates`` lists them, and the sweep stops
     at the first score that cannot improve on the best value.  ``admissible``
     filters the sets as they are reached; a set it accepts is solved at
-    once, before the next set is offered to it.
+    once, before the next set is offered to it.  ``solve(r)`` returns a
+    set's (value, flat coupling); it defaults to the minimax coupling LP.
 
     Returns (value, flat coupling, pair set) of the best set, or
     (inf, None, None) when no set is admissible.
     """
+    if solve is None:
+        def solve(r):
+            return _minimax_coupling_lp(costs[r], mu, nu)
     flat = candidates.reshape(len(candidates), -1)
     scores = np.where(flat, lower.ravel(), -np.inf).max(axis=1)
     best: tuple[float, np.ndarray | None, np.ndarray | None] = (np.inf, None, None)
@@ -287,7 +295,7 @@ def _pattern_sweep(
         r = candidates[i]
         if admissible is not None and not admissible(r):
             continue
-        value, gamma_flat = _minimax_coupling_lp(costs[r], mu, nu)
+        value, gamma_flat = solve(r)
         if value < best[0]:
             best = (value, gamma_flat, r)
     return best

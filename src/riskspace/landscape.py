@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distance
 from .errors import require, within_cap
 from .distance import (
     ENUMERATION_CAPACITY,
     DistanceResult,
     _canonical_key,
+    _costs_under,
     _minimax_coupling_lp,  # noqa: F401  unused; perfbench's tracer wraps this binding
     _pair_costs,
     _pattern_sweep,
@@ -34,9 +36,8 @@ from .problems import (
     _real,
     all_risks,
     constrained_bayes_risk,
-    loss_profile_set,
 )
-from .transport import _w1_matrix
+from .transport import _corner_plan, _profile_w1, _Support, _support
 
 CONNECTED_CAP_PAIRS = 9
 
@@ -190,16 +191,21 @@ def connected_risk_distance_exact(
     score-sorted sweep: candidates are taken in increasing order of their
     per-pair transport lower bound (the closed-form line W1 distance of the
     two loss profiles; no transport LP), fewer pairs first among equal
-    bounds, and solved by the exact minimax coupling LP until no remaining
-    bound can beat the best value.  A candidate reached is skipped when it
-    contains a correspondence already solved, since its LP has every
-    constraint of that one's, and is otherwise checked for inverse
-    connectivity; so only minimal inverse-connected correspondences are
-    solved.  Dominates the unrestricted distance.  If no correspondence is
-    inverse-connected the distance is infinite.  A ``cap_pairs`` raised so
-    far that the relation bits would exceed ``distance.ENUMERATION_CAPACITY``
-    bytes is refused with a capacity error before they are built.  Argument
-    order is canonicalized internally, making the function exactly symmetric.
+    bounds, until no remaining bound can beat the best value.  Each solve
+    records pair sets S with a lower bound L on the LP value of every
+    relation that holds S: the solved relation with its value, and its LP's
+    dual support with the bound weak duality gives it.  A candidate reached
+    is skipped, before its connectivity check, when it holds a recorded S
+    whose L is at least the best value less 1e-12 times the largest pair
+    cost; so only minimal inverse-connected correspondences are solved.  A
+    relation is solved with no LP when the quantile coupling of its
+    top-bound pair keeps every pair within that tolerance of the pair's
+    bound, which no coupling can beat (docs/algorithms.md).  Dominates the
+    unrestricted distance.  If no correspondence is inverse-connected the
+    distance is infinite.  A ``cap_pairs`` raised so far that the relation
+    bits would exceed ``distance.ENUMERATION_CAPACITY`` bytes is refused
+    with a capacity error before they are built.  Argument order is
+    canonicalized internally, making the function exactly symmetric.
     """
     cap_pairs = _count(cap_pairs, "cap_pairs")
     if ((_canonical_key(pg_prime.problem), pg_prime.edges)
@@ -217,22 +223,72 @@ def connected_risk_distance_exact(
     relations = relations[covering]
     # fewer pairs first, so among equal scores every subset precedes its supersets
     relations = relations[np.argsort(relations.sum(axis=(1, 2)), kind="stable")]
-    solved = []  # the sweep solves each relation it admits at once
+    costs = _pair_costs(p, q)
+    mu, nu = p.eta.ravel(), q.eta.ravel()
+    lower = _profile_w1(p, q)
+    support = _support(mu, nu)
+    block = _pair_costs(p, q, support)
+    la = p.predictor_loss_stack().reshape(p.n_predictors, -1)[:, support.rows]
+    lb = q.predictor_loss_stack().reshape(q.n_predictors, -1)[:, support.cols]
+    tol = 1e-12 * costs.max()
+    best = np.inf
+    records = []  # (S, L): every relation holding the pairs S has LP value >= L
+    quantile = {}  # top pair -> its quantile coupling and every pair's cost under it
 
     def admissible(rel: np.ndarray) -> bool:
-        if any((s <= rel).all() for s in solved):
-            return False  # its LP holds every constraint of s's: no lower value
-        if not is_inverse_connected(rel, pg, pg_prime):
+        if any(bound >= best - tol and (held <= rel).all() for held, bound in records):
             return False
-        solved.append(rel)
-        return True
+        return is_inverse_connected(rel, pg, pg_prime)
 
-    value, gamma_flat, r = _pattern_sweep(
-        _pair_costs(p, q), p.eta.ravel(), q.eta.ravel(),
-        _w1_matrix(loss_profile_set(p), loss_profile_set(q)), relations, admissible)
+    def solve(rel: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best
+        top = np.unravel_index(np.argmax(np.where(rel, lower, -np.inf)), rel.shape)
+        if top not in quantile:
+            h, hp = top
+            gamma_flat = _corner_plan(support, np.argsort(la[h], kind="stable"),
+                                      np.argsort(lb[hp], kind="stable")).ravel()
+            quantile[top] = gamma_flat, _costs_under(costs, gamma_flat)
+        gamma_flat, under = quantile[top]
+        value = float(under[rel].max())
+        if value <= lower[top] + tol:
+            held = np.zeros_like(rel)
+            held[top] = True
+            record = held, float(lower[top])
+        else:
+            # looked up on the module at call time, so that a recorder
+            # patched onto it sees every LP; duals asked for by position
+            value, gamma_flat, duals = distance._minimax_coupling_lp(
+                costs[rel], mu, nu, True)
+            record = _dual_record(rel, block, support, *duals)
+        records.extend([(rel, value), record])
+        best = min(best, value)
+        return value, gamma_flat
+
+    value, gamma_flat, r = _pattern_sweep(costs, mu, nu, lower, relations,
+                                          admissible, solve)
     if gamma_flat is None:
         return DistanceResult(value=np.inf, status="exact")
     return _result(value, "exact", p, q, gamma_flat, r=r)
+
+
+def _dual_record(rel: np.ndarray, block: np.ndarray, support: _Support,
+                 weights: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """(S, L) from the duals of a relation's minimax LP: S, the pairs of
+    positive weight, and L, a lower bound on the LP value of every relation
+    holding S.  ``block`` is the pair-cost tensor over ``support``'s cells.
+
+    For such a relation and any coupling, the largest cost is at least the
+    mix of S's costs with the weights renormalized on S, and that mix is
+    <u, mu> + <v, nu> plus the coupling's mean of mix - u - v, at least its
+    least cell (weak duality): L, recomputed here, so it holds whatever the
+    LP's tolerances.
+    """
+    w = np.zeros(rel.shape)
+    w[rel] = weights
+    held = w > 0
+    mix = (w[held] / w[held].sum()) @ block[held]
+    slack = mix.reshape(len(u), len(v)) - u[:, None] - v[None, :]
+    return held, float(u @ support.mu + v @ support.nu + slack.min())
 
 
 def reeb_sandwich(

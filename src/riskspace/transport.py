@@ -29,7 +29,6 @@ from .problems import (
     _power_mean,
     _real,
     loss_profile_distribution,
-    loss_profile_set,
 )
 
 # Tightened HiGHS tolerances (1e-10 is the solver's floor): vertex solutions
@@ -120,7 +119,8 @@ def _support(mu: np.ndarray, nu: np.ndarray) -> _Support:
     return _Support(rows, cols, mu[rows], nu[cols], (len(mu), len(nu)))
 
 
-def _coupling_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarray:
+def _coupling_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray,
+                 duals: bool = False):
     """A coupling of (mu, nu), at full shape, minimizing one cost of shape
     (len(mu), len(nu)), the transport form, or the largest of a stack
     (k, len(mu), len(nu)), the epigraph form: its variables are the
@@ -129,16 +129,22 @@ def _coupling_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarra
 
     Zero-mass rows and columns are dropped before the solve and come back
     as zeros; with one supported row or column the product coupling is the
-    only one, and no LP is solved.  The supported costs reach HiGHS in one
-    binade (:func:`_unit_binade`), so its absolute tolerances and its
-    infinite cost of 1e20 meet every loss unit alike.  This is the one call
-    site of the LP solver.
+    only one, and no LP is solved unless ``duals`` asks for its duals.  The
+    supported costs reach HiGHS in one binade (:func:`_unit_binade`), so
+    its absolute tolerances and its infinite cost of 1e20 meet every loss
+    unit alike.  This is the one call site of the LP solver.
+
+    With ``duals`` it returns (plan, (w, u, v)): the epigraph rows' weights
+    w >= 0 (empty in the transport form) and the marginal potentials u, v
+    of the supported rows and columns, in the units of ``costs``, so that
+    <u, mu> + <v, nu> is the optimal value and sum_r w_r costs[r] - u - v
+    is nonnegative on the supported block up to the LP tolerances.
     """
     support = _support(mu, nu)
     m, n = len(support.mu), len(support.nu)
-    if m == 1 or n == 1:
+    if (m == 1 or n == 1) and not duals:
         return support.embed(np.outer(support.mu, support.nu))
-    block = _unit_binade(support.restrict(costs))
+    block, shift = _unit_binade(support.restrict(costs))
     a_eq, b_eq = _marginal_equalities(support.mu, support.nu)
     a_ub = b_ub = None
     if costs.ndim == 2:
@@ -162,14 +168,21 @@ def _coupling_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarra
     if res.status != 0:
         kind = "transport" if a_ub is None else "minimax transport"
         raise SolverError(f"{kind} LP failed: {res.message}")
-    return support.embed(res.x[: m * n].reshape(m, n))
+    plan = support.embed(res.x[: m * n].reshape(m, n))
+    if not duals:
+        return plan
+    weights = np.zeros(0) if a_ub is None else -res.ineqlin.marginals
+    # the potentials scale with the costs: undo the binade shift
+    u, v = np.split(np.ldexp(res.eqlin.marginals, -shift), [m])
+    return plan, (weights, u, v)
 
 
-def _unit_binade(costs: np.ndarray) -> np.ndarray:
-    """``costs`` divided by the power of two that puts its largest |entry|
-    in [1, 2): exact, the same optima, and costs already there unchanged."""
+def _unit_binade(costs: np.ndarray) -> tuple[np.ndarray, int]:
+    """``costs`` times the power of two 2**shift that puts its largest
+    |entry| in [1, 2), and ``shift``: exact, the same optima, and costs
+    already there unchanged."""
     _, exponent = np.frexp(np.max(np.abs(costs)))
-    return np.ldexp(costs, 1 - exponent)
+    return np.ldexp(costs, 1 - exponent), int(1 - exponent)
 
 
 def solve_ot_exact(
@@ -239,8 +252,16 @@ def random_coupling_vertex(
     mu = check_distribution(mu, "mu")
     nu = check_distribution(nu, "nu")
     support = _support(mu, nu)
-    rperm = rng.permutation(len(support.rows))
-    cperm = rng.permutation(len(support.cols))
+    return _corner_plan(support, rng.permutation(len(support.rows)),
+                        rng.permutation(len(support.cols)))
+
+
+def _corner_plan(support: _Support, rperm: np.ndarray, cperm: np.ndarray) -> np.ndarray:
+    """The northwest-corner coupling of ``support`` with its rows taken in
+    the order ``rperm`` and its columns in the order ``cperm``, at full
+    shape.  With rows and columns sorted by two real values it is their
+    quantile (monotone) coupling, which is optimal for the distance between
+    the two values."""
     rows, cols, masses = _northwest_corner(support.mu[rperm], support.nu[cperm])
     plan = np.zeros((len(rperm), len(cperm)))
     plan[rperm[rows], cperm[cols]] = masses
@@ -359,16 +380,7 @@ def _tree_simplex(
 def w1_real_line(a: LossProfile, b: LossProfile) -> float:
     """1-Wasserstein distance between real discrete distributions via the CDF
     formula: the area between the two cumulative distribution functions."""
-    grid = np.union1d(a.values, b.values)
-    cdf_a = _cdf_on_grid(a, grid)
-    cdf_b = _cdf_on_grid(b, grid)
-    return float(np.sum(np.abs(cdf_a[:-1] - cdf_b[:-1]) * np.diff(grid)))
-
-
-def _cdf_on_grid(profile: LossProfile, grid: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(profile.values, grid, side="right")
-    cum = np.concatenate([[0.0], np.cumsum(profile.masses)])
-    return cum[idx]
+    return float(_w1_matrix([a], [b])[0, 0])
 
 
 def total_variation(mu: np.ndarray, nu: np.ndarray) -> float:
@@ -389,15 +401,65 @@ def hausdorff(dist: np.ndarray) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
+def _line_w1(a: np.ndarray, mu: np.ndarray, b: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """1-Wasserstein distances on the line between every row of ``a`` and
+    every row of ``b``: row i of ``a`` puts the masses ``mu`` (one row for
+    all rows, or one per row) on its values, row j of ``b`` the masses
+    ``nu`` on its; shape (len(a), len(b)).
+
+    W1 is the area between the two CDFs.  Each pair's atoms are merged and
+    sorted stably, ``a``'s first among equal values, and each CDF is a
+    running sum of its own masses in that order, so two equal rows measure
+    exactly 0.  Ties, repeated values and zero masses need no merging: an
+    interval of length 0 adds nothing, and a zero mass does not move a CDF.
+    """
+    a, mu = np.broadcast_arrays(a, mu)
+    b, nu = np.broadcast_arrays(b, nu)
+    shape = (len(a), len(b))
+    values = np.concatenate([np.broadcast_to(a[:, None], shape + a.shape[1:]),
+                             np.broadcast_to(b[None], shape + b.shape[1:])], axis=2)
+    masses = np.concatenate([np.broadcast_to(mu[:, None], shape + mu.shape[1:]),
+                             np.broadcast_to(nu[None], shape + nu.shape[1:])], axis=2)
+    order = np.argsort(values, axis=2, kind="stable")
+    masses = np.take_along_axis(masses, order, axis=2)
+    from_a = order < a.shape[1]
+    gaps = (np.cumsum(np.where(from_a, masses, 0.0), axis=2)
+            - np.cumsum(np.where(from_a, 0.0, masses), axis=2))
+    steps = np.diff(np.take_along_axis(values, order, axis=2), axis=2)
+    return np.sum(np.abs(gaps[..., :-1]) * steps, axis=2)
+
+
 def _w1_matrix(profiles_a, profiles_b) -> np.ndarray:
-    """1-Wasserstein distances on the line between two profile lists."""
-    return np.array([[w1_real_line(a, b) for b in profiles_b] for a in profiles_a])
+    """1-Wasserstein distances on the line between two profile lists: each
+    list stacked, shorter profiles padded with zero-mass atoms at 0, and
+    measured by :func:`_line_w1`."""
+    return _line_w1(*_stacked(profiles_a), *_stacked(profiles_b))
+
+
+def _stacked(profiles) -> tuple[np.ndarray, np.ndarray]:
+    """A profile list as (values, masses) stacks of one width."""
+    width = max(len(profile.values) for profile in profiles)
+    values = np.zeros((len(profiles), width))
+    masses = np.zeros((len(profiles), width))
+    for row, profile in enumerate(profiles):
+        values[row, : len(profile.values)] = profile.values
+        masses[row, : len(profile.masses)] = profile.masses
+    return values, masses
+
+
+def _profile_w1(p: FiniteProblem, p_prime: FiniteProblem) -> np.ndarray:
+    """The (|H|, |H'|) 1-Wasserstein distances between the loss profiles of
+    every predictor pair, taken from the two loss stacks and joint laws, so
+    no profile is built."""
+    return _line_w1(p.predictor_loss_stack().reshape(p.n_predictors, -1), p.eta.ravel(),
+                    p_prime.predictor_loss_stack().reshape(p_prime.n_predictors, -1),
+                    p_prime.eta.ravel())
 
 
 def hausdorff_loss_profiles(p: FiniteProblem, p_prime: FiniteProblem) -> float:
     """Hausdorff distance between the two loss-profile sets, with profiles
     compared by 1-Wasserstein distance on the line."""
-    return hausdorff(_w1_matrix(loss_profile_set(p), loss_profile_set(p_prime)))
+    return hausdorff(_profile_w1(p, p_prime))
 
 
 def wasserstein_profile_distributions(

@@ -425,13 +425,43 @@ def test_connected_distance_prunes_lps(monkeypatch):
     assert 0 < len(calls) < survivors
 
 
+def _recorded_sweep(monkeypatch, lps: list, solved: list, bounds: list):
+    """Patch the connected distance's sweep to log, for each relation it
+    solves, (relation, value, flat coupling, LP calls it took), and the
+    sweep's (pair bounds, largest pair cost); ``lps`` is a list that grows
+    by one per LP solved."""
+    sweep = rs.landscape._pattern_sweep
+
+    def recorded_sweep(costs, mu, nu, lower, candidates, admissible, solve):
+        bounds.append((lower, costs.max()))
+
+        def recorded_solve(r):
+            before = len(lps)
+            value, gamma_flat = solve(r)
+            solved.append((r, value, gamma_flat, len(lps) - before))
+            return value, gamma_flat
+
+        return sweep(costs, mu, nu, lower, candidates, admissible, recorded_solve)
+
+    monkeypatch.setattr(rs.landscape, "_pattern_sweep", recorded_sweep)
+
+
+def _canonical_pair(rng, **kwargs):
+    """Two random predictor graphs in the order the connected distance
+    solves them in, so its relations and couplings are in their frame."""
+    a, b = (random_predictor_graph(rng, **kwargs) for _ in range(2))
+    key = rs.distance._canonical_key
+    return (b, a) if (key(b.problem), b.edges) < (key(a.problem), a.edges) else (a, b)
+
+
 def test_connected_distance_solves_only_minimal_relations(monkeypatch):
     # a relation that holds an admitted one has every constraint of its LP,
-    # so only relations holding no admitted relation are solved
+    # so only relations holding no admitted relation are solved, each by
+    # one minimax LP or by the closed-form certificate
     rng = np.random.default_rng(113)
     graphs = [_path_graph(random_problem(rng, nx=2, ny=2, n_h=3)) for _ in range(3)]
     graphs += [random_predictor_graph(rng, nx=2, ny=2, n_h=3) for _ in range(3)]
-    checked, calls = [], []
+    checked, calls, solved = [], [], []
     check = rs.landscape.is_inverse_connected
     solve = rs.distance._minimax_coupling_lp
 
@@ -442,15 +472,22 @@ def test_connected_distance_solves_only_minimal_relations(monkeypatch):
     monkeypatch.setattr(rs.landscape, "is_inverse_connected", recorded_check)
     monkeypatch.setattr(rs.distance, "_minimax_coupling_lp",
                         lambda *args: calls.append(1) or solve(*args))
+    _recorded_sweep(monkeypatch, calls, solved, [])
+    kinds = set()
     for a, b in zip(graphs[:3], graphs[3:]):
         expected = connected_distance_oracle(a, b)
-        checked.clear()
-        calls.clear()
+        for log in (checked, calls, solved):
+            log.clear()
         result = rs.connected_risk_distance_exact(a, b)
         admitted = [r for r, ok in checked if ok]
-        assert admitted and len(calls) == len(admitted)
+        assert admitted and len(solved) == len(admitted)
+        assert all(np.array_equal(r, s) for r, (s, *_) in zip(admitted, solved))
+        assert all(n in (0, 1) for *_, n in solved)
+        assert len(calls) == sum(n for *_, n in solved)
+        kinds |= {n for *_, n in solved}
         assert not any((r <= s).all() for r, s in itertools.permutations(admitted, 2))
         assert result.value == pytest.approx(expected, abs=1e-9)
+    assert kinds == {0, 1}  # both LP-solved and certified relations came up
 
 
 def test_connected_distance_is_exactly_symmetric():
@@ -490,15 +527,13 @@ def test_connected_distance_solves_no_transport_lp(monkeypatch):
 
 
 def test_connected_distance_lps_are_its_admitted_relations(monkeypatch):
-    # every LP the connected distance solves is the minimax LP of a relation
-    # it admitted, and no admitted relation's LP value is below the sweep's
-    # bound on it
+    # every relation the connected distance admits is solved at once, by
+    # one minimax LP or certified with none, and no solved relation's value
+    # is below the sweep's bound on it
     rng = np.random.default_rng(115)
-    admitted, values, lps, lower = [], [], [], []
+    admitted, solved, lps, bounds = [], [], [], []
     check = rs.landscape.is_inverse_connected
-    solve = rs.distance._minimax_coupling_lp
     linprog = rs.transport.linprog
-    sweep = rs.landscape._pattern_sweep
 
     def recorded_check(r, left, right):
         if check(r, left, right):
@@ -506,29 +541,77 @@ def test_connected_distance_lps_are_its_admitted_relations(monkeypatch):
             return True
         return False
 
-    def recorded_solve(costs, mu, nu):
-        value, gamma_flat = solve(costs, mu, nu)
-        values.append(value)
-        return value, gamma_flat
-
-    def recorded_sweep(costs, mu, nu, bounds, *args):
-        lower.append((bounds, costs.max()))
-        return sweep(costs, mu, nu, bounds, *args)
-
     monkeypatch.setattr(rs.landscape, "is_inverse_connected", recorded_check)
-    monkeypatch.setattr(rs.distance, "_minimax_coupling_lp", recorded_solve)
-    monkeypatch.setattr(rs.landscape, "_pattern_sweep", recorded_sweep)
     monkeypatch.setattr(rs.transport, "linprog",
                         lambda *args, **kwargs: lps.append(1) or linprog(*args, **kwargs))
+    _recorded_sweep(monkeypatch, lps, solved, bounds)
+    kinds = set()
     for _ in range(8):
         a, b = (random_predictor_graph(rng, nx=2, ny=2, n_h=3) for _ in range(2))
-        for log in (admitted, values, lps, lower):
+        for log in (admitted, solved, lps, bounds):
             log.clear()
         rs.connected_risk_distance_exact(a, b)
-        assert len(lps) == len(admitted) == len(values) > 0
-        [(bounds, top)] = lower
-        for r, value in zip(admitted, values):
-            assert bounds[r].max() <= value + 1e-12 * top
+        assert len(admitted) == len(solved) > 0
+        assert all(np.array_equal(r, s) for r, (s, *_) in zip(admitted, solved))
+        assert len(lps) == sum(n for *_, n in solved)
+        kinds |= {n for *_, n in solved}
+        [(lower, top)] = bounds
+        for r, value, _, _ in solved:
+            assert lower[r].max() <= value + 1e-12 * top
+    assert kinds == {0, 1}
+
+
+def test_connected_certificate_matches_the_lp(monkeypatch):
+    # a relation solved with no LP has the LP's value, and its plan is a
+    # coupling of the two joint laws
+    rng = np.random.default_rng(116)
+    solved, lps, bounds = [], [], []
+    linprog = rs.transport.linprog
+    monkeypatch.setattr(rs.transport, "linprog",
+                        lambda *args, **kwargs: lps.append(1) or linprog(*args, **kwargs))
+    _recorded_sweep(monkeypatch, lps, solved, bounds)
+    certified = 0
+    for _ in range(12):
+        a, b = _canonical_pair(rng, nx=2, ny=2, n_h=int(rng.integers(2, 4)))
+        solved.clear()
+        rs.connected_risk_distance_exact(a, b)
+        p, q = a.problem, b.problem
+        costs = rs.distance._pair_costs(p, q)
+        for r, value, gamma_flat, n in solved:
+            if n:
+                continue
+            certified += 1
+            lp_value, _ = rs.distance._minimax_coupling_lp(
+                costs[r], p.eta.ravel(), q.eta.ravel())
+            assert abs(value - lp_value) <= 1e-12 * costs.max()
+            plan = gamma_flat.reshape(p.eta.shape + q.eta.shape)
+            rs.transport.check_coupling(plan, p.eta, q.eta)
+    assert certified
+
+
+def test_connected_dual_records_bound_every_superset(monkeypatch):
+    # a record (S, L) from an LP's duals bounds the LP value of every
+    # correspondence holding S from below, so skipping them is exact
+    rng = np.random.default_rng(117)
+    records = []
+    record = rs.landscape._dual_record
+    monkeypatch.setattr(rs.landscape, "_dual_record",
+                        lambda *args: records.append(record(*args)) or records[-1])
+    checked = 0
+    for _ in range(10):
+        a, b = _canonical_pair(rng, nx=2, ny=2, n_h=int(rng.integers(2, 4)))
+        p, q = a.problem, b.problem
+        records.clear()
+        rs.connected_risk_distance_exact(a, b)
+        costs = rs.distance._pair_costs(p, q)
+        mu, nu = p.eta.ravel(), q.eta.ravel()
+        for held, bound in records:
+            for r in enumerate_correspondences(p.n_predictors, q.n_predictors):
+                if (held <= r).all():
+                    value, _ = rs.distance._minimax_coupling_lp(costs[r], mu, nu)
+                    assert bound <= value + 1e-12 * costs.max()
+                    checked += 1
+    assert checked
 
 
 @settings(max_examples=20, deadline=None)

@@ -180,6 +180,36 @@ def test_northwest_walk_spans_and_keeps_random_vertices():
     assert degenerate  # equal partial sums came up
 
 
+def test_coupling_lp_duals_certify_the_value():
+    # the duals are feasible and price the plan's value, in the units of
+    # the costs: w >= 0 sums to 1, sum_r w_r c_r - u - v >= 0 on the
+    # support, and <u, mu> + <v, nu> is the value, also with one supported
+    # row or column
+    from riskspace.transport import _coupling_lp, _support
+
+    rng = np.random.default_rng(29)
+    pairs = [*_seeded_marginal_pairs(rng, 30),
+             (np.array([0.0, 1.0, 0.0]), _random_distribution(rng, 4)),
+             (_random_distribution(rng, 3), np.array([0.0, 1.0]))]
+    for k, (mu, nu) in enumerate(pairs):
+        support = _support(mu, nu)
+        scale = (1e-12, 1.0, 1e12)[k % 3]
+        for costs in (rng.random((3, len(mu), len(nu))) * scale,
+                      rng.random((len(mu), len(nu))) * scale):
+            plan, (w, u, v) = _coupling_lp(mu, nu, costs, duals=True)
+            stack = support.restrict(costs.reshape(-1, len(mu), len(nu)))
+            value = max(float(np.sum(c * support.restrict(plan))) for c in stack)
+            if costs.ndim == 3:
+                assert np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9
+                mix = np.tensordot(w, stack, 1)
+            else:
+                assert w.size == 0
+                mix = stack[0]
+            top = costs.max()
+            assert (mix - u[:, None] - v[None, :]).min() >= -1e-9 * top
+            assert abs(u @ support.mu + v @ support.nu - value) <= 1e-9 * top
+
+
 def test_coupling_lp_forms_agree_and_vanish_off_the_support():
     # the transport form, the epigraph form over one cost and over three,
     # on seeded marginals with zero-mass atoms and one supported row
@@ -355,6 +385,41 @@ def test_w1_matches_lp_on_random_pairs():
         cost = np.abs(a.values[:, None] - b.values[None, :])
         _, lp_value = rs.solve_ot_exact(cost, a.masses, b.masses)
         assert rs.w1_real_line(a, b) == pytest.approx(lp_value, abs=1e-9)
+
+
+@st.composite
+def _line_stacks(draw):
+    """Two stacks of 1-3 rows of 1-5 values each, drawn mostly from four
+    points so that values repeat within a row and tie across rows, with
+    masses that may be 0: one mass row per row of the first stack, one row
+    shared by the second."""
+
+    def values(shape):
+        return draw(arrays(float, shape, elements=st.sampled_from([0.0, 0.5, 1.25, 2.0])
+                           | st.floats(-2, 2)))
+
+    def masses(shape):
+        weights = draw(arrays(float, shape, elements=st.just(0.0) | st.floats(0.01, 1))
+                       .filter(lambda w: np.all(w.sum(axis=-1) > 0)))
+        return weights / weights.sum(axis=-1, keepdims=True)
+
+    k, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return values((k, m)), masses((k, m)), values((draw(st.integers(1, 3)), n)), masses(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line_stacks())
+def test_line_w1_kernel_matches_transport_lp(stacks):
+    from riskspace.transport import _line_w1
+
+    a, mu, b, nu = stacks
+    dist = _line_w1(a, mu, b, nu)
+    assert dist.shape == (len(a), len(b))
+    for i, j in np.ndindex(dist.shape):
+        _, value = rs.solve_ot_exact(np.abs(a[i][:, None] - b[j][None, :]), mu[i], nu)
+        assert abs(dist[i, j] - value) <= 1e-12
+    # a row against itself, with its own masses, is exactly 0 away
+    assert np.all(np.diag(_line_w1(a, mu, a, mu)) == 0.0)
 
 
 # --------------------------------------------------------------------------
